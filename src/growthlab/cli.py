@@ -8,9 +8,11 @@ Subcommands:
   landscape    sample response/growth over the strategy simplex
 
 Global flags: --config PATH (JSON run configuration), --seed N, --output
-PATH, --svg.  Flags override config values; the GROWTHLAB_SEED environment
-variable is used when no seed is given anywhere.  Exit codes: 0 success,
-2 configuration/usage error, 1 runtime error.
+PATH, --svg, --steps N.  Every flag is written onto the --config document at
+its key and the result is validated by the config loader, so flags override
+config values; the GROWTHLAB_SEED environment variable acts as --seed when
+that flag is absent.  Exit codes: 0 success, 2 configuration/usage error,
+1 runtime error.
 """
 
 from __future__ import annotations
@@ -18,23 +20,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .config import (
-    DEFAULT_TARGET_GROWTH,
     RunConfig,
+    SwitchSpec,
+    annual_to_step_rate,
     config_from_dict,
-    load_config,
+    economy_from_dict,
+    read_document,
 )
-from .core import (
-    ConfigurationError,
-    GrowthLabError,
-    ProductionCoefficients,
-    Strategy,
-    EconomyParams,
-)
+from .core import ConfigurationError, GrowthLabError, ProductionCoefficients, Strategy
 from .equilibrium import calibrate_scaling, equilibrium_growth
 from .experiments import run_experiment
 
@@ -67,7 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration file")
         p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--output", help="output CSV path")
-        p.add_argument("--svg", action="store_true", help="also write SVG charts")
+        p.add_argument(
+            "--svg", action="store_true", default=None, help="also write SVG charts"
+        )
         p.add_argument("--steps", type=int, help="number of simulation steps")
 
     def add_economy(p: argparse.ArgumentParser) -> None:
@@ -104,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--initial-sigma", type=_floats, help="starting strategy")
     p_conv.add_argument("--switch-steps", type=_ints, help="steps to switch at")
     p_conv.add_argument(
-        "--mutation-sd", type=float, help="sd of the imitation error (default 0.02)"
+        "--mutation-sd",
+        type=float,
+        help=f"sd of the imitation error (default {SwitchSpec.mutation_sd})",
     )
 
     p_evo = sub.add_parser("evolve", help="population imitation loop")
@@ -138,83 +139,70 @@ def _resolve_seed(args) -> int | None:
     return None
 
 
-def _economy_doc(args) -> dict:
-    if args.alpha is None:
-        raise ConfigurationError("--alpha is required without --config")
-    doc: dict = {"alphas": args.alpha}
-    if args.delta is not None:
-        doc["deprecation"] = args.delta
-    if args.prices is not None:
-        doc["prices"] = args.prices
+def _section(doc: dict, name: str) -> dict:
+    section = doc.setdefault(name, {})
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{name}: expected dict, got {type(section).__name__}")
+    return section
+
+
+#: flag dest -> the run document key the flag overrides
+_KEYS = {
+    "output": "output",
+    "svg": "emit_svg",
+    "steps": "steps",
+    "alpha": "economy.alphas",
+    "delta": "economy.deprecation",
+    "prices": "economy.prices",
+    "scaling": "economy.scaling",
+    "target": "target_growth",
+    "initial_sigma": "switch.initial_sigma",
+    "switch_steps": "switch.switch_steps",
+    "mutation_sd": "switch.mutation_sd",
+    "population": "evolution.population_size",
+    "imitation_probability": "evolution.imitation_probability",
+    "imitation_sd": "evolution.imitation_error_sd",
+    "rule": "evolution.selection_rule",
+    "sample": "evolution.observation_sample",
+    "samples": "landscape.samples",
+}
+
+
+def _overlay(args, doc: dict) -> dict:
+    """Write every given flag onto the run document at its key.
+
+    ``--s`` drops ``target_growth`` and ``--target`` drops ``economy.scaling``,
+    so a flag also wins over the key that excludes it; given both, ``--s``
+    wins.
+    """
+    for dest, key in _KEYS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            section, _, leaf = key.rpartition(".")
+            (_section(doc, section) if section else doc)[leaf] = value
     if args.scaling is not None:
-        doc["scaling"] = args.scaling
+        doc.pop("target_growth", None)
+    elif args.target is not None:
+        _section(doc, "economy").pop("scaling", None)
     return doc
 
 
 def _experiment_config(args, experiment: str) -> RunConfig:
-    seed = _resolve_seed(args)
     if args.config:
-        cfg = load_config(args.config)
-        if cfg.experiment != experiment:
-            raise ConfigurationError(
-                f"config is for experiment {cfg.experiment!r}, "
-                f"subcommand needs {experiment!r}"
-            )
-        updates: dict = {}
-        if seed is not None:
-            updates["seed"] = seed
-        if args.output is not None:
-            updates["output_path"] = args.output
-        if args.svg:
-            updates["emit_svg"] = True
-        if args.steps is not None:
-            updates["steps"] = args.steps
-        if updates:
-            cfg = replace(cfg, **updates)
-        if seed is not None and cfg.evolution is not None:
-            cfg = replace(cfg, evolution=replace(cfg.evolution, seed=seed))
-        return cfg
-
-    doc: dict = {"experiment": experiment, "economy": _economy_doc(args)}
-    if args.scaling is None:
-        doc["target_growth"] = (
-            args.target if args.target is not None else DEFAULT_TARGET_GROWTH
+        doc = read_document(args.config)
+    else:  # an empty economy makes a missing --alpha read "economy.alphas: ..."
+        doc = {"experiment": experiment, "economy": {}}
+    found = doc.get("experiment", experiment)
+    if found != experiment:
+        raise ConfigurationError(
+            f"config is for experiment {found!r}, subcommand needs {experiment!r}"
         )
-    if experiment == "switch":
-        switch: dict = {}
-        if args.initial_sigma is not None:
-            switch["initial_sigma"] = args.initial_sigma
-        if args.switch_steps is not None:
-            switch["switch_steps"] = args.switch_steps
-        if args.mutation_sd is not None:
-            switch["mutation_sd"] = args.mutation_sd
-        if switch:
-            doc["switch"] = switch
-    elif experiment == "evolve":
-        evo: dict = {}
-        if args.population is not None:
-            evo["population_size"] = args.population
-        if args.imitation_probability is not None:
-            evo["imitation_probability"] = args.imitation_probability
-        if args.imitation_sd is not None:
-            evo["imitation_error_sd"] = args.imitation_sd
-        if args.rule is not None:
-            evo["selection_rule"] = args.rule
-        if args.sample is not None:
-            evo["observation_sample"] = args.sample
-        if evo:
-            doc["evolution"] = evo
-    elif experiment == "landscape":
-        if args.samples is not None:
-            doc["landscape"] = {"samples": args.samples}
-    if args.steps is not None:
-        doc["steps"] = args.steps
+    _overlay(args, doc)
+    seed = _resolve_seed(args)
     if seed is not None:
         doc["seed"] = seed
-    if args.output is not None:
-        doc["output"] = args.output
-    if args.svg:
-        doc["emit_svg"] = True
+        if experiment == "evolve":
+            _section(doc, "evolution")["seed"] = seed
     return config_from_dict(doc)
 
 
@@ -230,23 +218,10 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "equilibrium":
-            if args.sigma is None or args.alpha is None:
-                raise ConfigurationError("--sigma and --alpha are required")
-            coefficients = ProductionCoefficients(np.asarray(args.alpha))
+            doc = _overlay(args, {"economy": {}})
+            coefficients, params, *_ = economy_from_dict(doc)
             sigma = Strategy(np.asarray(args.sigma))
-            prices = (
-                np.asarray(args.prices)
-                if args.prices is not None
-                else np.ones(coefficients.sectors)
-            )
-            delta = args.delta if args.delta is not None else 0.03
-            if args.scaling is not None:
-                scaling = args.scaling
-            else:
-                target = args.target if args.target is not None else DEFAULT_TARGET_GROWTH
-                scaling = calibrate_scaling(target, coefficients, delta, prices)
-            params = EconomyParams(scaling, delta, prices)
-            _print_number(equilibrium_growth(sigma, coefficients, params, prices))
+            _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":
             coefficients = ProductionCoefficients(np.asarray(args.alpha))
@@ -255,8 +230,6 @@ def cli_main(argv=None) -> int:
                 if args.prices is not None
                 else np.ones(coefficients.sectors)
             )
-            from .config import annual_to_step_rate
-
             target = annual_to_step_rate(args.target, args.steps_per_year)
             _print_number(
                 calibrate_scaling(target, coefficients, args.delta, prices)

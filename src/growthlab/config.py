@@ -4,13 +4,20 @@ A run is described by one JSON object (see README for the schema).  Loading
 materializes every default, so dumping the loaded config yields a complete
 "effective" document; loading that dump reproduces the identical RunConfig.
 Validation errors always name the exact key path that failed.
+
+Each experiment section is a frozen dataclass (HoldSpec, SwitchSpec,
+EvolutionConfig, LandscapeSpec) whose fields are the section's keys: their
+annotations give the JSON types, their defaults the defaults, and their
+``__post_init__`` the range checks.  Loading and dumping read those fields,
+so the schema is written down once.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, fields
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,15 +32,12 @@ from .dynamics import PriceSchedule
 from .equilibrium import calibrate_scaling
 from .evolution import EvolutionConfig
 
-EXPERIMENTS = ("hold", "switch", "evolve", "landscape")
-
 DEFAULT_TARGET_GROWTH = 0.0185
-DEFAULT_STEPS = 500
-DEFAULT_MUTATION_SD = 0.02
-DEFAULT_LANDSCAPE_SAMPLES = 1000
-# default switch schedule density: 6..10 changes in a 500-step run
-DEFAULT_MIN_SWITCHES = 6
-DEFAULT_MAX_SWITCHES = 10
+
+
+@dataclass(frozen=True)
+class HoldSpec:
+    sigma: tuple[float, ...] | None = None  # default: the optimal strategy
 
 
 @dataclass(frozen=True)
@@ -43,19 +47,44 @@ class SwitchSpec:
     initial_sigma: tuple[float, ...] | None = None
     switch_steps: tuple[int, ...] | None = None
     switch_sigmas: tuple[tuple[float, ...], ...] | None = None
-    mutation_sd: float = DEFAULT_MUTATION_SD
-    min_switches: int = DEFAULT_MIN_SWITCHES
-    max_switches: int = DEFAULT_MAX_SWITCHES
+    mutation_sd: float = 0.02
+    # default switch schedule density: 6..10 changes in a 500-step run
+    min_switches: int = 6
+    max_switches: int = 10
 
-
-@dataclass(frozen=True)
-class HoldSpec:
-    sigma: tuple[float, ...] | None = None  # default: the optimal strategy
+    def __post_init__(self):
+        if self.switch_sigmas is not None:
+            if self.switch_steps is None:
+                raise ConfigurationError("switch_sigmas: requires switch.switch_steps")
+            if len(self.switch_sigmas) != len(self.switch_steps):
+                raise ConfigurationError(
+                    f"switch_sigmas: expected {len(self.switch_steps)} strategy vectors"
+                )
+        if self.mutation_sd < 0.0:
+            raise ConfigurationError("mutation_sd: must be >= 0")
+        if not (0 <= self.min_switches <= self.max_switches):
+            raise ConfigurationError(
+                "max_switches: need 0 <= min_switches <= max_switches"
+            )
 
 
 @dataclass(frozen=True)
 class LandscapeSpec:
-    samples: int = DEFAULT_LANDSCAPE_SAMPLES
+    samples: int = 1000
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ConfigurationError(f"samples: must be >= 1, got {self.samples}")
+
+
+#: experiment -> (document key and RunConfig field of its section, section type)
+_SECTIONS = {
+    "hold": ("hold", HoldSpec),
+    "switch": ("switch", SwitchSpec),
+    "evolve": ("evolution", EvolutionConfig),
+    "landscape": ("landscape", LandscapeSpec),
+}
+EXPERIMENTS = tuple(_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -85,36 +114,114 @@ def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
 
 
-def _get(doc: dict, key: str, path: str, expected, default=_REQUIRED):
+def _parse(value, kind, path: str):
+    """Check a JSON value against a type annotation and convert it.
+
+    ``tuple[X, ...]`` takes a JSON list of X, ``X | None`` takes X (null is
+    handled by the caller), ``float`` also takes integers.
+    """
+    if isinstance(kind, UnionType):
+        kind = next(k for k in get_args(kind) if k is not type(None))
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise _fail(path, f"expected a list, got {value!r}")
+        item = get_args(kind)[0]
+        return tuple(_parse(v, item, f"{path}[{i}]") for i, v in enumerate(value))
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise _fail(path, f"expected a number, got {value!r}")
+        return float(value)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _fail(path, f"expected an integer, got {value!r}")
+        return value
+    if not isinstance(value, kind):
+        raise _fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _get(doc: dict, key: str, path: str, kind, default=_REQUIRED):
     if key not in doc or doc[key] is None:
         if default is _REQUIRED:
             raise _fail(f"{path}{key}", "missing required key")
         return default
-    value = doc[key]
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _fail(f"{path}{key}", f"expected a number, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _fail(f"{path}{key}", f"expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, expected):
+    return _parse(doc[key], kind, f"{path}{key}")
+
+
+def _load_section(doc: dict, name: str, spec, inherited: dict):
+    """Build a section dataclass from doc[name].
+
+    Absent or null keys keep the field defaults, or the ``inherited`` values.
+    """
+    section = _get(doc, name, "", dict, {})
+    kinds = get_type_hints(spec)
+    values = dict(inherited)
+    for f in fields(spec):
+        if section.get(f.name) is not None:
+            values[f.name] = _parse(section[f.name], kinds[f.name], f"{name}.{f.name}")
+    try:
+        return spec(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}.{exc}") from exc
+
+
+def _plain(value):
+    """Tuples, also nested, as JSON lists."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+def economy_from_dict(
+    doc: dict,
+) -> tuple[ProductionCoefficients, EconomyParams, float | None, float]:
+    """Validate the economy of a run document.
+
+    Reads ``economy``, ``target_growth`` and ``steps_per_year``.  Without
+    ``economy.scaling`` the scaling factor is calibrated so the optimal
+    strategy's equilibrium growth equals the (per-step converted) target.
+    Returns (coefficients, params, target_growth, steps_per_year).
+    """
+    steps_per_year = _get(doc, "steps_per_year", "", float, 1.0)
+    if steps_per_year <= 0.0:
+        raise _fail("steps_per_year", f"must be positive, got {steps_per_year}")
+
+    economy = _get(doc, "economy", "", dict)
+    alphas = _get(economy, "alphas", "economy.", tuple[float, ...])
+    try:
+        coefficients = ProductionCoefficients(np.asarray(alphas))
+    except GrowthLabError as exc:
+        raise _fail("economy.alphas", str(exc)) from exc
+    n = coefficients.sectors
+
+    sectors = _get(economy, "sectors", "economy.", int, n)
+    if sectors != n:
+        raise _fail("economy.sectors", f"{sectors} != len(economy.alphas) = {n}")
+    deprecation = _get(economy, "deprecation", "economy.", float, 0.03)
+    prices = _get(economy, "prices", "economy.", tuple[float, ...], (1.0,) * n)
+    if len(prices) != n:
+        raise _fail("economy.prices", f"dimension {len(prices)} != sectors {n}")
+
+    scaling = _get(economy, "scaling", "economy.", float, None)
+    target_growth = _get(doc, "target_growth", "", float, None)
+    if scaling is not None and target_growth is not None:
         raise _fail(
-            f"{path}{key}", f"expected {expected.__name__}, got {type(value).__name__}"
+            "target_growth",
+            "mutually exclusive with economy.scaling; give one of the two",
         )
-    return value
-
-
-def _number_list(value, path: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise _fail(path, "expected a non-empty list of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise _fail(f"{path}[{i}]", f"expected a number, got {item!r}")
-        out.append(float(item))
-    return out
+    if scaling is None:
+        if target_growth is None:
+            target_growth = DEFAULT_TARGET_GROWTH
+        per_step_target = annual_to_step_rate(target_growth, steps_per_year)
+        try:
+            scaling = calibrate_scaling(
+                per_step_target, coefficients, deprecation, np.asarray(prices)
+            )
+        except GrowthLabError as exc:
+            raise _fail("target_growth", str(exc)) from exc
+    try:
+        params = EconomyParams(scaling, deprecation, np.asarray(prices), n)
+    except GrowthLabError as exc:
+        raise _fail("economy", str(exc)) from exc
+    return coefficients, params, target_growth, steps_per_year
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -126,181 +233,52 @@ def config_from_dict(doc: dict) -> RunConfig:
     if experiment not in EXPERIMENTS:
         raise _fail("experiment", f"must be one of {EXPERIMENTS}, got {experiment!r}")
 
-    steps = _get(doc, "steps", "", int, DEFAULT_STEPS)
+    steps = _get(doc, "steps", "", int, 500)
     if steps < 1:
         raise _fail("steps", f"must be >= 1, got {steps}")
     seed = _get(doc, "seed", "", int, 0)
     output_path = _get(doc, "output", "", str, "growthlab_out.csv")
     emit_svg = _get(doc, "emit_svg", "", bool, False)
-    steps_per_year = _get(doc, "steps_per_year", "", float, 1.0)
-    if steps_per_year <= 0.0:
-        raise _fail("steps_per_year", f"must be positive, got {steps_per_year}")
-
-    economy = _get(doc, "economy", "", dict)
-    alphas = _number_list(_get(economy, "alphas", "economy.", list), "economy.alphas")
-    try:
-        coefficients = ProductionCoefficients(np.asarray(alphas))
-    except GrowthLabError as exc:
-        raise _fail("economy.alphas", str(exc)) from exc
-    n = coefficients.sectors
-
-    sectors = _get(economy, "sectors", "economy.", int, n)
-    if sectors != n:
-        raise _fail("economy.sectors", f"{sectors} != len(economy.alphas) = {n}")
-    deprecation = _get(economy, "deprecation", "economy.", float, 0.03)
-    prices_list = _number_list(
-        _get(economy, "prices", "economy.", list, [1.0] * n), "economy.prices"
-    )
-    if len(prices_list) != n:
-        raise _fail(
-            "economy.prices", f"dimension {len(prices_list)} != sectors {n}"
-        )
-
-    scaling = _get(economy, "scaling", "economy.", float, None)
-    target_growth = _get(doc, "target_growth", "", float, None)
-    if scaling is not None and target_growth is not None:
-        raise _fail(
-            "target_growth",
-            "mutually exclusive with economy.scaling; give one of the two",
-        )
-    if scaling is None and target_growth is None:
-        target_growth = DEFAULT_TARGET_GROWTH
-    if scaling is None:
-        per_step_target = annual_to_step_rate(target_growth, steps_per_year)
-        try:
-            scaling = calibrate_scaling(
-                per_step_target, coefficients, deprecation, np.asarray(prices_list)
-            )
-        except GrowthLabError as exc:
-            raise _fail("target_growth", str(exc)) from exc
-    try:
-        params = EconomyParams(scaling, deprecation, np.asarray(prices_list), n)
-    except GrowthLabError as exc:
-        raise _fail("economy", str(exc)) from exc
+    coefficients, params, target_growth, steps_per_year = economy_from_dict(doc)
+    n = params.sectors
 
     schedule_rows = doc.get("price_schedule")
     if schedule_rows is None:
         prices = PriceSchedule.constant(params.prices)
     else:
-        if not isinstance(schedule_rows, list) or not schedule_rows:
+        rows = _parse(schedule_rows, tuple[tuple[float, ...], ...], "price_schedule")
+        if not rows:
             raise _fail("price_schedule", "expected a non-empty list of price vectors")
-        rows = []
-        for i, row in enumerate(schedule_rows):
-            vec = _number_list(row, f"price_schedule[{i}]")
-            if len(vec) != n:
+        for i, row in enumerate(rows):
+            if len(row) != n:
                 raise _fail(
-                    f"price_schedule[{i}]", f"dimension {len(vec)} != sectors {n}"
+                    f"price_schedule[{i}]", f"dimension {len(row)} != sectors {n}"
                 )
-            rows.append(vec)
         try:
             prices = PriceSchedule.series(rows)
         except GrowthLabError as exc:
             raise _fail("price_schedule", str(exc)) from exc
 
-    evolution = None
-    hold = None
-    switch = None
-    landscape = None
-
-    if experiment == "hold":
-        section = _get(doc, "hold", "", dict, {})
-        sigma = section.get("sigma")
-        if sigma is not None:
-            sigma = tuple(_number_list(sigma, "hold.sigma"))
-            _check_strategy(sigma, n, "hold.sigma")
-        hold = HoldSpec(sigma=sigma)
-    elif experiment == "switch":
-        section = _get(doc, "switch", "", dict, {})
-        initial = section.get("initial_sigma")
-        if initial is not None:
-            initial = tuple(_number_list(initial, "switch.initial_sigma"))
-            _check_strategy(initial, n, "switch.initial_sigma")
-        raw_steps = section.get("switch_steps")
-        switch_steps = None
-        if raw_steps is not None:
-            if not isinstance(raw_steps, list):
-                raise _fail("switch.switch_steps", "expected a list of integers")
-            switch_steps = []
-            prev = 0
-            for i, s in enumerate(raw_steps):
-                if isinstance(s, bool) or not isinstance(s, int):
-                    raise _fail(f"switch.switch_steps[{i}]", f"expected an integer")
-                if not (1 <= s <= steps):
-                    raise _fail(
-                        f"switch.switch_steps[{i}]", f"{s} outside [1, {steps}]"
-                    )
-                if s <= prev:
-                    raise _fail(
-                        f"switch.switch_steps[{i}]",
-                        f"{s} not strictly greater than previous step {prev}",
-                    )
-                prev = s
-                switch_steps.append(s)
-            switch_steps = tuple(switch_steps)
-        raw_sigmas = section.get("switch_sigmas")
-        switch_sigmas = None
-        if raw_sigmas is not None:
-            if switch_steps is None:
-                raise _fail("switch.switch_sigmas", "requires switch.switch_steps")
-            if not isinstance(raw_sigmas, list) or len(raw_sigmas) != len(switch_steps):
+    name, spec = _SECTIONS[experiment]
+    # the population's random streams default to the run seed
+    inherited = {"seed": seed} if spec is EvolutionConfig else {}
+    section = _load_section(doc, name, spec, inherited)
+    if spec is HoldSpec:
+        _check_strategy(section.sigma, n, "hold.sigma")
+    elif spec is SwitchSpec:
+        _check_strategy(section.initial_sigma, n, "switch.initial_sigma")
+        prev = 0
+        for i, s in enumerate(section.switch_steps or ()):
+            if not (1 <= s <= steps):
+                raise _fail(f"switch.switch_steps[{i}]", f"{s} outside [1, {steps}]")
+            if s <= prev:
                 raise _fail(
-                    "switch.switch_sigmas",
-                    f"expected {len(switch_steps)} strategy vectors",
+                    f"switch.switch_steps[{i}]",
+                    f"{s} not strictly greater than previous step {prev}",
                 )
-            switch_sigmas = []
-            for i, row in enumerate(raw_sigmas):
-                vec = tuple(_number_list(row, f"switch.switch_sigmas[{i}]"))
-                _check_strategy(vec, n, f"switch.switch_sigmas[{i}]")
-                switch_sigmas.append(vec)
-            switch_sigmas = tuple(switch_sigmas)
-        mutation_sd = _get(section, "mutation_sd", "switch.", float, DEFAULT_MUTATION_SD)
-        if mutation_sd < 0.0:
-            raise _fail("switch.mutation_sd", "must be >= 0")
-        min_sw = _get(section, "min_switches", "switch.", int, DEFAULT_MIN_SWITCHES)
-        max_sw = _get(section, "max_switches", "switch.", int, DEFAULT_MAX_SWITCHES)
-        if not (0 <= min_sw <= max_sw):
-            raise _fail("switch.max_switches", "need 0 <= min_switches <= max_switches")
-        switch = SwitchSpec(
-            initial_sigma=initial,
-            switch_steps=switch_steps,
-            switch_sigmas=switch_sigmas,
-            mutation_sd=mutation_sd,
-            min_switches=min_sw,
-            max_switches=max_sw,
-        )
-    elif experiment == "evolve":
-        section = _get(doc, "evolution", "", dict, {})
-        try:
-            evolution = EvolutionConfig(
-                population_size=_get(section, "population_size", "evolution.", int, 50),
-                imitation_error_sd=_get(
-                    section, "imitation_error_sd", "evolution.", float, 0.02
-                ),
-                imitation_probability=_get(
-                    section, "imitation_probability", "evolution.", float, 0.02
-                ),
-                selection_rule=_get(
-                    section,
-                    "selection_rule",
-                    "evolution.",
-                    str,
-                    "imitate-best-observed",
-                ),
-                observation_sample=_get(
-                    section, "observation_sample", "evolution.", int, 5
-                ),
-                seed=_get(section, "seed", "evolution.", int, seed),
-            )
-        except ConfigurationError as exc:
-            if ":" in str(exc) and str(exc).startswith("evolution."):
-                raise
-            raise _fail("evolution", str(exc)) from exc
-    else:  # landscape
-        section = _get(doc, "landscape", "", dict, {})
-        samples = _get(section, "samples", "landscape.", int, DEFAULT_LANDSCAPE_SAMPLES)
-        if samples < 1:
-            raise _fail("landscape.samples", f"must be >= 1, got {samples}")
-        landscape = LandscapeSpec(samples=samples)
+            prev = s
+        for i, vec in enumerate(section.switch_sigmas or ()):
+            _check_strategy(vec, n, f"switch.switch_sigmas[{i}]")
 
     return RunConfig(
         experiment=experiment,
@@ -313,14 +291,13 @@ def config_from_dict(doc: dict) -> RunConfig:
         emit_svg=emit_svg,
         target_growth=target_growth,
         steps_per_year=steps_per_year,
-        evolution=evolution,
-        hold=hold,
-        switch=switch,
-        landscape=landscape,
+        **{name: section},
     )
 
 
-def _check_strategy(vec: tuple[float, ...], sectors: int, path: str) -> None:
+def _check_strategy(vec: tuple[float, ...] | None, sectors: int, path: str) -> None:
+    if vec is None:
+        return
     if len(vec) != sectors:
         raise _fail(path, f"dimension {len(vec)} != sectors {sectors}")
     try:
@@ -340,8 +317,8 @@ def annual_to_step_rate(annual: float, steps_per_year: float) -> float:
     return float((1.0 + annual) ** (1.0 / steps_per_year) - 1.0)
 
 
-def load_config(path: str) -> RunConfig:
-    """Load and validate a JSON run configuration from disk."""
+def read_document(path: str) -> dict:
+    """Read a JSON run configuration from disk without validating its keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -349,7 +326,14 @@ def load_config(path: str) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ConfigurationError("config root must be a JSON object")
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    """Load and validate a JSON run configuration from disk."""
+    return config_from_dict(read_document(path))
 
 
 def dump_config(cfg: RunConfig) -> dict[str, Any]:
@@ -379,36 +363,10 @@ def dump_config(cfg: RunConfig) -> dict[str, Any]:
         doc["target_growth"] = cfg.target_growth
     if cfg.prices.mode == "time-series":
         doc["price_schedule"] = [[float(x) for x in row] for row in cfg.prices.values]
-    if cfg.hold is not None:
-        doc["hold"] = {
-            "sigma": list(cfg.hold.sigma) if cfg.hold.sigma is not None else None
-        }
-    if cfg.switch is not None:
-        sw = cfg.switch
-        doc["switch"] = {
-            "initial_sigma": list(sw.initial_sigma)
-            if sw.initial_sigma is not None
-            else None,
-            "switch_steps": list(sw.switch_steps)
-            if sw.switch_steps is not None
-            else None,
-            "switch_sigmas": [list(v) for v in sw.switch_sigmas]
-            if sw.switch_sigmas is not None
-            else None,
-            "mutation_sd": sw.mutation_sd,
-            "min_switches": sw.min_switches,
-            "max_switches": sw.max_switches,
-        }
-    if cfg.evolution is not None:
-        ev = cfg.evolution
-        doc["evolution"] = {
-            "population_size": ev.population_size,
-            "imitation_error_sd": ev.imitation_error_sd,
-            "imitation_probability": ev.imitation_probability,
-            "selection_rule": ev.selection_rule,
-            "observation_sample": ev.observation_sample,
-            "seed": ev.seed,
-        }
-    if cfg.landscape is not None:
-        doc["landscape"] = {"samples": cfg.landscape.samples}
+    for name, _ in _SECTIONS.values():
+        section = getattr(cfg, name)
+        if section is not None:
+            doc[name] = {
+                f.name: _plain(getattr(section, f.name)) for f in fields(section)
+            }
     return doc

@@ -244,13 +244,22 @@ def project_to_simplex(v) -> Strategy:
     arr = _as_vector(v, "projection input")
     if not np.isfinite(arr).all():
         raise DomainError("projection input must be finite")
-    clipped = np.maximum(arr, 0.0)
-    total = float(clipped.sum())
-    if total <= 0.0:
+    repaired = _clip_renormalize(arr)
+    if repaired is None:
         raise DegenerateInputError(
             "cannot project: no component is positive after clipping"
         )
-    return Strategy(clipped / total)
+    return repaired
+
+
+def _clip_renormalize(arr: np.ndarray) -> Strategy | None:
+    """The repair step of project_to_simplex on a finite 1-d vector.
+
+    Returns None when no component is positive after clipping.
+    """
+    clipped = np.maximum(arr, 0.0)
+    total = float(clipped.sum())
+    return Strategy(clipped / total) if total > 0.0 else None
 
 
 def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:

@@ -33,6 +33,7 @@ from .core import (
     InvariantViolation,
     ProductionCoefficients,
     Strategy,
+    _clip_renormalize,
     weighted_geometric_mean,
 )
 
@@ -250,13 +251,10 @@ def hill_climb(
     converged = False
     while iterations < max_iters:
         iterations += 1
-        perturbed = best.weights + gen.normal(0.0, step, size=n)
-        clipped = np.maximum(perturbed, 0.0)
-        total = float(clipped.sum())
-        if total <= 0.0:
+        candidate = _clip_renormalize(best.weights + gen.normal(0.0, step, size=n))
+        if candidate is None:
             stall += 1
         else:
-            candidate = Strategy(clipped / total)
             val = response(candidate, coefficients)
             if val > best_val:
                 best, best_val = candidate, val

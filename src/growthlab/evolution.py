@@ -30,6 +30,7 @@ from .core import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
+    _clip_renormalize,
     project_to_simplex,
 )
 from .dynamics import equilibrium_state, step_agent
@@ -58,22 +59,23 @@ class EvolutionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # messages start with the field name; the config loader adds "evolution."
         if self.population_size < 1:
-            raise ConfigurationError("population_size must be a positive integer")
+            raise ConfigurationError("population_size: must be a positive integer")
         if self.imitation_error_sd < 0.0:
-            raise ConfigurationError("imitation_error_sd must be >= 0")
+            raise ConfigurationError("imitation_error_sd: must be >= 0")
         if not (0.0 <= self.imitation_probability <= 1.0):
-            raise ConfigurationError("imitation_probability must lie in [0, 1]")
+            raise ConfigurationError("imitation_probability: must lie in [0, 1]")
         if self.selection_rule not in SELECTION_RULES:
             raise ConfigurationError(
-                f"unknown selection rule {self.selection_rule!r}; "
+                f"selection_rule: unknown rule {self.selection_rule!r}; "
                 f"expected one of {SELECTION_RULES}"
             )
         if self.observation_sample < 1:
-            raise ConfigurationError("observation_sample must be a positive integer")
+            raise ConfigurationError("observation_sample: must be a positive integer")
         if self.observation_sample > self.population_size - 1:
             raise ConfigurationError(
-                "observation_sample must be <= population_size - 1 "
+                "observation_sample: must be <= population_size - 1 "
                 f"({self.observation_sample} > {self.population_size - 1})"
             )
 
@@ -128,11 +130,9 @@ def mutate_strategy(
         return parent
     n = parent.sectors
     for _ in range(max_retries):
-        noisy = parent.weights + rng.normal(0.0, sd, size=n)
-        clipped = np.maximum(noisy, 0.0)
-        total = float(clipped.sum())
-        if total > 0.0:
-            return Strategy(clipped / total)
+        child = _clip_renormalize(parent.weights + rng.normal(0.0, sd, size=n))
+        if child is not None:
+            return child
     return parent
 
 

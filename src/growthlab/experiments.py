@@ -26,7 +26,6 @@ from .core import ConfigurationError, Strategy, project_to_simplex
 from .dynamics import TraceRecord, equilibrium_state, run_hold, run_switch_experiment
 from .equilibrium import equilibrium_growth, optimal_strategy, response
 from .evolution import (
-    EvolutionConfig,
     evolve_step,
     experiment_stream,
     init_population,
@@ -107,11 +106,10 @@ def _require(cfg: RunConfig, experiment: str) -> None:
 def hold_experiment(cfg: RunConfig) -> ExperimentResult:
     """Single agent holding one strategy; writes the trace CSV."""
     _require(cfg, "hold")
-    sigma_spec = cfg.hold.sigma if cfg.hold else None
-    if sigma_spec is None:
+    if cfg.hold.sigma is None:
         sigma = optimal_strategy(cfg.coefficients)
     else:
-        sigma = Strategy(np.asarray(sigma_spec))
+        sigma = Strategy(np.asarray(cfg.hold.sigma))
     state = equilibrium_state(sigma, cfg.coefficients, cfg.params, cfg.prices.at(1))
     records = run_hold(state, cfg.params, cfg.coefficients, cfg.prices, cfg.steps)
     write_trace_csv(records, cfg.params.sectors, cfg.output_path)
@@ -130,17 +128,14 @@ def draw_switch_schedule(
     with Gaussian error of the configured sd), matching a population member
     repeatedly imitating a near-optimal peer.
     """
-    sw = cfg.switch if cfg.switch is not None else None
-    alpha = optimal_strategy(cfg.coefficients)
-    sd = sw.mutation_sd if sw else 0.02
-    if sw is not None and sw.switch_steps is not None:
+    sw = cfg.switch
+    if sw.switch_steps is not None:
         steps_at = list(sw.switch_steps)
     else:
         lo = min(20, max(2, cfg.steps // 10))
         hi = max(lo + 1, cfg.steps - max(2, cfg.steps // 25))
-        n_min = sw.min_switches if sw else 6
-        n_max = sw.max_switches if sw else 10
-        count = int(rng.integers(n_min, n_max + 1)) if n_max > 0 else 0
+        n_max = sw.max_switches
+        count = int(rng.integers(sw.min_switches, n_max + 1)) if n_max > 0 else 0
         count = min(count, hi - lo)
         if count <= 0:
             steps_at = []
@@ -148,10 +143,11 @@ def draw_switch_schedule(
             steps_at = sorted(
                 int(s) for s in rng.choice(np.arange(lo, hi), count, replace=False)
             )
-    if sw is not None and sw.switch_sigmas is not None:
+    if sw.switch_sigmas is not None:
         sigmas = [Strategy(np.asarray(v)) for v in sw.switch_sigmas]
     else:
-        sigmas = [mutate_strategy(alpha, sd, rng) for _ in steps_at]
+        alpha = optimal_strategy(cfg.coefficients)
+        sigmas = [mutate_strategy(alpha, sw.mutation_sd, rng) for _ in steps_at]
     return list(zip(steps_at, sigmas))
 
 
@@ -165,13 +161,12 @@ def switch_experiment(cfg: RunConfig) -> ExperimentResult:
     """
     _require(cfg, "switch")
     rng = experiment_stream(cfg.seed)
-    alpha = optimal_strategy(cfg.coefficients)
     sw = cfg.switch
-    sd = sw.mutation_sd if sw else 0.02
-    if sw is not None and sw.initial_sigma is not None:
+    if sw.initial_sigma is not None:
         initial = Strategy(np.asarray(sw.initial_sigma))
     else:
-        initial = mutate_strategy(alpha, sd, rng)
+        alpha = optimal_strategy(cfg.coefficients)
+        initial = mutate_strategy(alpha, sw.mutation_sd, rng)
     switches = draw_switch_schedule(cfg, rng)
     records = run_switch_experiment(
         initial,
@@ -230,11 +225,15 @@ def _emit_panels(
 def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     """Population imitation loop; writes the per-step population CSV."""
     _require(cfg, "evolve")
-    evo = cfg.evolution if cfg.evolution is not None else EvolutionConfig(seed=cfg.seed)
+    evo = cfg.evolution
     pop = init_population(cfg.params, cfg.coefficients, evo, cfg.prices.at(1))
     lines = [population_header(cfg.params.sectors)]
+    mean_response: list[tuple[int, float]] = []
 
     def snapshot(step: int) -> None:
+        if cfg.emit_svg:
+            responses = [response(a.strategy, cfg.coefficients) for a in pop.agents]
+            mean_response.append((step, float(np.mean(responses))))
         for i, agent in enumerate(pop.agents):
             g_star = equilibrium_growth(
                 agent.strategy, cfg.coefficients, cfg.params, cfg.prices.at(max(step, 1))
@@ -252,37 +251,22 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     _write_lines(cfg.output_path, lines)
     extras = [write_effective_config(cfg)]
     if cfg.emit_svg:
-        extras.append(_emit_mean_response_svg(cfg, lines))
+        path = os.path.splitext(cfg.output_path)[0] + ".response.svg"
+        series = [("mean response", mean_response)]
+        emit_svg(series, path, title="Population mean response", y_label="response")
+        extras.append(path)
     return ExperimentResult(cfg.output_path, tuple(extras))
-
-
-def _emit_mean_response_svg(cfg: RunConfig, csv_lines: list[str]) -> str:
-    sectors = cfg.params.sectors
-    by_step: dict[int, list[float]] = {}
-    for line in csv_lines[1:]:
-        parts = line.split(",")
-        step = int(parts[0])
-        sigma = Strategy(np.asarray([float(x) for x in parts[5 : 5 + sectors]]))
-        by_step.setdefault(step, []).append(response(sigma, cfg.coefficients))
-    series = [
-        ("mean response", [(s, float(np.mean(v))) for s, v in sorted(by_step.items())])
-    ]
-    stem, _ = os.path.splitext(cfg.output_path)
-    path = stem + ".response.svg"
-    emit_svg(series, path, title="Population mean response", y_label="response")
-    return path
 
 
 def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
     """Sample the strategy simplex; writes response and equilibrium growth rows."""
     _require(cfg, "landscape")
-    samples = cfg.landscape.samples if cfg.landscape else 1000
     rng = experiment_stream(cfg.seed)
     n = cfg.params.sectors
     lines = [landscape_header(n)]
     p = cfg.prices.at(1)
     ones = np.ones(n)
-    for _ in range(samples):
+    for _ in range(cfg.landscape.samples):
         sigma = project_to_simplex(rng.dirichlet(ones))
         resp = response(sigma, cfg.coefficients)
         g_star = equilibrium_growth(sigma, cfg.coefficients, cfg.params, p)

@@ -6,6 +6,24 @@ import pytest
 from growthlab.cli import cli_main
 
 
+def _write_evolve_config(tmp_path, output: str) -> str:
+    """A 3-step evolve run of 6 agents, written to tmp_path/run.json."""
+    path = tmp_path / "run.json"
+    path.write_text(
+        json.dumps(
+            {
+                "experiment": "evolve",
+                "steps": 3,
+                "seed": 1,
+                "economy": {"alphas": [0.5, 0.5]},
+                "evolution": {"population_size": 6, "observation_sample": 2},
+                "output": output,
+            }
+        )
+    )
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
@@ -73,6 +91,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert "alpha" in err
+
+    def test_equilibrium_prices_must_match_sectors(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "equilibrium",
+            "--sigma", "0.5,0.5",
+            "--alpha", "0.5,0.5",
+            "--s", "0.1",
+            "--prices", "1,1,5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "economy.prices" in err
+
+    def test_bad_steps_flag_over_config_writes_nothing(self, capsys, tmp_path):
+        out_path = tmp_path / "pop.csv"
+        cfg_path = _write_evolve_config(tmp_path, str(out_path))
+        code, _, err = run_cli(
+            capsys, "evolve", "--config", cfg_path, "--steps", "-5"
+        )
+        assert code == 2
+        assert "steps" in err
+        assert os.listdir(tmp_path) == ["run.json"]
 
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
         # boundary rejection surfaces as a domain error -> runtime exit 1
@@ -169,6 +210,44 @@ class TestEvolveCommand:
         assert code == 0
         lines = open(out_path).read().splitlines()
         assert len(lines) == 1 + 16 * 6
+
+
+    def test_population_flag_overrides_config(self, capsys, tmp_path):
+        out_path = str(tmp_path / "pop.csv")
+        cfg_path = _write_evolve_config(tmp_path, out_path)
+        code, _, _ = run_cli(capsys, "evolve", "--config", cfg_path, "--population", "9")
+        assert code == 0
+        lines = open(out_path).read().splitlines()
+        assert len(lines) == 1 + 4 * 9
+
+
+class TestConfigOverlay:
+    def test_economy_flags_override_config(self, capsys, tmp_path):
+        out_path = str(tmp_path / "trace.csv")
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "experiment": "switch",
+                    "steps": 30,
+                    "seed": 1,
+                    "economy": {"alphas": [0.3, 0.7], "scaling": 0.1},
+                    "output": out_path,
+                }
+            )
+        )
+        code, _, _ = run_cli(
+            capsys,
+            "converge",
+            "--config", str(cfg_path),
+            "--alpha", "0.5,0.5",
+            "--target", "0.05",
+        )
+        assert code == 0
+        effective = json.loads((tmp_path / "trace.config.json").read_text())
+        assert effective["economy"]["alphas"] == [0.5, 0.5]
+        assert effective["target_growth"] == 0.05
+        assert "scaling" not in effective["economy"]
 
 
 class TestLandscapeCommand:

@@ -1,7 +1,11 @@
+import json
 import os
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
+from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
 from growthlab.experiments import (
     switch_experiment,
@@ -176,6 +180,50 @@ class TestLandscapeExperiment:
         assert best <= 0.3**0.3 * 0.7**0.7 + 1e-12
 
 
+# overrides of _switch_doc for the closure test; the first three set every
+# key of their section, the last is the --config document of a CLI run
+CLOSURE_CASES = {
+    "switch": {
+        "seed": 5,
+        "steps": 60,
+        "switch": {
+            "initial_sigma": [0.3, 0.7],
+            "switch_steps": [10, 40],
+            "switch_sigmas": [[0.6, 0.4], [0.5, 0.5]],
+            "mutation_sd": 0.03,
+            "min_switches": 1,
+            "max_switches": 3,
+        },
+        "price_schedule": [[1.0, 1.0], [1.1, 0.9]],
+    },
+    "evolve": {
+        "experiment": "evolve",
+        "steps": 20,
+        "evolution": {
+            "population_size": 6,
+            "imitation_error_sd": 0.05,
+            "imitation_probability": 0.2,
+            "selection_rule": "growth-proportional",
+            "observation_sample": 3,
+            "seed": 8,
+        },
+        "emit_svg": True,
+    },
+    "landscape": {
+        "experiment": "landscape",
+        "economy": {"alphas": [0.2, 0.8], "scaling": 0.1},
+        "target_growth": None,
+        "landscape": {"samples": 40},
+        "steps_per_year": 4.0,
+    },
+    "cli": {
+        "experiment": "evolve",
+        "steps": 5,
+        "evolution": {"population_size": 5, "observation_sample": 2},
+    },
+}
+
+
 class TestConfigClosure:
     def test_effective_config_reproduces_results(self, tmp_path):
         doc = _switch_doc(tmp_path, seed=37)
@@ -190,6 +238,31 @@ class TestConfigClosure:
         cfg2 = replace(cfg2, output_path=str(tmp_path / "rerun.csv"))
         result2 = run_experiment(cfg2)
         assert open(result2.output, "rb").read() == original
+
+
+    @pytest.mark.parametrize("case", ["switch", "evolve", "landscape", "cli"])
+    def test_effective_config_reloads_equal(self, tmp_path, case):
+        doc = _switch_doc(tmp_path, **CLOSURE_CASES[case])
+        if case == "cli":
+            cfg_path = tmp_path / "run.json"
+            cfg_path.write_text(json.dumps(doc))
+            argv = ["evolve", "--config", str(cfg_path), "--alpha", "0.3,0.7",
+                    "--population", "7", "--seed", "4", "--steps", "12"]
+            assert cli_main(argv) == 0
+            # the same overrides written into the document by hand
+            doc.update(steps=12, seed=4)
+            doc["economy"] = dict(doc["economy"], alphas=[0.3, 0.7])
+            doc["evolution"] = dict(doc["evolution"], population_size=7, seed=4)
+            expected = config_from_dict(doc)
+        else:
+            expected = config_from_dict(doc)
+            run_experiment(expected)
+        stem = os.path.splitext(expected.output_path)[0]
+        cfg = load_config(stem + ".config.json")
+        assert cfg == expected
+        rerun = run_experiment(replace(cfg, output_path=str(tmp_path / "rerun.csv")))
+        original = open(expected.output_path, "rb").read()
+        assert open(rerun.output, "rb").read() == original
 
 
 class TestWriteTraceCsv:
