@@ -30,7 +30,6 @@ from .dynamics import (
     PriceSchedule,
     TraceRecord,
     equilibrium_state,
-    growth_rate,
     run_hold,
     run_switch_experiment,
     step_agent,
@@ -87,7 +86,6 @@ __all__ = [
     "equilibrium_ratio",
     "equilibrium_state",
     "evolve_step",
-    "growth_rate",
     "hill_climb",
     "init_population",
     "load_config",

@@ -10,9 +10,10 @@ Subcommands:
 Global flags: --config PATH (JSON run configuration), --seed N, --output
 PATH, --svg, --steps N.  Every flag is written onto the --config document at
 its key and the result is validated by the config loader, so flags override
-config values; the GROWTHLAB_SEED environment variable acts as --seed when
-that flag is absent.  Exit codes: 0 success, 2 configuration/usage error,
-1 runtime error.
+config values.  The GROWTHLAB_SEED environment variable acts as --seed only
+when neither that flag nor the --config document gives a seed, so re-running
+an effective .config.json reproduces its run.  Exit codes: 0 success,
+2 configuration/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -125,9 +126,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args, doc: dict) -> int | None:
+    """The --seed flag, else GROWTHLAB_SEED if the document sets no seed."""
+    if args.seed is not None:
         return args.seed
+    evolution = doc.get("evolution")
+    if doc.get("seed") is not None or (
+        isinstance(evolution, dict) and evolution.get("seed") is not None
+    ):
+        return None
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -198,7 +205,7 @@ def _experiment_config(args, experiment: str) -> RunConfig:
             f"config is for experiment {found!r}, subcommand needs {experiment!r}"
         )
     _overlay(args, doc)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, doc)
     if seed is not None:
         doc["seed"] = seed
         if experiment == "evolve":

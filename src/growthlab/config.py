@@ -3,7 +3,9 @@
 A run is described by one JSON object (see README for the schema).  Loading
 materializes every default, so dumping the loaded config yields a complete
 "effective" document; loading that dump reproduces the identical RunConfig.
-Validation errors always name the exact key path that failed.
+Validation errors always name the exact key path that failed, and a key the
+loader does not know is an error, so a misspelt key cannot fall back to its
+default.
 
 Each experiment section is a frozen dataclass (HoldSpec, SwitchSpec,
 EvolutionConfig, LandscapeSpec) whose fields are the section's keys: their
@@ -86,6 +88,13 @@ _SECTIONS = {
 }
 EXPERIMENTS = tuple(_SECTIONS)
 
+#: keys of a run document; the sections of other experiments are allowed
+_TOP_KEYS = (
+    "experiment", "steps", "seed", "output", "emit_svg", "steps_per_year",
+    "target_growth", "economy", "price_schedule",
+) + tuple(name for name, _ in _SECTIONS.values())
+_ECONOMY_KEYS = ("alphas", "sectors", "deprecation", "prices", "scaling")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -140,6 +149,13 @@ def _parse(value, kind, path: str):
     return value
 
 
+def _reject_unknown(doc: dict, known, path: str) -> None:
+    """Raise on the first key of ``doc`` that is not in ``known``."""
+    for key in doc:
+        if key not in known:
+            raise _fail(f"{path}{key}", "unknown key")
+
+
 def _get(doc: dict, key: str, path: str, kind, default=_REQUIRED):
     if key not in doc or doc[key] is None:
         if default is _REQUIRED:
@@ -155,6 +171,7 @@ def _load_section(doc: dict, name: str, spec, inherited: dict):
     """
     section = _get(doc, name, "", dict, {})
     kinds = get_type_hints(spec)
+    _reject_unknown(section, kinds, f"{name}.")
     values = dict(inherited)
     for f in fields(spec):
         if section.get(f.name) is not None:
@@ -185,6 +202,7 @@ def economy_from_dict(
         raise _fail("steps_per_year", f"must be positive, got {steps_per_year}")
 
     economy = _get(doc, "economy", "", dict)
+    _reject_unknown(economy, _ECONOMY_KEYS, "economy.")
     alphas = _get(economy, "alphas", "economy.", tuple[float, ...])
     try:
         coefficients = ProductionCoefficients(np.asarray(alphas))
@@ -228,6 +246,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig with all defaults set."""
     if not isinstance(doc, dict):
         raise ConfigurationError("config root must be a JSON object")
+    _reject_unknown(doc, _TOP_KEYS, "")
 
     experiment = _get(doc, "experiment", "", str)
     if experiment not in EXPERIMENTS:

@@ -105,15 +105,6 @@ class TraceRecord(NamedTuple):
     strategy: tuple[float, ...]
 
 
-def growth_rate(income_prev: float, income_curr: float) -> float:
-    """Per-step income growth: income_curr / income_prev - 1."""
-    if not (np.isfinite(income_prev) and income_prev > 0.0):
-        raise DomainError(f"previous income must be positive, got {income_prev}")
-    if not (np.isfinite(income_curr) and income_curr >= 0.0):
-        raise DomainError(f"current income must be non-negative, got {income_curr}")
-    return income_curr / income_prev - 1.0
-
-
 def step_agent(
     state: AgentState,
     params: EconomyParams,
@@ -125,15 +116,22 @@ def step_agent(
     Checks sector counts and that each price is positive and finite; raises
     DomainError if the new capital is negative or any new value is not finite.
     """
-    p = np.asarray(prices_at_t, dtype=float)
-    _check_sectors(state.sectors, params, coefficients, p.size)
-    if not float(p.min()) > 0.0 or float(p.max()) == np.inf:
-        raise DomainError("every price must be a positive finite real")
+    p = _step_prices(state.sectors, params, coefficients, prices_at_t)
     k = np.array(state.capital)
     invest = state.strategy.weights / p
     y_new, g_new = _advance(k, state.income, invest, params, coefficients)
     absorbed = not state.income > 0.0 or y_new == 0.0
     return AgentState(k, y_new, g_new, state.strategy, absorbed)
+
+
+def _step_prices(n: int, params, coefficients, prices_at_t) -> np.ndarray:
+    """The period's prices as a float vector, checked against ``n`` sectors
+    and for being positive and finite."""
+    p = np.asarray(prices_at_t, dtype=float)
+    _check_sectors(n, params, coefficients, p.size)
+    if not float(p.min()) > 0.0 or float(p.max()) == np.inf:
+        raise DomainError("every price must be a positive finite real")
+    return p
 
 
 def _check_sectors(n: int, params, coefficients, n_prices: int) -> None:
@@ -157,6 +155,37 @@ def _advance(k, y: float, invest, params, coefficients) -> tuple[float, float]:
         raise DomainError("income must be a non-negative real")
     g_new = y_new / y - 1.0 if y > 0.0 else 0.0
     if not g_new < np.inf:  # g >= -1, so this also rejects NaN
+        raise DomainError("growth must be finite")
+    return y_new, g_new
+
+
+def _advance_rows(K, y, invest, params, coefficients) -> tuple[np.ndarray, np.ndarray]:
+    """``_advance`` on every row of the (agents, sectors) capital ``K`` at once.
+
+    ``y`` holds the incomes and ``invest`` the rows sigma / p.  The arithmetic
+    is ``_advance``'s, row by row: each row's log-sum is its own ``np.dot``,
+    because a matrix product rounds differently in the last bit.  The same
+    DomainErrors are raised when any row fails a check.
+    """
+    K *= 1.0 - params.deprecation
+    K += invest * y[:, None]
+    lo = float(K.min())
+    if not lo >= 0.0 or float(K.max()) == np.inf:
+        raise DomainError("base components must be non-negative finite reals")
+    sup = coefficients.support
+    alph = coefficients.alphas[sup]
+    # a zero factor gives log 0 = -inf and exp(-inf) = 0.0: the zero income
+    # that _geometric_mean returns for it directly.  K[:, sup] is laid out
+    # column-major, and np.dot on a strided row rounds differently, so the
+    # logs are stored row-major.
+    with np.errstate(divide="ignore"):
+        logs = np.log(K[:, sup], order="C")
+    y_new = params.scaling * np.exp([np.dot(alph, row) for row in logs])
+    if y_new.max() == np.inf:
+        raise DomainError("income must be a non-negative real")
+    # 1.0 where income was zero, so absorbed rows read growth 0.0
+    g_new = np.divide(y_new, y, out=np.ones_like(y), where=y > 0.0) - 1.0
+    if not g_new.max() < np.inf:
         raise DomainError("growth must be finite")
     return y_new, g_new
 

@@ -18,12 +18,13 @@ reshuffles other agents' randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
+    AgentState,
     ConfigurationError,
     DomainError,
     EconomyParams,
@@ -33,8 +34,7 @@ from .core import (
     _clip_renormalize,
     project_to_simplex,
 )
-from .dynamics import equilibrium_state, step_agent
-from .core import AgentState
+from .dynamics import _advance_rows, _step_prices, equilibrium_state
 
 SELECTION_RULES = ("imitate-best-observed", "growth-proportional", "pairwise-better")
 
@@ -80,22 +80,60 @@ class EvolutionConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class Population:
-    """Agents plus the step counter and each agent's private random stream."""
+    """The agents as arrays, row i being agent i, plus the step counter and
+    each agent's private random stream.
 
-    agents: list[AgentState]
+    ``capital`` is (agents, sectors); ``income`` and ``growth`` (the last
+    realized growth) are (agents,).  Income is the production of the capital
+    row, and zero income is absorbing.  Build one with ``from_agents``,
+    which checks its input; the plain constructor checks nothing.
+    """
+
+    capital: np.ndarray
+    income: np.ndarray
+    growth: np.ndarray
+    strategies: list[Strategy]
     step: int
     rngs: list[np.random.Generator]
 
-    def __post_init__(self):
-        if len(self.agents) != len(self.rngs):
+    @classmethod
+    def from_agents(
+        cls,
+        agents: Sequence[AgentState],
+        step: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> "Population":
+        """Population of the given agent states, one random stream each."""
+        if not agents:
+            raise ConfigurationError("a population needs at least one agent")
+        if len(agents) != len(rngs):
             raise ConfigurationError("one random stream per agent is required")
-        sectors = {a.sectors for a in self.agents}
+        sectors = {a.sectors for a in agents}
         if len(sectors) > 1:
             raise ConfigurationError(
                 f"all agents must share one sector count, got {sorted(sectors)}"
             )
+        return cls(
+            np.array([a.capital for a in agents]),
+            np.array([a.income for a in agents]),
+            np.array([a.growth for a in agents]),
+            [a.strategy for a in agents],
+            step,
+            list(rngs),
+        )
+
+    @property
+    def agents(self) -> list[AgentState]:
+        """One AgentState per agent, built on each access."""
+        return [
+            AgentState(k, y, g, s, absorbed=y == 0.0)
+            for k, y, g, s in zip(
+                self.capital, self.income.tolist(), self.growth.tolist(),
+                self.strategies,
+            )
+        ]
 
 
 def agent_stream(master_seed: int, agent_index: int) -> np.random.Generator:
@@ -157,8 +195,8 @@ def select_parent(
       the observer's; otherwise the observer keeps its own strategy (its own
       index is returned).
     """
-    agents = population.agents
-    n = len(agents)
+    growth = population.growth
+    n = growth.size
     if n < 2:
         raise SelectionError("selection needs at least two agents")
     if not (0 <= observer_index < n):
@@ -175,20 +213,17 @@ def select_parent(
     rule = config.selection_rule
     if rule == "imitate-best-observed":
         ordered = np.sort(peers)
-        growths = np.array([agents[j].growth for j in ordered])
-        return int(ordered[int(np.argmax(growths))])
+        return int(ordered[int(np.argmax(growth[ordered]))])
     if rule == "growth-proportional":
         ordered = np.sort(peers)
-        weights = np.array(
-            [max(agents[j].growth + params.deprecation, 0.0) for j in ordered]
-        )
+        weights = np.maximum(growth[ordered] + params.deprecation, 0.0)
         total = float(weights.sum())
         if total <= 0.0:
             return int(rng.choice(ordered))
         return int(rng.choice(ordered, p=weights / total))
     # pairwise-better
     peer = int(peers[0])
-    if agents[peer].growth > agents[observer_index].growth:
+    if growth[peer] > growth[observer_index]:
         return peer
     return observer_index
 
@@ -203,20 +238,26 @@ def evolve_step(
 ) -> Population:
     """One synchronous two-phase update of the whole population.
 
-    ``_order`` only permutes the phase-2 processing order; because every
-    agent draws from its own stream and reads the shared phase-1 snapshot,
-    the result is the same for any order (exposed for tests).
+    Phase 1 steps every agent at once on the population's arrays, with the
+    arithmetic and the DomainErrors of ``step_agent``.  ``_order`` only
+    permutes the phase-2 processing order; because every agent draws from
+    its own stream and reads the shared phase-1 snapshot, the result is the
+    same for any order (exposed for tests).
     """
-    stepped = [
-        step_agent(agent, params, coefficients, prices_at_t)
-        for agent in population.agents
-    ]
-    snapshot = Population(stepped, population.step + 1, population.rngs)
+    p = _step_prices(population.capital.shape[1], params, coefficients, prices_at_t)
+    capital = population.capital.copy()
+    invest = np.array([s.weights for s in population.strategies]) / p
+    income, growth = _advance_rows(
+        capital, population.income, invest, params, coefficients
+    )
+    strategies = list(population.strategies)
+    snapshot = Population(
+        capital, income, growth, strategies, population.step + 1, population.rngs
+    )
     if config.imitation_probability <= 0.0:
         return snapshot
 
-    result = list(stepped)
-    indices = range(len(stepped)) if _order is None else _order
+    indices = range(len(strategies)) if _order is None else _order
     for i in indices:
         rng = population.rngs[i]
         if rng.random() >= config.imitation_probability:
@@ -224,11 +265,11 @@ def evolve_step(
         parent = select_parent(i, snapshot, config, rng, params)
         if parent == i:
             continue
-        adopted = mutate_strategy(
-            stepped[parent].strategy, config.imitation_error_sd, rng
+        # the parent's phase-1 strategy, even if it has imitated already
+        strategies[i] = mutate_strategy(
+            population.strategies[parent], config.imitation_error_sd, rng
         )
-        result[i] = replace(stepped[i], strategy=adopted)
-    return Population(result, population.step + 1, population.rngs)
+    return snapshot
 
 
 def init_population(
@@ -259,4 +300,4 @@ def init_population(
         agents.append(
             equilibrium_state(sigma, coefficients, params, prices, income=1.0)
         )
-    return Population(agents, 0, rngs)
+    return Population.from_agents(agents, 0, rngs)

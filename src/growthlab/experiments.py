@@ -223,32 +223,49 @@ def _emit_panels(
 
 
 def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Population imitation loop; writes the per-step population CSV."""
+    """Population imitation loop; writes the per-step population CSV.
+
+    Each agent's g*, response and formatted ``g*,sigma_0,...`` tail are
+    computed again only when its strategy or the price row changes.
+    """
     _require(cfg, "evolve")
     evo = cfg.evolution
     pop = init_population(cfg.params, cfg.coefficients, evo, cfg.prices.at(1))
-    lines = [population_header(cfg.params.sectors)]
+    blocks = [population_header(cfg.params.sectors)]  # one block of rows per step
     mean_response: list[tuple[int, float]] = []
+    held: list[Strategy | None] = [None] * evo.population_size
+    tails = [""] * evo.population_size
+    responses = [0.0] * evo.population_size
+    last_p: np.ndarray | None = None
 
     def snapshot(step: int) -> None:
+        nonlocal last_p
+        p = cfg.prices.at(max(step, 1))
+        if last_p is None or (p is not last_p and not np.array_equal(p, last_p)):
+            last_p = p
+            held[:] = [None] * len(held)
+        for i, strategy in enumerate(pop.strategies):
+            if strategy is not held[i]:
+                held[i] = strategy
+                g_star = equilibrium_growth(strategy, cfg.coefficients, cfg.params, p)
+                sigma = ",".join(fmt17(s) for s in strategy.weights)
+                tails[i] = f"{fmt17(g_star)},{sigma}"
+                if cfg.emit_svg:
+                    responses[i] = response(strategy, cfg.coefficients)
         if cfg.emit_svg:
-            responses = [response(a.strategy, cfg.coefficients) for a in pop.agents]
             mean_response.append((step, float(np.mean(responses))))
-        for i, agent in enumerate(pop.agents):
-            g_star = equilibrium_growth(
-                agent.strategy, cfg.coefficients, cfg.params, cfg.prices.at(max(step, 1))
+        blocks.append("\n".join(
+            f"{step},{i},{fmt17(y)},{fmt17(g)},{tail}"
+            for i, (y, g, tail) in enumerate(
+                zip(pop.income.tolist(), pop.growth.tolist(), tails)
             )
-            sigma = ",".join(fmt17(s) for s in agent.strategy.weights)
-            lines.append(
-                f"{step},{i},{fmt17(agent.income)},{fmt17(agent.growth)},"
-                f"{fmt17(g_star)},{sigma}"
-            )
+        ))
 
     snapshot(0)
     for t in range(1, cfg.steps + 1):
         pop = evolve_step(pop, cfg.params, cfg.coefficients, cfg.prices.at(t), evo)
         snapshot(t)
-    _write_lines(cfg.output_path, lines)
+    _write_lines(cfg.output_path, blocks)
     extras = [write_effective_config(cfg)]
     if cfg.emit_svg:
         path = os.path.splitext(cfg.output_path)[0] + ".response.svg"

@@ -115,6 +115,20 @@ class TestExitCodes:
         assert "steps" in err
         assert os.listdir(tmp_path) == ["run.json"]
 
+    def test_unknown_config_key_writes_nothing(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "economy": {"alphas": [0.5, 0.5]},
+            "switch": {"mutaton_sd": 0.5},
+            "output": str(tmp_path / "trace.csv"),
+        }))
+        code, out, err = run_cli(capsys, "converge", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert "switch.mutaton_sd: unknown key" in err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
         # boundary rejection surfaces as a domain error -> runtime exit 1
         code, _, err = run_cli(
@@ -181,6 +195,27 @@ class TestConvergeCommand:
         a, b, c = (open(p, "rb").read() for p in (out_a, out_b, out_c))
         assert a == b  # flag seed 7 == env seed 7
         assert a != c  # env seed 99 diverges
+
+    def test_env_seed_leaves_config_seed_alone(self, capsys, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "steps": 40,
+            "seed": 1,
+            "economy": {"alphas": [0.5, 0.5]},
+            "output": str(tmp_path / "a.csv"),
+        }))
+        monkeypatch.setenv("GROWTHLAB_SEED", "5")
+        assert cli_main(["converge", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        dumped = json.loads((tmp_path / "a.config.json").read_text())
+        assert dumped["seed"] == 1
+        # the effective config re-runs to the same bytes under the variable
+        rerun = str(tmp_path / "b.csv")
+        effective = str(tmp_path / "a.config.json")
+        assert cli_main(["converge", "--config", effective, "--output", rerun]) == 0
+        capsys.readouterr()
+        assert open(rerun, "rb").read() == (tmp_path / "a.csv").read_bytes()
 
     def test_env_seed_must_be_integer(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("GROWTHLAB_SEED", "not-a-number")

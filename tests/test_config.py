@@ -61,6 +61,27 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match="economy"):
             config_from_dict({"experiment": "hold"})
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"experiment": "switch", "economy": {"alphas": [0.5, 0.5]},
+              "switch": {"mutaton_sd": 0.5}}, "switch.mutaton_sd"),
+            ({"experiment": "hold", "economy": {"alphas": [0.5, 0.5], "delta": 0.1}},
+             "economy.delta"),
+            ({"experiment": "hold", "economy": {"alphas": [0.5, 0.5]}, "seeed": 3},
+             "seeed"),
+            ({"experiment": "evolve", "economy": {"alphas": [0.5, 0.5]},
+             "evolution": {"population": 9}}, "evolution.population"),
+        ],
+    )
+    def test_unknown_key_named(self, doc, path):
+        with pytest.raises(ConfigurationError, match=rf"^{path}: unknown key$"):
+            config_from_dict(doc)
+
+    def test_other_experiments_sections_allowed(self):
+        doc = dict(MINIMAL, switch={"anything": 1}, landscape={"samples": 5})
+        assert config_from_dict(doc).switch is None
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigurationError, match="experiment"):
             config_from_dict({"experiment": "warp", "economy": {"alphas": [1.0]}})

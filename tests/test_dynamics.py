@@ -16,7 +16,6 @@ from growthlab.dynamics import (
     PriceSchedule,
     TraceRecord,
     equilibrium_state,
-    growth_rate,
     run_hold,
     run_switch_experiment,
     step_agent,
@@ -54,23 +53,6 @@ class TestPriceSchedule:
         s = PriceSchedule.constant([1.0])
         with pytest.raises(ConfigurationError):
             s.at(0)
-
-
-class TestGrowthRate:
-    def test_basic(self):
-        assert growth_rate(1.0, 1.5) == pytest.approx(0.5)
-
-    def test_identity(self):
-        assert growth_rate(2.0, 2.0) == 0.0
-
-    def test_decline(self):
-        assert growth_rate(1.0, 0.97) == pytest.approx(-0.03)
-
-    def test_nonpositive_previous_income(self):
-        with pytest.raises(DomainError):
-            growth_rate(0.0, 1.0)
-        with pytest.raises(DomainError):
-            growth_rate(-1.0, 1.0)
 
 
 class TestStepAgent:

@@ -3,12 +3,17 @@ import pytest
 from scipy import stats
 
 from growthlab import (
+    AgentState,
     ConfigurationError,
+    DomainError,
+    EconomyParams,
+    ProductionCoefficients,
     SelectionError,
     Strategy,
     validate_simplex,
 )
-from growthlab.dynamics import run_hold
+from growthlab.cli import cli_main
+from growthlab.dynamics import equilibrium_state, run_hold, step_agent, uniform_state
 from growthlab.equilibrium import equilibrium_growth
 from growthlab.evolution import (
     EvolutionConfig,
@@ -20,7 +25,7 @@ from growthlab.evolution import (
     select_parent,
 )
 
-from conftest import default_economy
+from conftest import default_economy, random_instance
 
 
 class TestMutateStrategy:
@@ -67,7 +72,7 @@ def _population_with_growths(growths, params, coefficients):
         income = production(capital, coefficients, params.scaling)
         agents.append(AgentState(capital, income, g, sigma))
     rngs = [agent_stream(0, i) for i in range(len(growths))]
-    return Population(agents, 0, rngs)
+    return Population.from_agents(agents, 0, rngs)
 
 
 class TestSelectParent:
@@ -346,3 +351,140 @@ def _replay_capital(state, params, coefficients, steps):
     for _ in range(steps):
         state = step_agent(state, params, coefficients, params.prices)
     return state.capital
+
+
+def _step_agent_loop(agents, params, coefficients, prices):
+    return [step_agent(a, params, coefficients, prices) for a in agents]
+
+
+def _assert_same_agents(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.capital, b.capital)
+        assert a.income == b.income
+        assert a.growth == b.growth
+        assert a.absorbed == b.absorbed
+        assert a.strategy is b.strategy
+
+
+class TestFromAgents:
+    def test_entry_checks(self):
+        params, c, _ = default_economy()
+        two = [equilibrium_state(Strategy(np.array([0.5, 0.5])), c, params)] * 2
+        three = equilibrium_state(
+            Strategy(np.array([0.2, 0.3, 0.5])),
+            ProductionCoefficients(np.array([0.2, 0.3, 0.5])),
+            EconomyParams(0.1, 0.03, np.ones(3)),
+        )
+        rngs = [agent_stream(0, i) for i in range(3)]
+        with pytest.raises(ConfigurationError, match="at least one agent"):
+            Population.from_agents([], 0, [])
+        with pytest.raises(ConfigurationError, match="one random stream"):
+            Population.from_agents(two, 0, rngs)
+        with pytest.raises(ConfigurationError, match="one sector count"):
+            Population.from_agents(two + [three], 0, rngs)
+        pop = Population.from_agents(two, 4, rngs[:2])
+        assert pop.capital.shape == (2, 2) and pop.step == 4
+        _assert_same_agents(pop.agents, two)
+
+
+class TestBatchedPhaseOne:
+    """evolve_step steps the whole population on arrays; without imitation
+    every agent must match a plain step_agent loop bit for bit."""
+
+    def run_parity(self, agents, params, coefficients, price_rows):
+        cfg = EvolutionConfig(
+            population_size=len(agents), observation_sample=1,
+            imitation_probability=0.0,
+        )
+        rngs = [agent_stream(0, i) for i in range(len(agents))]
+        pop = Population.from_agents(agents, 0, rngs)
+        want = list(agents)
+        for t, p in enumerate(price_rows, start=1):
+            pop = evolve_step(pop, params, coefficients, p, cfg)
+            want = _step_agent_loop(want, params, coefficients, p)
+            assert pop.step == t
+            _assert_same_agents(pop.agents, want)
+
+    def test_random_economies(self):
+        rng = np.random.default_rng(307)
+        for n in range(2, 7):
+            inst = random_instance(rng, n=n)
+            c, params = inst.coefficients, inst.params
+            agents = [
+                uniform_state(
+                    Strategy(rng.dirichlet(np.ones(n))), c, params,
+                    capital_level=float(rng.uniform(0.1, 10.0)),
+                )
+                for _ in range(7)
+            ]
+            constant = [params.prices] * 150
+            self.run_parity(agents, params, c, constant)
+            series = list(rng.uniform(0.5, 2.0, (40, n)))
+            self.run_parity(agents, params, c, series)
+
+    def test_zero_coefficient_sector_and_absorbed_agent(self):
+        c = ProductionCoefficients(np.array([0.6, 0.0, 0.4]))
+        params = EconomyParams(0.2, 0.05, np.array([1.0, 1.3, 0.7]))
+        dead = Strategy(np.array([0.0, 1.0, 0.0]))
+        agents = [
+            uniform_state(Strategy(np.array([0.3, 0.3, 0.4])), c, params),
+            uniform_state(Strategy(np.array([0.5, 0.0, 0.5])), c, params, 3.0),
+            # zero capital in a productive sector: zero income, absorbed
+            AgentState(np.array([0.0, 1.0, 2.0]), 0.0, 0.0, dead, absorbed=True),
+            uniform_state(dead, c, params, 0.5),
+        ]
+        self.run_parity(agents, params, c, [params.prices] * 300)
+        # many productive sectors next to an inert one
+        rng = np.random.default_rng(313)
+        c6 = ProductionCoefficients(np.array([0.2, 0.3, 0.0, 0.1, 0.15, 0.25]))
+        params6 = EconomyParams(0.3, 0.05, rng.uniform(0.5, 2.0, 6))
+        agents = [
+            uniform_state(Strategy(rng.dirichlet(np.ones(6))), c6, params6,
+                          capital_level=float(rng.uniform(0.1, 10.0)))
+            for _ in range(7)
+        ]
+        self.run_parity(agents, params6, c6, [params6.prices] * 100)
+        # full deprecation with no productive investment absorbs in one step
+        params = EconomyParams(0.2, 1.0, np.array([1.0, 1.3, 0.7]))
+        agents = [uniform_state(dead, c, params), uniform_state(
+            Strategy(np.array([0.4, 0.2, 0.4])), c, params)]
+        self.run_parity(agents, params, c, [params.prices] * 5)
+
+    def test_overflow_raises_step_agent_error(self, capsys, tmp_path):
+        # 20% growth per step overflows near step 3.9k: the step must raise
+        # the DomainError step_agent raises, never return an inf
+        params, c, _ = default_economy(0.2)
+        cfg = EvolutionConfig(
+            population_size=4, observation_sample=1, imitation_probability=0.0
+        )
+        rng = np.random.default_rng(311)
+        strategies = [Strategy(np.array([0.5, 0.5]))] + [
+            mutate_strategy(Strategy(np.array([0.5, 0.5])), 0.05, rng)
+            for _ in range(3)
+        ]
+        pop = init_population(params, c, cfg, params.prices, strategies)
+        message = None
+        with np.errstate(over="ignore"):
+            for _ in range(10_000):
+                try:
+                    nxt = evolve_step(pop, params, c, params.prices, cfg)
+                except DomainError as exc:
+                    message = str(exc)
+                    break
+                for values in (nxt.capital, nxt.income, nxt.growth):
+                    assert np.isfinite(values).all()
+                pop = nxt
+            assert message is not None
+            with pytest.raises(DomainError) as info:
+                _step_agent_loop(pop.agents, params, c, params.prices)
+        assert str(info.value) == message
+
+        out = tmp_path / "pop.csv"
+        argv = ["evolve", "--alpha", "0.5,0.5", "--target", "0.5", "--steps",
+                "5000", "--population", "4", "--sample", "1", "--seed", "1",
+                "--output", str(out)]
+        with np.errstate(over="ignore"):
+            assert cli_main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
