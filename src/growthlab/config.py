@@ -7,16 +7,17 @@ Validation errors always name the exact key path that failed, and a key the
 loader does not know is an error, so a misspelt key cannot fall back to its
 default.
 
-Each experiment section is a frozen dataclass (HoldSpec, SwitchSpec,
-EvolutionConfig, LandscapeSpec) whose fields are the section's keys: their
-annotations give the JSON types, their defaults the defaults, and their
-``__post_init__`` the range checks.  Loading and dumping read those fields,
-so the schema is written down once.
+Each experiment section is a frozen dataclass (SwitchSpec, EvolutionConfig,
+LandscapeSpec) whose fields are the section's keys: their annotations give
+the JSON types, their defaults the defaults, and their ``__post_init__`` the
+range checks.  Loading and dumping read those fields, so the schema is
+written down once.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
@@ -29,17 +30,13 @@ from .core import (
     GrowthLabError,
     ProductionCoefficients,
     Strategy,
+    _check_prices,
 )
 from .dynamics import PriceSchedule
 from .equilibrium import calibrate_scaling
 from .evolution import EvolutionConfig
 
 DEFAULT_TARGET_GROWTH = 0.0185
-
-
-@dataclass(frozen=True)
-class HoldSpec:
-    sigma: tuple[float, ...] | None = None  # default: the optimal strategy
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,6 @@ class LandscapeSpec:
 
 #: experiment -> (document key and RunConfig field of its section, section type)
 _SECTIONS = {
-    "hold": ("hold", HoldSpec),
     "switch": ("switch", SwitchSpec),
     "evolve": ("evolution", EvolutionConfig),
     "landscape": ("landscape", LandscapeSpec),
@@ -111,7 +107,6 @@ class RunConfig:
     target_growth: float | None
     steps_per_year: float = 1.0
     evolution: EvolutionConfig | None = None
-    hold: HoldSpec | None = None
     switch: SwitchSpec | None = None
     landscape: LandscapeSpec | None = None
 
@@ -121,6 +116,16 @@ _REQUIRED = object()
 
 def _fail(path: str, message: str) -> ConfigurationError:
     return ConfigurationError(f"{path}: {message}")
+
+
+@contextmanager
+def _at(path: str):
+    """Report a GrowthLabError raised in the block as a ConfigurationError at
+    ``path``."""
+    try:
+        yield
+    except GrowthLabError as exc:
+        raise _fail(path, str(exc)) from exc
 
 
 def _parse(value, kind, path: str):
@@ -204,10 +209,8 @@ def economy_from_dict(
     economy = _get(doc, "economy", "", dict)
     _reject_unknown(economy, _ECONOMY_KEYS, "economy.")
     alphas = _get(economy, "alphas", "economy.", tuple[float, ...])
-    try:
+    with _at("economy.alphas"):
         coefficients = ProductionCoefficients(np.asarray(alphas))
-    except GrowthLabError as exc:
-        raise _fail("economy.alphas", str(exc)) from exc
     n = coefficients.sectors
 
     sectors = _get(economy, "sectors", "economy.", int, n)
@@ -215,8 +218,8 @@ def economy_from_dict(
         raise _fail("economy.sectors", f"{sectors} != len(economy.alphas) = {n}")
     deprecation = _get(economy, "deprecation", "economy.", float, 0.03)
     prices = _get(economy, "prices", "economy.", tuple[float, ...], (1.0,) * n)
-    if len(prices) != n:
-        raise _fail("economy.prices", f"dimension {len(prices)} != sectors {n}")
+    with _at("economy.prices"):
+        prices = _check_prices(prices, n)
 
     scaling = _get(economy, "scaling", "economy.", float, None)
     target_growth = _get(doc, "target_growth", "", float, None)
@@ -229,16 +232,12 @@ def economy_from_dict(
         if target_growth is None:
             target_growth = DEFAULT_TARGET_GROWTH
         per_step_target = annual_to_step_rate(target_growth, steps_per_year)
-        try:
+        with _at("target_growth"):
             scaling = calibrate_scaling(
-                per_step_target, coefficients, deprecation, np.asarray(prices)
+                per_step_target, coefficients, deprecation, prices
             )
-        except GrowthLabError as exc:
-            raise _fail("target_growth", str(exc)) from exc
-    try:
-        params = EconomyParams(scaling, deprecation, np.asarray(prices), n)
-    except GrowthLabError as exc:
-        raise _fail("economy", str(exc)) from exc
+    with _at("economy"):
+        params = EconomyParams(scaling, deprecation, prices)
     return coefficients, params, target_growth, steps_per_year
 
 
@@ -256,6 +255,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     if steps < 1:
         raise _fail("steps", f"must be >= 1, got {steps}")
     seed = _get(doc, "seed", "", int, 0)
+    if seed < 0:
+        raise _fail("seed", f"must be >= 0, got {seed}")
     output_path = _get(doc, "output", "", str, "growthlab_out.csv")
     emit_svg = _get(doc, "emit_svg", "", bool, False)
     coefficients, params, target_growth, steps_per_year = economy_from_dict(doc)
@@ -269,22 +270,15 @@ def config_from_dict(doc: dict) -> RunConfig:
         if not rows:
             raise _fail("price_schedule", "expected a non-empty list of price vectors")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise _fail(
-                    f"price_schedule[{i}]", f"dimension {len(row)} != sectors {n}"
-                )
-        try:
-            prices = PriceSchedule.series(rows)
-        except GrowthLabError as exc:
-            raise _fail("price_schedule", str(exc)) from exc
+            with _at(f"price_schedule[{i}]"):
+                _check_prices(row, n)
+        prices = PriceSchedule.series(rows)
 
     name, spec = _SECTIONS[experiment]
     # the population's random streams default to the run seed
     inherited = {"seed": seed} if spec is EvolutionConfig else {}
     section = _load_section(doc, name, spec, inherited)
-    if spec is HoldSpec:
-        _check_strategy(section.sigma, n, "hold.sigma")
-    elif spec is SwitchSpec:
+    if spec is SwitchSpec:
         _check_strategy(section.initial_sigma, n, "switch.initial_sigma")
         prev = 0
         for i, s in enumerate(section.switch_steps or ()):
@@ -319,10 +313,8 @@ def _check_strategy(vec: tuple[float, ...] | None, sectors: int, path: str) -> N
         return
     if len(vec) != sectors:
         raise _fail(path, f"dimension {len(vec)} != sectors {sectors}")
-    try:
+    with _at(path):
         Strategy(np.asarray(vec))
-    except GrowthLabError as exc:
-        raise _fail(path, str(exc)) from exc
 
 
 def annual_to_step_rate(annual: float, steps_per_year: float) -> float:

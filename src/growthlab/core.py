@@ -60,10 +60,40 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _check_prices(values, sectors: int) -> np.ndarray:
+    """``values`` as a float array of prices, one per sector on its last axis.
+
+    Raises DimensionError unless the last axis has ``sectors`` entries and
+    DomainError unless every price is positive and finite.
+    """
+    p = np.asarray(values, dtype=float)
+    found = p.shape[-1] if p.ndim else 0
+    if found != sectors:
+        raise DimensionError(f"prices dimension {found} != sectors {sectors}")
+    # min/max catch NaN (comparisons fail) and infinities in one pass each
+    if not float(p.min()) > 0.0 or float(p.max()) == np.inf:
+        raise DomainError("every price must be a positive finite real")
+    return p
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.flags.writeable = False
     return out
+
+
+def _simplex_point(values, name: str) -> np.ndarray:
+    """``values`` as a frozen vector on the unit simplex, within SIMPLEX_TOL."""
+    v = _as_vector(values, name)
+    if not np.isfinite(v).all():
+        raise DomainError(f"{name} must be finite")
+    if (v < 0.0).any() or (v > 1.0).any():
+        raise DomainError(f"{name} must lie in [0, 1]")
+    if abs(float(v.sum()) - 1.0) > SIMPLEX_TOL:
+        raise DomainError(
+            f"{name} must sum to 1 within {SIMPLEX_TOL} (got {v.sum()!r})"
+        )
+    return _freeze(v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,16 +103,8 @@ class Strategy:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _as_vector(self.weights, "strategy weights")
-        if not np.isfinite(w).all():
-            raise DomainError("strategy weights must be finite")
-        if (w < 0.0).any() or (w > 1.0).any():
-            raise DomainError("strategy weights must lie in [0, 1]")
-        if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(
-                f"strategy weights must sum to 1 within {SIMPLEX_TOL} (got {w.sum()!r})"
-            )
-        object.__setattr__(self, "weights", _freeze(w))
+        w = _simplex_point(self.weights, "strategy weights")
+        object.__setattr__(self, "weights", w)
 
     @property
     def sectors(self) -> int:
@@ -110,17 +132,8 @@ class ProductionCoefficients:
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _as_vector(self.alphas, "production coefficients")
-        if not np.isfinite(a).all():
-            raise DomainError("production coefficients must be finite")
-        if (a < 0.0).any() or (a > 1.0).any():
-            raise DomainError("production coefficients must lie in [0, 1]")
-        if abs(float(a.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(
-                f"production coefficients must sum to 1 within {SIMPLEX_TOL} "
-                f"(got {a.sum()!r})"
-            )
-        object.__setattr__(self, "alphas", _freeze(a))
+        a = _simplex_point(self.alphas, "production coefficients")
+        object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "support", _freeze(np.flatnonzero(a > 0.0)))
 
     @property
@@ -138,7 +151,7 @@ class ProductionCoefficients:
 
 @dataclass(frozen=True, eq=False)
 class EconomyParams:
-    """Scalar economy parameters: scaling, deprecation, prices, sector count.
+    """Economy parameters: scaling, deprecation, and one price per sector.
 
     ``scaling`` bounds the maximum possible income growth rate; ``deprecation``
     is the per-step proportional capital decay, uniform across sectors; the
@@ -148,23 +161,21 @@ class EconomyParams:
     scaling: float
     deprecation: float
     prices: np.ndarray
-    sectors: int = 0  # 0 means "infer from prices"
 
     def __post_init__(self):
         p = _as_vector(self.prices, "prices")
-        n = int(self.sectors) if self.sectors else p.size
         if not (np.isfinite(self.scaling) and self.scaling > 0.0):
             raise DomainError("scaling must be a positive real")
         if not (0.0 < self.deprecation <= 1.0):
             raise DomainError("deprecation must lie in (0, 1]")
-        if not np.isfinite(p).all() or (p <= 0.0).any():
-            raise DomainError("every price must be a positive real")
-        if p.size != n:
-            raise DimensionError(f"prices dimension {p.size} != sectors {n}")
+        _check_prices(p, p.size)
         object.__setattr__(self, "scaling", float(self.scaling))
         object.__setattr__(self, "deprecation", float(self.deprecation))
         object.__setattr__(self, "prices", _freeze(p))
-        object.__setattr__(self, "sectors", n)
+
+    @property
+    def sectors(self) -> int:
+        return self.prices.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EconomyParams):
@@ -172,7 +183,6 @@ class EconomyParams:
         return (
             self.scaling == other.scaling
             and self.deprecation == other.deprecation
-            and self.sectors == other.sectors
             and np.array_equal(self.prices, other.prices)
         )
 

@@ -32,6 +32,7 @@ from .core import (
     InvariantViolation,
     ProductionCoefficients,
     Strategy,
+    _check_prices,
     _freeze,
     _geometric_mean,
     production,
@@ -55,17 +56,12 @@ class PriceSchedule:
         if self.mode not in ("constant", "time-series"):
             raise ConfigurationError(f"unknown price schedule mode {self.mode!r}")
         arr = np.asarray(self.values, dtype=float)
-        if self.mode == "constant":
-            if arr.ndim != 1 or arr.size == 0:
-                raise DimensionError("constant price schedule needs one price vector")
-        else:
-            if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-                raise DimensionError(
-                    "time-series price schedule needs a (steps, sectors) array"
-                )
-        if not np.isfinite(arr).all() or (arr <= 0.0).any():
-            raise DomainError("every price must be a positive real")
-        object.__setattr__(self, "values", _freeze(arr))
+        ndim = 1 if self.mode == "constant" else 2
+        if arr.ndim != ndim or arr.size == 0:
+            raise DimensionError(
+                f"{self.mode} price schedule needs a non-empty {ndim}-d price array"
+            )
+        object.__setattr__(self, "values", _freeze(_check_prices(arr, arr.shape[-1])))
 
     @classmethod
     def constant(cls, prices) -> "PriceSchedule":
@@ -129,9 +125,7 @@ def _step_prices(n: int, params, coefficients, prices_at_t) -> np.ndarray:
     and for being positive and finite."""
     p = np.asarray(prices_at_t, dtype=float)
     _check_sectors(n, params, coefficients, p.size)
-    if not float(p.min()) > 0.0 or float(p.max()) == np.inf:
-        raise DomainError("every price must be a positive finite real")
-    return p
+    return _check_prices(p, n)
 
 
 def _check_sectors(n: int, params, coefficients, n_prices: int) -> None:

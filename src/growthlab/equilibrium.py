@@ -33,6 +33,8 @@ from .core import (
     InvariantViolation,
     ProductionCoefficients,
     Strategy,
+    _as_vector,
+    _check_prices,
     _clip_renormalize,
     weighted_geometric_mean,
 )
@@ -41,17 +43,19 @@ from .core import (
 CONTOUR_REL_TOL = 1e-12
 
 
-def _resolve_prices(params: EconomyParams, prices) -> np.ndarray:
+def _resolve_prices(params: EconomyParams, coefficients, prices) -> np.ndarray:
+    """``prices``, else the params' prices, checked against the coefficients."""
     if prices is None:
-        return params.prices
-    p = np.asarray(prices, dtype=float)
-    if p.ndim != 1 or p.size != params.sectors:
+        prices = params.prices
+    return _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
+
+
+def _check_strategy_sectors(strategy: Strategy, coefficients) -> None:
+    if strategy.sectors != coefficients.sectors:
         raise ConfigurationError(
-            f"prices dimension {p.size} != sectors {params.sectors}"
+            f"strategy sectors {strategy.sectors} != coefficients sectors "
+            f"{coefficients.sectors}"
         )
-    if not np.isfinite(p).all() or (p <= 0.0).any():
-        raise DomainError("every price must be a positive real")
-    return p
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,7 @@ def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
 
     Lies in [0, 1]; attains its unique maximum exactly at sigma = alpha.
     """
-    if strategy.sectors != coefficients.sectors:
-        raise ConfigurationError(
-            f"strategy sectors {strategy.sectors} != coefficients sectors "
-            f"{coefficients.sectors}"
-        )
+    _check_strategy_sectors(strategy, coefficients)
     return weighted_geometric_mean(strategy.weights, coefficients)
 
 
@@ -98,12 +98,8 @@ def equilibrium_growth(
     cancellation for extreme prices.  Returns exactly -deprecation when the
     response term is zero.
     """
-    if strategy.sectors != coefficients.sectors:
-        raise ConfigurationError(
-            f"strategy sectors {strategy.sectors} != coefficients sectors "
-            f"{coefficients.sectors}"
-        )
-    p = _resolve_prices(params, prices)
+    _check_strategy_sectors(strategy, coefficients)
+    p = _resolve_prices(params, coefficients, prices)
     sup = coefficients.support
     sig = strategy.weights[sup]
     if (sig == 0.0).any():
@@ -126,7 +122,7 @@ def equilibrium_ratio(
     which still invests somewhere has no finite ratio there, so asking for it
     raises InvariantViolation.
     """
-    p = _resolve_prices(params, prices)
+    p = _resolve_prices(params, coefficients, prices)
     g = equilibrium_growth(strategy, coefficients, params, p)
     denom = g + params.deprecation
     w = strategy.weights
@@ -150,7 +146,7 @@ def contour_contains(strategy: Strategy, query: ContourQuery, prices=None) -> bo
     """
     params = query.params
     coeffs = query.coefficients
-    p = _resolve_prices(params, prices)
+    p = _resolve_prices(params, coeffs, prices)
     threshold_scale = (query.level + params.deprecation) / params.scaling
     if threshold_scale <= 0.0:
         return True  # every strategy grows at least at -deprecation
@@ -179,13 +175,7 @@ def calibrate_scaling(
     """
     if not (0.0 < deprecation <= 1.0):
         raise DomainError("deprecation must lie in (0, 1]")
-    p = np.asarray(prices, dtype=float)
-    if p.ndim != 1 or p.size != coefficients.sectors:
-        raise ConfigurationError(
-            f"prices dimension {p.size} != coefficients sectors {coefficients.sectors}"
-        )
-    if not np.isfinite(p).all() or (p <= 0.0).any():
-        raise DomainError("every price must be a positive real")
+    p = _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
     if not np.isfinite(target_growth) or target_growth <= -deprecation:
         raise DomainError(
             f"target growth must exceed -deprecation ({-deprecation}); "
@@ -235,11 +225,7 @@ def hill_climb(
     """
     if step_size <= 0.0:
         raise DomainError("step_size must be positive")
-    if start.sectors != coefficients.sectors:
-        raise ConfigurationError(
-            f"start sectors {start.sectors} != coefficients sectors "
-            f"{coefficients.sectors}"
-        )
+    _check_strategy_sectors(start, coefficients)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = start.sectors
 

@@ -73,6 +73,8 @@ class EvolutionConfig:
             )
         if self.observation_sample < 1:
             raise ConfigurationError("observation_sample: must be a positive integer")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
         if self.observation_sample > self.population_size - 1:
             raise ConfigurationError(
                 "observation_sample: must be <= population_size - 1 "

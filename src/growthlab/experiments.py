@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig, dump_config
 from .core import ConfigurationError, Strategy, project_to_simplex
-from .dynamics import TraceRecord, equilibrium_state, run_hold, run_switch_experiment
+from .dynamics import TraceRecord, run_switch_experiment
 from .equilibrium import equilibrium_growth, optimal_strategy, response
 from .evolution import (
     evolve_step,
@@ -103,22 +103,6 @@ def _require(cfg: RunConfig, experiment: str) -> None:
         )
 
 
-def hold_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Single agent holding one strategy; writes the trace CSV."""
-    _require(cfg, "hold")
-    if cfg.hold.sigma is None:
-        sigma = optimal_strategy(cfg.coefficients)
-    else:
-        sigma = Strategy(np.asarray(cfg.hold.sigma))
-    state = equilibrium_state(sigma, cfg.coefficients, cfg.params, cfg.prices.at(1))
-    records = run_hold(state, cfg.params, cfg.coefficients, cfg.prices, cfg.steps)
-    write_trace_csv(records, cfg.params.sectors, cfg.output_path)
-    extras = [write_effective_config(cfg)]
-    if cfg.emit_svg:
-        extras.extend(_emit_panels(records, cfg.output_path))
-    return ExperimentResult(cfg.output_path, tuple(extras))
-
-
 def draw_switch_schedule(
     cfg: RunConfig, rng: np.random.Generator
 ) -> list[tuple[int, Strategy]]:
@@ -183,7 +167,7 @@ def switch_experiment(cfg: RunConfig) -> ExperimentResult:
 
 
 def _emit_panels(
-    records: Sequence[TraceRecord], output_path: str, svg: bool = True
+    records: Sequence[TraceRecord], output_path: str, svg: bool
 ) -> list[str]:
     stem, _ = os.path.splitext(output_path)
     growth_csv = stem + ".growth.csv"
@@ -294,7 +278,6 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
 
 
 DRIVERS = {
-    "hold": hold_experiment,
     "switch": switch_experiment,
     "evolve": evolve_experiment,
     "landscape": landscape_experiment,

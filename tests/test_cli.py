@@ -80,7 +80,9 @@ class TestExitCodes:
 
     def test_config_error_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"experiment": "hold", "economy": {"alphas": [0.9, 0.9]}}))
+        bad.write_text(
+            json.dumps({"experiment": "switch", "economy": {"alphas": [0.9, 0.9]}})
+        )
         code, _, err = run_cli(capsys, "converge", "--config", str(bad))
         assert code == 2
         assert "economy.alphas" in err or "experiment" in err
@@ -127,6 +129,75 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "switch.mutaton_sd: unknown key" in err
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_bad_price_named_before_calibration(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys,
+            "converge",
+            "--alpha", "0.5,0.5",
+            "--prices", "1,0",
+            "--output", str(tmp_path / "trace.csv"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: economy.prices: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_price_schedule_row_named(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "economy": {"alphas": [0.5, 0.5]},
+            "price_schedule": [[1.0, 1.0], [1.0, -2.0]],
+            "output": str(tmp_path / "trace.csv"),
+        }))
+        code, out, err = run_cli(capsys, "converge", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: price_schedule[1]: ")
+        assert os.listdir(tmp_path) == ["run.json"]
+
+    @pytest.mark.parametrize(
+        "command, given, path",
+        [
+            ("converge", "flag", "seed"),
+            ("evolve", "flag", "seed"),
+            ("landscape", "flag", "seed"),
+            ("landscape", "env", "seed"),
+            ("converge", "config", "seed"),
+            ("evolve", "evolution", "evolution.seed"),
+        ],
+    )
+    def test_negative_seed_rejected(
+        self, capsys, tmp_path, monkeypatch, command, given, path
+    ):
+        experiment = {"converge": "switch"}.get(command, command)
+        doc = {
+            "experiment": experiment,
+            "steps": 3,
+            "economy": {"alphas": [0.5, 0.5]},
+            "output": str(tmp_path / "out.csv"),
+        }
+        if given == "config":
+            doc["seed"] = -1
+        elif given == "evolution":
+            doc["evolution"] = {
+                "seed": -1, "population_size": 4, "observation_sample": 2
+            }
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path)]
+        if given == "flag":
+            argv += ["--seed", "-1"]
+        if given == "env":
+            monkeypatch.setenv("GROWTHLAB_SEED", "-1")
+        else:
+            monkeypatch.delenv("GROWTHLAB_SEED", raising=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: must be >= 0, got -1\n"
         assert os.listdir(tmp_path) == ["run.json"]
 
     def test_calibrate_floor_target_is_config_error_free(self, capsys):

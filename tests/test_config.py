@@ -13,7 +13,7 @@ from growthlab.config import (
 from growthlab.equilibrium import equilibrium_growth, optimal_strategy
 
 
-MINIMAL = {"experiment": "hold", "economy": {"alphas": [0.5, 0.5]}}
+MINIMAL = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]}}
 
 
 class TestDefaults:
@@ -33,7 +33,7 @@ class TestDefaults:
 
     def test_explicit_scaling_skips_calibration(self):
         doc = {
-            "experiment": "hold",
+            "experiment": "landscape",
             "economy": {"alphas": [0.5, 0.5], "scaling": 0.08},
         }
         cfg = config_from_dict(doc)
@@ -53,22 +53,22 @@ class TestDefaults:
 
 class TestValidationErrors:
     def test_bad_alphas_named(self):
-        doc = {"experiment": "hold", "economy": {"alphas": [0.5, 0.4]}}
+        doc = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.4]}}
         with pytest.raises(ConfigurationError, match=r"economy\.alphas"):
             config_from_dict(doc)
 
     def test_missing_economy(self):
         with pytest.raises(ConfigurationError, match="economy"):
-            config_from_dict({"experiment": "hold"})
+            config_from_dict({"experiment": "landscape"})
 
     @pytest.mark.parametrize(
         "doc, path",
         [
             ({"experiment": "switch", "economy": {"alphas": [0.5, 0.5]},
               "switch": {"mutaton_sd": 0.5}}, "switch.mutaton_sd"),
-            ({"experiment": "hold", "economy": {"alphas": [0.5, 0.5], "delta": 0.1}},
-             "economy.delta"),
-            ({"experiment": "hold", "economy": {"alphas": [0.5, 0.5]}, "seeed": 3},
+            ({"experiment": "landscape",
+              "economy": {"alphas": [0.5, 0.5], "delta": 0.1}}, "economy.delta"),
+            ({"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]}, "seeed": 3},
              "seeed"),
             ({"experiment": "evolve", "economy": {"alphas": [0.5, 0.5]},
              "evolution": {"population": 9}}, "evolution.population"),
@@ -88,7 +88,7 @@ class TestValidationErrors:
 
     def test_bad_prices_dimension(self):
         doc = {
-            "experiment": "hold",
+            "experiment": "landscape",
             "economy": {"alphas": [0.5, 0.5], "prices": [1.0]},
         }
         with pytest.raises(ConfigurationError, match=r"economy\.prices"):
@@ -96,7 +96,7 @@ class TestValidationErrors:
 
     def test_scaling_and_target_mutually_exclusive(self):
         doc = {
-            "experiment": "hold",
+            "experiment": "landscape",
             "economy": {"alphas": [0.5, 0.5], "scaling": 0.1},
             "target_growth": 0.0185,
         }
@@ -124,16 +124,16 @@ class TestValidationErrors:
 
     def test_sigma_dimension_checked(self):
         doc = {
-            "experiment": "hold",
+            "experiment": "switch",
             "economy": {"alphas": [0.5, 0.5]},
-            "hold": {"sigma": [1.0]},
+            "switch": {"initial_sigma": [1.0]},
         }
-        with pytest.raises(ConfigurationError, match=r"hold\.sigma"):
+        with pytest.raises(ConfigurationError, match=r"switch\.initial_sigma"):
             config_from_dict(doc)
 
     def test_bad_price_schedule_row(self):
         doc = {
-            "experiment": "hold",
+            "experiment": "landscape",
             "economy": {"alphas": [0.5, 0.5]},
             "price_schedule": [[1.0, 1.0], [1.0]],
         }
@@ -190,7 +190,7 @@ class TestRoundTrip:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(MINIMAL))
         cfg = load_config(str(path))
-        assert cfg.experiment == "hold"
+        assert cfg.experiment == "landscape"
 
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):

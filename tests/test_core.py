@@ -166,8 +166,6 @@ class TestDomainTypes:
             EconomyParams(1.0, 1.5, np.array([1.0]))
         with pytest.raises(DomainError):
             EconomyParams(1.0, 0.5, np.array([0.0]))
-        with pytest.raises(DimensionError):
-            EconomyParams(1.0, 0.5, np.array([1.0, 2.0]), sectors=3)
 
     def test_params_delta_one_allowed(self):
         p = EconomyParams(1.0, 1.0, np.array([1.0, 1.0]))

@@ -7,10 +7,11 @@ import pytest
 
 from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
+from growthlab.core import Strategy
+from growthlab.dynamics import equilibrium_state, run_hold
 from growthlab.experiments import (
     switch_experiment,
     fmt17,
-    hold_experiment,
     landscape_experiment,
     evolve_experiment,
     run_experiment,
@@ -113,20 +114,13 @@ class TestSwitchExperiment:
         )
         cfg = config_from_dict(doc)
         result = switch_experiment(cfg)
-        hold_doc = {
-            "experiment": "hold",
-            "steps": 200,
-            "seed": 11,
-            "economy": doc["economy"],
-            "target_growth": 0.0185,
-            "output": str(tmp_path / "hold.csv"),
-            "hold": {"sigma": sigma},
-        }
-        hold_result = hold_experiment(config_from_dict(hold_doc))
-        assert (
-            open(result.output).read().splitlines()[1:]
-            == open(hold_result.output).read().splitlines()[1:]
+        start = equilibrium_state(
+            Strategy(np.asarray(sigma)), cfg.coefficients, cfg.params, cfg.prices.at(1)
         )
+        records = run_hold(start, cfg.params, cfg.coefficients, cfg.prices, cfg.steps)
+        hold_path = str(tmp_path / "hold.csv")
+        write_trace_csv(records, cfg.params.sectors, hold_path)
+        assert open(result.output, "rb").read() == open(hold_path, "rb").read()
 
 
 class TestEvolveExperiment:

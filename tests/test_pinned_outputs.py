@@ -1,10 +1,13 @@
-"""Pinned `growthlab evolve` outputs: a refactor must not change a byte.
+"""Pinned CLI outputs: a refactor must not change a byte.
 
-Each ``tests/data/evolve_<name>.json`` is a small run (40 steps x 8 agents,
-with ``emit_svg``); the CSV and ``.response.svg`` next to it were written by
-an earlier version of the package.  Between them the three configs cover
-every selection rule, 2-4 sectors, a sector with a zero production
-coefficient and a price series that changes mid-run.
+Each ``tests/data/<name>.json`` is a small run; the files next to it were
+written by an earlier version of the package.  The evolve configs (40 steps
+x 8 agents, with ``emit_svg``) cover every selection rule, 2-4 sectors, a
+sector with a zero production coefficient and a price series that changes
+mid-run.  The converge configs are a 3-sector run with a zero coefficient,
+given switch steps, a price series that changes mid-run and SVG charts, and
+a seeded 2-sector run whose switches are drawn.  The landscape config
+samples 300 strategies of a 4-sector economy with a zero coefficient.
 """
 
 import os
@@ -15,15 +18,33 @@ from growthlab.cli import cli_main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
+#: case id -> (subcommand, config name, pinned suffixes)
+PINS = {
+    "best": ("evolve", "evolve_best", (".csv", ".response.svg")),
+    "proportional": ("evolve", "evolve_proportional", (".csv", ".response.svg")),
+    "pairwise": ("evolve", "evolve_pairwise", (".csv", ".response.svg")),
+    "converge_given": (
+        "converge",
+        "converge_given",
+        (".csv", ".growth.csv", ".excess.csv", ".growth.svg", ".excess.svg"),
+    ),
+    "converge_drawn": (
+        "converge", "converge_drawn", (".csv", ".growth.csv", ".excess.csv")
+    ),
+    "landscape_zero_alpha": ("landscape", "landscape_zero_alpha", (".csv",)),
+}
 
-@pytest.mark.parametrize("name", ["best", "proportional", "pairwise"])
-def test_evolve_outputs_match_pins(name, tmp_path, capsys, monkeypatch):
+
+@pytest.mark.parametrize("case", list(PINS))
+def test_evolve_outputs_match_pins(case, tmp_path, capsys, monkeypatch):
+    """Every pinned run, evolve or not; the name predates the other commands."""
+    command, name, suffixes = PINS[case]
     monkeypatch.delenv("GROWTHLAB_SEED", raising=False)
-    out = str(tmp_path / f"evolve_{name}.csv")
-    config = os.path.join(DATA, f"evolve_{name}.json")
-    assert cli_main(["evolve", "--config", config, "--output", out]) == 0
+    out = str(tmp_path / f"{name}.csv")
+    config = os.path.join(DATA, f"{name}.json")
+    assert cli_main([command, "--config", config, "--output", out]) == 0
     capsys.readouterr()
-    for suffix in (".csv", ".response.svg"):
-        got = open(os.path.join(tmp_path, f"evolve_{name}{suffix}"), "rb").read()
-        want = open(os.path.join(DATA, f"evolve_{name}{suffix}"), "rb").read()
-        assert got == want, f"evolve_{name}{suffix} differs from its pin"
+    for suffix in suffixes:
+        got = open(os.path.join(tmp_path, f"{name}{suffix}"), "rb").read()
+        want = open(os.path.join(DATA, f"{name}{suffix}"), "rb").read()
+        assert got == want, f"{name}{suffix} differs from its pin"
