@@ -27,12 +27,14 @@ import numpy as np
 from .config import (
     RunConfig,
     SwitchSpec,
+    _at,
     annual_to_step_rate,
     config_from_dict,
     economy_from_dict,
     read_document,
 )
 from .core import ConfigurationError, GrowthLabError, ProductionCoefficients, Strategy
+from .core import _check_prices
 from .equilibrium import calibrate_scaling, equilibrium_growth
 from .experiments import run_experiment
 
@@ -231,12 +233,12 @@ def cli_main(argv=None) -> int:
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":
-            coefficients = ProductionCoefficients(np.asarray(args.alpha))
-            prices = (
-                np.asarray(args.prices)
-                if args.prices is not None
-                else np.ones(coefficients.sectors)
-            )
+            with _at("economy.alphas"):
+                coefficients = ProductionCoefficients(np.asarray(args.alpha))
+            n = coefficients.sectors
+            prices = np.ones(n) if args.prices is None else args.prices
+            with _at("economy.prices"):
+                prices = _check_prices(prices, n)
             target = annual_to_step_rate(args.target, args.steps_per_year)
             _print_number(
                 calibrate_scaling(target, coefficients, args.delta, prices)

@@ -32,7 +32,7 @@ from .core import (
     Strategy,
     _check_prices,
 )
-from .dynamics import PriceSchedule
+from .dynamics import PriceSchedule, _check_switch_steps
 from .equilibrium import calibrate_scaling
 from .evolution import EvolutionConfig
 
@@ -280,16 +280,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     section = _load_section(doc, name, spec, inherited)
     if spec is SwitchSpec:
         _check_strategy(section.initial_sigma, n, "switch.initial_sigma")
-        prev = 0
-        for i, s in enumerate(section.switch_steps or ()):
-            if not (1 <= s <= steps):
-                raise _fail(f"switch.switch_steps[{i}]", f"{s} outside [1, {steps}]")
-            if s <= prev:
-                raise _fail(
-                    f"switch.switch_steps[{i}]",
-                    f"{s} not strictly greater than previous step {prev}",
-                )
-            prev = s
+        try:
+            _check_switch_steps(section.switch_steps or (), steps)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"switch.{exc}") from exc
         for i, vec in enumerate(section.switch_sigmas or ()):
             _check_strategy(vec, n, f"switch.switch_sigmas[{i}]")
 

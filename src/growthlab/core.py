@@ -17,6 +17,7 @@ production coefficient economically inert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,12 +192,12 @@ class EconomyParams:
 class AgentState:
     """One agent's economic state: per-sector capital, income, last growth.
 
-    ``income`` is always the production value of ``capital`` (recomputed each
-    step, never accumulated separately).  ``growth`` is the last realized
-    per-step income growth rate; with constant returns to scale it cannot
-    fall below ``-deprecation`` while income is positive.  ``absorbed`` flags
-    the zero-income state, which is absorbing: income stays zero and growth
-    is reported as 0.0 rather than NaN.
+    Steps carry the capital/income ``ratio`` and the ``log_income``; given
+    only capital and income, both are derived from them.  A stepped state's
+    income is exp(log_income), inf past float range.  ``growth`` is the last
+    realized per-step income growth rate, never below ``-deprecation`` while
+    income is positive.  ``absorbed`` flags the absorbing zero-income state:
+    ratio 0, log income -inf, and growth 0.0 rather than NaN.
     """
 
     capital: np.ndarray
@@ -204,8 +205,12 @@ class AgentState:
     growth: float
     strategy: Strategy
     absorbed: bool = False
+    ratio: np.ndarray | None = None
+    log_income: float | None = None
 
     def __post_init__(self):
+        if self.ratio is not None:  # carried over from a stepped state
+            return
         k = _as_vector(self.capital, "capital")
         # min/max catch NaN (comparisons fail) and infinities in one pass each
         if not (float(k.min()) >= 0.0 and float(k.max()) < np.inf):
@@ -220,13 +225,34 @@ class AgentState:
             raise DomainError("income must be a non-negative real")
         if not np.isfinite(growth):
             raise DomainError("growth must be finite")
-        object.__setattr__(self, "capital", _freeze(k))
-        object.__setattr__(self, "income", income)
-        object.__setattr__(self, "growth", growth)
+        absorbed = income == 0.0
+        self.__dict__.update(
+            capital=_freeze(k), income=income, growth=growth, absorbed=absorbed,
+            ratio=_freeze(np.zeros_like(k) if absorbed else k / income),
+            log_income=-math.inf if absorbed else math.log(income),
+        )
+
+    @classmethod
+    def _stepped(cls, ratio, log_income, growth, strategy, absorbed) -> "AgentState":
+        """The state the step kernel returned; nothing is checked or copied."""
+        income = _income(log_income)
+        # a ratio that underflowed to 0 keeps capital 0, also at inf income
+        capital = np.multiply(ratio, income, out=np.zeros_like(ratio), where=ratio > 0.0)
+        capital.flags.writeable = ratio.flags.writeable = False
+        return cls(capital, income, float(growth), strategy, bool(absorbed), ratio,
+                   float(log_income))
 
     @property
     def sectors(self) -> int:
         return int(self.capital.size)
+
+
+def _income(log_income: float) -> float:
+    """exp(log_income), reading inf past float range."""
+    try:
+        return math.exp(log_income)
+    except OverflowError:
+        return math.inf
 
 
 def validate_simplex(v, tol: float = SIMPLEX_TOL) -> bool:
@@ -283,11 +309,6 @@ def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:
         raise DimensionError(
             f"base dimension {arr.size} != coefficients sectors {exponents.sectors}"
         )
-    return _geometric_mean(arr, exponents)
-
-
-def _geometric_mean(arr: np.ndarray, exponents: ProductionCoefficients) -> float:
-    """weighted_geometric_mean of a 1-d float vector sized to ``exponents``."""
     lo = float(arr.min())
     if not lo >= 0.0 or float(arr.max()) == np.inf:
         raise DomainError("base components must be non-negative finite reals")

@@ -1,16 +1,20 @@
 """Forward simulation of a single agent's capital, income and growth.
 
-One step of the model, given the price vector of the period:
+One step of the model, given the price vector of the period, is
 
     k_i' = (sigma_i / p_i) * y + (1 - deprecation) * k_i
-    y'   = scaling * prod(k_i' ** alpha_i)
-    g'   = y' / y - 1                      (while y > 0)
+    y'   = scaling * prod(k_i' ** alpha_i),    g' = y' / y - 1
+
+and with constant returns to scale it is computed on the capital/income
+ratio x = k / y and the log income, so income cannot overflow:
+
+    1 + g' = scaling * prod((sigma_i / p_i + (1 - deprecation) * x_i) ** alpha_i)
+    x'     = (sigma / p + (1 - deprecation) * x) / (1 + g')
+    log y' = log y + log(1 + g')
 
 Invested capital is non-malleable: a strategy switch reallocates only new
-investment, never the existing per-sector stock.  Income is recomputed from
-capital every step rather than accumulated multiplicatively, so the state
-fields cannot drift apart.  A zero-income state is absorbing: income stays
-zero and growth is reported as 0.0 with the ``absorbed`` flag set, never NaN.
+investment, never the existing per-sector stock.  Zero income is absorbing:
+log income -inf, ratio 0, and growth 0.0 with the ``absorbed`` flag set.
 
 Steps are numbered from 1; a PriceSchedule maps each step to a price vector
 (constant, or a time series that holds its last value past the end).
@@ -18,6 +22,7 @@ Steps are numbered from 1; a PriceSchedule maps each step to a price vector
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -34,7 +39,7 @@ from .core import (
     Strategy,
     _check_prices,
     _freeze,
-    _geometric_mean,
+    _income,
     production,
 )
 from . import equilibrium as eq
@@ -55,7 +60,10 @@ class PriceSchedule:
     def __post_init__(self):
         if self.mode not in ("constant", "time-series"):
             raise ConfigurationError(f"unknown price schedule mode {self.mode!r}")
-        arr = np.asarray(self.values, dtype=float)
+        try:
+            arr = np.asarray(self.values, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise DimensionError(f"prices must be one rectangular array: {exc}") from None
         ndim = 1 if self.mode == "constant" else 2
         if arr.ndim != ndim or arr.size == 0:
             raise DimensionError(
@@ -65,11 +73,11 @@ class PriceSchedule:
 
     @classmethod
     def constant(cls, prices) -> "PriceSchedule":
-        return cls("constant", np.asarray(prices, dtype=float))
+        return cls("constant", prices)
 
     @classmethod
     def series(cls, rows) -> "PriceSchedule":
-        return cls("time-series", np.asarray(rows, dtype=float))
+        return cls("time-series", rows)
 
     @property
     def sectors(self) -> int:
@@ -94,11 +102,12 @@ class TraceRecord(NamedTuple):
 
     step: int
     agent_id: int
-    income: float
+    income: float  # exp(log_income): inf past float range, 0.0 once absorbed
     growth: float
     equilibrium_growth: float  # of the current strategy at the step's prices
     excess_growth: float  # growth - equilibrium_growth
     strategy: tuple[float, ...]
+    log_income: float  # -inf once absorbed
 
 
 def step_agent(
@@ -109,15 +118,18 @@ def step_agent(
 ) -> AgentState:
     """Advance one agent by one period under the given prices.
 
-    Checks sector counts and that each price is positive and finite; raises
-    DomainError if the new capital is negative or any new value is not finite.
+    Checks sector counts and that each price is positive and finite.  The
+    new state carries its ratio and log income, so a loop of calls steps
+    exactly as ``run_hold`` does.
     """
     p = _step_prices(state.sectors, params, coefficients, prices_at_t)
-    k = np.array(state.capital)
-    invest = state.strategy.weights / p
-    y_new, g_new = _advance(k, state.income, invest, params, coefficients)
-    absorbed = not state.income > 0.0 or y_new == 0.0
-    return AgentState(k, y_new, g_new, state.strategy, absorbed)
+    # log 0 = -inf is an absorbed agent; capital past float range reads inf
+    with np.errstate(divide="ignore", over="ignore"):
+        x, log_y, g, absorbed = _advance(
+            state.ratio, state.log_income, state.absorbed,
+            state.strategy.weights / p, params, coefficients,
+        )
+        return AgentState._stepped(x, log_y, g, state.strategy, absorbed)
 
 
 def _step_prices(n: int, params, coefficients, prices_at_t) -> np.ndarray:
@@ -136,52 +148,41 @@ def _check_sectors(n: int, params, coefficients, n_prices: int) -> None:
         )
 
 
-def _advance(k, y: float, invest, params, coefficients) -> tuple[float, float]:
-    """Overwrite capital ``k`` with ``invest * y + (1 - deprecation) * k``,
-    where ``invest`` is sigma / p; return the new (income, growth).
-    Raises DomainError on negative or non-finite capital, infinite income or
-    non-finite growth.  Zero income is absorbing: its growth reads 0.0.
+def _advance(x, log_y, absorbed, invest, params, coefficients):
+    """One period of the ratio state; returns the new (x, log_y, growth, absorbed).
+
+    ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with scalar
+    log income and flag, or (agents, sectors) with (agents,) arrays.  Each
+    row's log-sum is reduced on its own C-contiguous row, so a population row
+    equals the one-agent call bit for bit.  A zero factor (log 0; callers
+    silence numpy's warning) absorbs the row: growth -1, then 0.0.  Raises
+    DomainError unless each row's log growth is finite or -inf.
     """
-    k *= 1.0 - params.deprecation
-    k += invest * y
-    y_new = params.scaling * _geometric_mean(k, coefficients)
-    if y_new == np.inf:
-        raise DomainError("income must be a non-negative real")
-    g_new = y_new / y - 1.0 if y > 0.0 else 0.0
-    if not g_new < np.inf:  # g >= -1, so this also rejects NaN
-        raise DomainError("growth must be finite")
-    return y_new, g_new
+    v = invest + (1.0 - params.deprecation) * x
+    sup, v_sup, alph = coefficients.support, v, coefficients.alphas
+    if sup.size < alph.size:  # zero-alpha sectors are inert
+        v_sup, alph = v[..., sup], alph[sup]
+    log_g = math.log(params.scaling) + np.add.reduce(np.log(v_sup, order="C") * alph, -1)
+    log_y = log_y + log_g
+    gross = np.exp(log_g)
+    growth = gross - 1.0
+    # one reduction: finite unless some row is absorbed, or broken
+    if not math.isfinite(np.add.reduce(log_y, axis=None)):
+        if not (log_y < np.inf).all():  # NaN or +inf
+            raise DomainError("growth must be finite")
+        growth = np.where(absorbed, 0.0, growth)
+        absorbed = log_y == -np.inf
+        gross = np.where(absorbed, np.inf, gross)  # so their ratio reads 0
+    return (v.T / gross).T, log_y, growth, absorbed
 
 
-def _advance_rows(K, y, invest, params, coefficients) -> tuple[np.ndarray, np.ndarray]:
-    """``_advance`` on every row of the (agents, sectors) capital ``K`` at once.
-
-    ``y`` holds the incomes and ``invest`` the rows sigma / p.  The arithmetic
-    is ``_advance``'s, row by row: each row's log-sum is its own ``np.dot``,
-    because a matrix product rounds differently in the last bit.  The same
-    DomainErrors are raised when any row fails a check.
-    """
-    K *= 1.0 - params.deprecation
-    K += invest * y[:, None]
-    lo = float(K.min())
-    if not lo >= 0.0 or float(K.max()) == np.inf:
-        raise DomainError("base components must be non-negative finite reals")
-    sup = coefficients.support
-    alph = coefficients.alphas[sup]
-    # a zero factor gives log 0 = -inf and exp(-inf) = 0.0: the zero income
-    # that _geometric_mean returns for it directly.  K[:, sup] is laid out
-    # column-major, and np.dot on a strided row rounds differently, so the
-    # logs are stored row-major.
-    with np.errstate(divide="ignore"):
-        logs = np.log(K[:, sup], order="C")
-    y_new = params.scaling * np.exp([np.dot(alph, row) for row in logs])
-    if y_new.max() == np.inf:
-        raise DomainError("income must be a non-negative real")
-    # 1.0 where income was zero, so absorbed rows read growth 0.0
-    g_new = np.divide(y_new, y, out=np.ones_like(y), where=y > 0.0) - 1.0
-    if not g_new.max() < np.inf:
-        raise DomainError("growth must be finite")
-    return y_new, g_new
+def _check_switch_steps(at_steps: Sequence[int], steps: int) -> None:
+    """Raise unless the switch steps increase strictly within [1, steps]."""
+    prev = 0
+    for i, s in enumerate(at_steps):
+        if not prev < s <= steps:
+            raise ConfigurationError(f"switch_steps[{i}]: {s} not in ({prev}, {steps}]")
+        prev = s
 
 
 def verify_state_consistency(
@@ -216,10 +217,8 @@ def equilibrium_state(
     if income <= 0.0:
         raise DomainError("income must be positive")
     ratio = eq.equilibrium_ratio(strategy, coefficients, params, prices)
-    capital = ratio * income
-    y = production(capital, coefficients, params.scaling)
     g = eq.equilibrium_growth(strategy, coefficients, params, prices)
-    return AgentState(capital, y, g, strategy)
+    return AgentState(ratio * income, income, g, strategy)
 
 
 def uniform_state(
@@ -277,55 +276,39 @@ def run_switch_experiment(
 
     Checked once, on entry: steps, switch steps, every sector count, and
     that the start income is the production of its capital (the schedule
-    checked its prices when built).  Each step raises DomainError as
-    ``step_agent`` does, so no record holds a non-finite value.
+    checked its prices when built).  The steps are ``step_agent``'s: growth
+    stays finite, and past float range income reads inf but its log does not.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
-    last_step = 0
-    for at_step, strat in switches:
-        if not (1 <= at_step <= steps):
-            raise ConfigurationError(
-                f"switch step {at_step} outside [1, {steps}]"
-            )
-        if at_step <= last_step:
-            raise ConfigurationError(
-                f"switch steps must be strictly increasing (got {at_step} "
-                f"after {last_step})"
-            )
+    _check_switch_steps([at_step for at_step, _ in switches], steps)
+    for strat in [initial, *(strat for _, strat in switches)]:
         _check_sectors(strat.sectors, params, coefficients, prices.sectors)
-        last_step = at_step
-    _check_sectors(initial.sectors, params, coefficients, prices.sectors)
 
     if initial_state is None:
-        state = equilibrium_state(
-            initial, coefficients, params, prices.at(1), income=1.0
-        )
+        state = equilibrium_state(initial, coefficients, params, prices.at(1))
     else:
         state = initial_state
         verify_state_consistency(state, params, coefficients)
 
     pending = dict(switches)
     records: list[TraceRecord] = []
-    k = np.array(state.capital)
-    y = state.income
+    x, log_y, absorbed = state.ratio, state.log_income, state.absorbed
     current = initial
-    sigma = current.as_tuple()
-    last_p: np.ndarray | None = None
-    stale = True
-    for t in range(1, steps + 1):
-        if t in pending:
-            current = pending[t]
-            sigma = current.as_tuple()
-            stale = True
-        p = prices.at(t)
-        if last_p is None or (p is not last_p and not np.array_equal(p, last_p)):
-            last_p = p
-            stale = True
-        if stale:
-            g_star = eq.equilibrium_growth(current, coefficients, params, p)
-            invest = current.weights / p
-            stale = False
-        y, g = _advance(k, y, invest, params, coefficients)
-        records.append(TraceRecord(t, agent_id, y, g, g_star, g - g_star, sigma))
+    last_p = None
+    with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
+        for t in range(1, steps + 1):
+            p = prices.at(t)
+            if t in pending or not (p is last_p or np.array_equal(p, last_p)):
+                current = pending.get(t, current)
+                sigma, last_p = current.as_tuple(), p
+                g_star = eq.equilibrium_growth(current, coefficients, params, p)
+                invest = current.weights / p
+            x, log_y, g, absorbed = _advance(
+                x, log_y, absorbed, invest, params, coefficients
+            )
+            g, log_y = float(g), float(log_y)
+            records.append(TraceRecord(
+                t, agent_id, _income(log_y), g, g_star, g - g_star, sigma, log_y
+            ))
     return records

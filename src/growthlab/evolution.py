@@ -34,7 +34,8 @@ from .core import (
     _clip_renormalize,
     project_to_simplex,
 )
-from .dynamics import _advance_rows, _step_prices, equilibrium_state
+from .dynamics import _advance, _step_prices
+from .equilibrium import equilibrium_growth, equilibrium_ratio
 
 SELECTION_RULES = ("imitate-best-observed", "growth-proportional", "pairwise-better")
 
@@ -87,15 +88,16 @@ class Population:
     """The agents as arrays, row i being agent i, plus the step counter and
     each agent's private random stream.
 
-    ``capital`` is (agents, sectors); ``income`` and ``growth`` (the last
-    realized growth) are (agents,).  Income is the production of the capital
-    row, and zero income is absorbing.  Build one with ``from_agents``,
-    which checks its input; the plain constructor checks nothing.
+    ``ratio`` is the (agents, sectors) capital/income ratio; ``log_income``,
+    ``growth`` (the last realized growth) and ``absorbed`` are (agents,).
+    Zero income is absorbing: its row has log income -inf and ratio 0.
+    ``from_agents`` checks its input; the plain constructor checks nothing.
     """
 
-    capital: np.ndarray
-    income: np.ndarray
+    ratio: np.ndarray
+    log_income: np.ndarray
     growth: np.ndarray
+    absorbed: np.ndarray
     strategies: list[Strategy]
     step: int
     rngs: list[np.random.Generator]
@@ -118,9 +120,10 @@ class Population:
                 f"all agents must share one sector count, got {sorted(sectors)}"
             )
         return cls(
-            np.array([a.capital for a in agents]),
-            np.array([a.income for a in agents]),
+            np.array([a.ratio for a in agents]),
+            np.array([a.log_income for a in agents]),
             np.array([a.growth for a in agents]),
+            np.array([a.absorbed for a in agents]),
             [a.strategy for a in agents],
             step,
             list(rngs),
@@ -130,12 +133,17 @@ class Population:
     def agents(self) -> list[AgentState]:
         """One AgentState per agent, built on each access."""
         return [
-            AgentState(k, y, g, s, absorbed=y == 0.0)
-            for k, y, g, s in zip(
-                self.capital, self.income.tolist(), self.growth.tolist(),
-                self.strategies,
+            AgentState._stepped(x, log_y, g, s, a)
+            for x, log_y, g, s, a in zip(
+                self.ratio, self.log_income.tolist(), self.growth.tolist(),
+                self.strategies, self.absorbed.tolist(),
             )
         ]
+
+    @property
+    def capital(self) -> np.ndarray:
+        """(agents, sectors) capital: each row's ratio times its income."""
+        return np.array([a.capital for a in self.agents])
 
 
 def agent_stream(master_seed: int, agent_index: int) -> np.random.Generator:
@@ -241,20 +249,21 @@ def evolve_step(
     """One synchronous two-phase update of the whole population.
 
     Phase 1 steps every agent at once on the population's arrays, with the
-    arithmetic and the DomainErrors of ``step_agent``.  ``_order`` only
-    permutes the phase-2 processing order; because every agent draws from
-    its own stream and reads the shared phase-1 snapshot, the result is the
-    same for any order (exposed for tests).
+    kernel and the checks of ``step_agent``.  ``_order`` only permutes the
+    phase-2 processing order; because every agent draws from its own stream
+    and reads the shared phase-1 snapshot, the result is the same for any
+    order (exposed for tests).
     """
-    p = _step_prices(population.capital.shape[1], params, coefficients, prices_at_t)
-    capital = population.capital.copy()
+    p = _step_prices(population.ratio.shape[1], params, coefficients, prices_at_t)
     invest = np.array([s.weights for s in population.strategies]) / p
-    income, growth = _advance_rows(
-        capital, population.income, invest, params, coefficients
-    )
+    with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
+        stepped = _advance(
+            population.ratio, population.log_income, population.absorbed,
+            invest, params, coefficients,
+        )
     strategies = list(population.strategies)
     snapshot = Population(
-        capital, income, growth, strategies, population.step + 1, population.rngs
+        *stepped, strategies, population.step + 1, population.rngs
     )
     if config.imitation_probability <= 0.0:
         return snapshot
@@ -281,7 +290,8 @@ def init_population(
     prices=None,
     strategies: Sequence[Strategy] | None = None,
 ) -> Population:
-    """Fresh population at step 0, every agent at its own strategy's equilibrium.
+    """Fresh population at step 0, every agent at its own strategy's
+    equilibrium ratio with income 1.
 
     Without explicit strategies each agent draws a uniform random simplex
     point from its private stream, so agent i's entire history depends only
@@ -293,13 +303,12 @@ def init_population(
             f"got {len(strategies)} strategies for population of {n_agents}"
         )
     rngs = [agent_stream(config.seed, i) for i in range(n_agents)]
-    agents: list[AgentState] = []
-    for i in range(n_agents):
-        if strategies is not None:
-            sigma = strategies[i]
-        else:
-            sigma = project_to_simplex(rngs[i].dirichlet(np.ones(params.sectors)))
-        agents.append(
-            equilibrium_state(sigma, coefficients, params, prices, income=1.0)
-        )
-    return Population.from_agents(agents, 0, rngs)
+    if strategies is None:
+        ones = np.ones(params.sectors)
+        strategies = [project_to_simplex(rng.dirichlet(ones)) for rng in rngs]
+    ratio = [equilibrium_ratio(s, coefficients, params, prices) for s in strategies]
+    growth = [equilibrium_growth(s, coefficients, params, prices) for s in strategies]
+    return Population(
+        np.array(ratio), np.zeros(n_agents), np.array(growth),
+        np.zeros(n_agents, dtype=bool), list(strategies), 0, rngs,
+    )

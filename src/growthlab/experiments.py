@@ -5,11 +5,12 @@ seed, writes CSV (canonical output, floats at 17 significant digits) and
 optionally self-contained SVG charts, and drops an effective-config JSON
 next to the main output so the exact run can be repeated.
 
-Trace CSV columns:      step,agent_id,income,growth,equilibrium_growth,
-                        excess_growth,sigma_0,...,sigma_{n-1}
-Population CSV columns: step,agent_id,income,growth,equilibrium_growth,
-                        sigma_0,...,sigma_{n-1}
-Landscape CSV columns:  sigma_0,...,sigma_{n-1},response,equilibrium_growth
+CSV columns, sigma_* being sigma_0,...,sigma_{n-1}:
+  trace       step,agent_id,income,log_income,growth,equilibrium_growth,
+              excess_growth,sigma_*
+  population  step,agent_id,income,log_income,growth,equilibrium_growth,sigma_*
+  landscape   sigma_*,response,equilibrium_growth
+``income`` is exp(log_income): inf past float range, 0 when absorbed.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig, dump_config
-from .core import ConfigurationError, Strategy, project_to_simplex
+from .core import ConfigurationError, Strategy, _income, project_to_simplex
 from .dynamics import TraceRecord, run_switch_experiment
 from .equilibrium import equilibrium_growth, optimal_strategy, response
 from .evolution import (
@@ -35,8 +36,11 @@ from .svgchart import emit_svg
 
 
 def fmt17(x: float) -> str:
-    """Serialize a float with 17 significant digits (round-trip safe)."""
-    return format(float(x), ".17g")
+    """Serialize a float with 17 significant digits (round-trip safe).
+
+    The row writers below put the same ``%.17g`` in one template per row.
+    """
+    return "%.17g" % x
 
 
 def _write_lines(path: str, lines: Iterable[str]) -> None:
@@ -51,23 +55,22 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
 
 def trace_header(sectors: int) -> str:
     sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
-    return f"step,agent_id,income,growth,equilibrium_growth,excess_growth,{sigma_cols}"
+    columns = "step,agent_id,income,log_income,growth,equilibrium_growth,excess_growth"
+    return f"{columns},{sigma_cols}"
 
 
 def write_trace_csv(records: Sequence[TraceRecord], sectors: int, path: str) -> None:
-    lines = [trace_header(sectors)]
-    for r in records:
-        sigma = ",".join(fmt17(s) for s in r.strategy)
-        lines.append(
-            f"{r.step},{r.agent_id},{fmt17(r.income)},{fmt17(r.growth)},"
-            f"{fmt17(r.equilibrium_growth)},{fmt17(r.excess_growth)},{sigma}"
-        )
-    _write_lines(path, lines)
+    row = "%d,%d" + ",%.17g" * (5 + sectors)
+    _write_lines(path, [trace_header(sectors)] + [
+        row % (r.step, r.agent_id, r.income, r.log_income, r.growth,
+               r.equilibrium_growth, r.excess_growth, *r.strategy)
+        for r in records
+    ])
 
 
 def population_header(sectors: int) -> str:
     sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
-    return f"step,agent_id,income,growth,equilibrium_growth,{sigma_cols}"
+    return f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"
 
 
 def landscape_header(sectors: int) -> str:
@@ -77,14 +80,8 @@ def landscape_header(sectors: int) -> str:
 
 def write_effective_config(cfg: RunConfig) -> str:
     """Dump the materialized configuration next to the main output file."""
-    stem, _ = os.path.splitext(cfg.output_path)
-    path = stem + ".config.json"
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dump_config(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path = os.path.splitext(cfg.output_path)[0] + ".config.json"
+    _write_lines(path, [json.dumps(dump_config(cfg), indent=2, sort_keys=True)])
     return path
 
 
@@ -166,43 +163,34 @@ def switch_experiment(cfg: RunConfig) -> ExperimentResult:
     return ExperimentResult(cfg.output_path, tuple(extras))
 
 
+#: panel -> (title, y label, its series as (label, TraceRecord field) pairs)
+_PANELS = {
+    "growth": ("Income growth rate vs. equilibrium growth rate", "income growth rate", (
+        ("income growth", "growth"), ("equilibrium growth", "equilibrium_growth"))),
+    "excess": ("Growth rate minus equilibrium growth rate", "excess growth rate", (
+        ("excess growth", "excess_growth"),)),
+}
+
+
 def _emit_panels(
     records: Sequence[TraceRecord], output_path: str, svg: bool
 ) -> list[str]:
     stem, _ = os.path.splitext(output_path)
-    growth_csv = stem + ".growth.csv"
-    excess_csv = stem + ".excess.csv"
-    lines = ["step,growth,equilibrium_growth"]
-    for r in records:
-        lines.append(f"{r.step},{fmt17(r.growth)},{fmt17(r.equilibrium_growth)}")
-    _write_lines(growth_csv, lines)
-    lines = ["step,excess_growth"]
-    for r in records:
-        lines.append(f"{r.step},{fmt17(r.excess_growth)}")
-    _write_lines(excess_csv, lines)
-    written = [growth_csv, excess_csv]
-    if svg:
-        growth_svg = stem + ".growth.svg"
-        excess_svg = stem + ".excess.svg"
-        emit_svg(
-            [
-                ("income growth", [(r.step, r.growth) for r in records]),
-                (
-                    "equilibrium growth",
-                    [(r.step, r.equilibrium_growth) for r in records],
-                ),
-            ],
-            growth_svg,
-            title="Income growth rate vs. equilibrium growth rate",
-            y_label="income growth rate",
-        )
-        emit_svg(
-            [("excess growth", [(r.step, r.excess_growth) for r in records])],
-            excess_svg,
-            title="Growth rate minus equilibrium growth rate",
-            y_label="excess growth rate",
-        )
-        written.extend([growth_svg, excess_svg])
+    steps = [r.step for r in records]
+    column = {f: [getattr(r, f) for r in records]
+              for _, _, series in _PANELS.values() for _, f in series}
+    written = []
+    for name, (_, _, series) in _PANELS.items():
+        fields = [f for _, f in series]
+        row = "%d" + ",%.17g" * len(fields)
+        written.append(f"{stem}.{name}.csv")
+        _write_lines(written[-1], [",".join(["step", *fields])] + [
+            row % values for values in zip(steps, *(column[f] for f in fields))
+        ])
+    for name, (title, y_label, series) in _PANELS.items() if svg else ():
+        written.append(f"{stem}.{name}.svg")
+        lines = [(label, list(zip(steps, column[f]))) for label, f in series]
+        emit_svg(lines, written[-1], title=title, y_label=y_label)
     return written
 
 
@@ -239,9 +227,9 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
         if cfg.emit_svg:
             mean_response.append((step, float(np.mean(responses))))
         blocks.append("\n".join(
-            f"{step},{i},{fmt17(y)},{fmt17(g)},{tail}"
-            for i, (y, g, tail) in enumerate(
-                zip(pop.income.tolist(), pop.growth.tolist(), tails)
+            "%d,%d,%.17g,%.17g,%.17g,%s" % (step, i, _income(log_y), log_y, g, tail)
+            for i, (log_y, g, tail) in enumerate(
+                zip(pop.log_income.tolist(), pop.growth.tolist(), tails)
             )
         ))
 

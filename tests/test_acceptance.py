@@ -318,9 +318,9 @@ def test_criterion_8_switch_overshoot_replication(tmp_path):
                 line.split(",")
                 for line in open(result.output).read().splitlines()[1:]
             ]
-            sigmas = [(r[6], r[7]) for r in rows]
-            growths = np.array([float(r[3]) for r in rows])
-            g_stars = np.array([float(r[4]) for r in rows])
+            sigmas = [(r[7], r[8]) for r in rows]
+            growths = np.array([float(r[4]) for r in rows])
+            g_stars = np.array([float(r[5]) for r in rows])
             for t in range(1, len(rows)):
                 if sigmas[t] != sigmas[t - 1]:
                     # first step under the newly adopted strategy

@@ -200,6 +200,21 @@ class TestExitCodes:
         assert err == f"error: {path}: must be >= 0, got -1\n"
         assert os.listdir(tmp_path) == ["run.json"]
 
+    def test_calibrate_bad_price_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys,
+            "calibrate",
+            "--alpha", "0.3,0.7",
+            "--delta", "0.05",
+            "--target", "0.02",
+            "--prices", "1,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: economy.prices: every price must be a positive finite real\n"
+        assert os.listdir(tmp_path) == []
+
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
         # boundary rejection surfaces as a domain error -> runtime exit 1
         code, _, err = run_cli(
@@ -230,7 +245,7 @@ class TestConvergeCommand:
         assert code == 0
         lines = open(out_path).read().splitlines()
         assert len(lines) == 501
-        assert lines[0].startswith("step,agent_id,income,growth")
+        assert lines[0].startswith("step,agent_id,income,log_income,growth")
 
     def test_config_file_plus_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -43,11 +43,14 @@ class TestCsvFormat:
         cfg = config_from_dict(_switch_doc(tmp_path))
         result = switch_experiment(cfg)
         lines = open(result.output).read().splitlines()
-        assert lines[0] == "step,agent_id,income,growth,equilibrium_growth,excess_growth,sigma_0,sigma_1"
+        assert lines[0] == (
+            "step,agent_id,income,log_income,growth,equilibrium_growth,"
+            "excess_growth,sigma_0,sigma_1"
+        )
         assert len(lines) == 1 + 200
         first = lines[1].split(",")
         assert first[0] == "1" and first[1] == "0"
-        assert len(first) == 8
+        assert len(first) == 9
 
     def test_header_helper(self):
         assert trace_header(3).endswith("sigma_0,sigma_1,sigma_2")
@@ -75,15 +78,15 @@ class TestSwitchExperiment:
         ]
         for t_row, g_row, e_row in zip(trace, growth_panel, excess_panel):
             assert g_row[0] == t_row[0]
-            assert g_row[1] == t_row[3]
-            assert g_row[2] == t_row[4]
-            assert e_row[1] == t_row[5]
+            assert g_row[1] == t_row[4]
+            assert g_row[2] == t_row[5]
+            assert e_row[1] == t_row[6]
 
     def test_excess_growth_never_meaningfully_negative(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path, seed=3))
         result = switch_experiment(cfg)
         rows = [l.split(",") for l in open(result.output).read().splitlines()[1:]]
-        excess = np.array([float(r[5]) for r in rows])
+        excess = np.array([float(r[6]) for r in rows])
         assert excess.min() >= -1e-10
 
     def test_each_switch_overshoots_new_equilibrium(self, tmp_path):
@@ -91,11 +94,11 @@ class TestSwitchExperiment:
         cfg = config_from_dict(doc)
         result = switch_experiment(cfg)
         rows = [l.split(",") for l in open(result.output).read().splitlines()[1:]]
-        sigmas = [(r[6], r[7]) for r in rows]
+        sigmas = [(r[7], r[8]) for r in rows]
         for t in range(1, len(rows)):
             if sigmas[t] != sigmas[t - 1]:  # a switch took effect at step t+1
-                growth = float(rows[t][3])
-                g_star = float(rows[t][4])
+                growth = float(rows[t][4])
+                g_star = float(rows[t][5])
                 assert growth > g_star
 
     def test_deterministic_given_seed(self, tmp_path):
@@ -135,7 +138,9 @@ class TestEvolveExperiment:
         }
         result = evolve_experiment(config_from_dict(doc))
         lines = open(result.output).read().splitlines()
-        assert lines[0] == "step,agent_id,income,growth,equilibrium_growth,sigma_0,sigma_1"
+        assert lines[0] == (
+            "step,agent_id,income,log_income,growth,equilibrium_growth,sigma_0,sigma_1"
+        )
         # steps 0..20 inclusive, 6 agents each
         assert len(lines) == 1 + 21 * 6
         assert lines[1].split(",")[0] == "0"
@@ -264,12 +269,13 @@ class TestWriteTraceCsv:
         from growthlab.dynamics import TraceRecord
 
         records = [
-            TraceRecord(1, 0, 1.0185, 0.0185, 0.0185, 0.0, (0.5, 0.5)),
-            TraceRecord(2, 0, 1 / 3, -0.03, 0.001, -0.031, (0.25, 0.75)),
+            TraceRecord(1, 0, 1.0185, 0.0185, 0.0185, 0.0, (0.5, 0.5), np.log(1.0185)),
+            TraceRecord(2, 0, 1 / 3, -0.03, 0.001, -0.031, (0.25, 0.75), np.log(1 / 3)),
         ]
         path = str(tmp_path / "t.csv")
         write_trace_csv(records, 2, path)
         lines = open(path).read().splitlines()
         row = lines[2].split(",")
         assert float(row[2]) == 1 / 3
-        assert float(row[6]) == 0.25
+        assert float(row[3]) == np.log(1 / 3)
+        assert float(row[7]) == 0.25
