@@ -4,9 +4,9 @@ The model lives on two unit simplices: investment strategies (the fraction
 of income an agent puts into each capital sector) and production
 coefficients (per-sector Cobb-Douglas elasticities, summing to one for
 constant returns to scale).  This module owns the simplex validation and
-repair rules, the weighted-geometric-mean kernel that both the production
-function and the strategy-response term are built on, and the immutable
-value types every other module passes around.
+repair rules (along the last axis, so one call checks many points), the
+weighted-geometric-mean kernel of the production function, and the
+immutable value types every other module passes around.
 
 All functions here are pure; all types are frozen.  Products of powers are
 evaluated in log-domain so they do not underflow for many sectors, with
@@ -83,16 +83,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simplex_point(values, name: str) -> np.ndarray:
-    """``values`` as a frozen vector on the unit simplex, within SIMPLEX_TOL."""
-    v = _as_vector(values, name)
+def _simplex_point(v: np.ndarray, name: str) -> np.ndarray:
+    """``v`` frozen; raises unless every point on its last axis is on the simplex."""
     if not np.isfinite(v).all():
         raise DomainError(f"{name} must be finite")
     if (v < 0.0).any() or (v > 1.0).any():
         raise DomainError(f"{name} must lie in [0, 1]")
-    if abs(float(v.sum()) - 1.0) > SIMPLEX_TOL:
+    sums = v.sum(axis=-1)
+    off = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if np.count_nonzero(off):
         raise DomainError(
-            f"{name} must sum to 1 within {SIMPLEX_TOL} (got {v.sum()!r})"
+            f"{name} must sum to 1 within {SIMPLEX_TOL} (got {sums[off][0]!r})"
         )
     return _freeze(v)
 
@@ -104,8 +105,8 @@ class Strategy:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _simplex_point(self.weights, "strategy weights")
-        object.__setattr__(self, "weights", w)
+        w = _as_vector(self.weights, "strategy weights")
+        object.__setattr__(self, "weights", _simplex_point(w, "strategy weights"))
 
     @property
     def sectors(self) -> int:
@@ -133,7 +134,8 @@ class ProductionCoefficients:
     support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a = _simplex_point(self.alphas, "production coefficients")
+        a = _as_vector(self.alphas, "production coefficients")
+        a = _simplex_point(a, "production coefficients")
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "support", _freeze(np.flatnonzero(a > 0.0)))
 
@@ -273,11 +275,13 @@ def validate_simplex(v, tol: float = SIMPLEX_TOL) -> bool:
 def project_to_simplex(v) -> Strategy:
     """Repair an arbitrary vector into a Strategy: clip negatives, renormalize.
 
-    This is the repair step applied after Gaussian imitation noise.  It is
-    deliberately the simplest rule (not the Euclidean projection); swap in an
-    alternative here if a different repair geometry is ever needed.
+    Deliberately the simplest repair rule, not the Euclidean projection.
     """
-    arr = _as_vector(v, "projection input")
+    return Strategy(_project_rows(_as_vector(v, "projection input")))
+
+
+def _project_rows(arr: np.ndarray) -> np.ndarray:
+    """The repair of project_to_simplex along the last axis; no simplex check."""
     if not np.isfinite(arr).all():
         raise DomainError("projection input must be finite")
     repaired = _clip_renormalize(arr)
@@ -288,14 +292,12 @@ def project_to_simplex(v) -> Strategy:
     return repaired
 
 
-def _clip_renormalize(arr: np.ndarray) -> Strategy | None:
-    """The repair step of project_to_simplex on a finite 1-d vector.
-
-    Returns None when no component is positive after clipping.
-    """
+def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
+    """Clip negatives, divide each point on the last axis of a finite array by
+    its total; None when some point has no positive component left."""
     clipped = np.maximum(arr, 0.0)
-    total = float(clipped.sum())
-    return Strategy(clipped / total) if total > 0.0 else None
+    total = clipped.sum(axis=-1)
+    return (clipped.T / total).T if np.count_nonzero(total) == total.size else None
 
 
 def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:

@@ -191,13 +191,15 @@ def verify_state_consistency(
     coefficients: ProductionCoefficients,
     rel_tol: float = 1e-12,
 ) -> None:
-    """Raise unless state.income matches production(state.capital) within rel_tol."""
-    derived = production(state.capital, coefficients, params.scaling)
-    scale = max(abs(derived), abs(state.income), 1e-300)
-    if abs(derived - state.income) > rel_tol * scale:
+    """Raise unless the capital/income ratio produces income 1 within rel_tol:
+    income = production(capital), also past float range.  Absorbed: no check."""
+    if state.absorbed:
+        return
+    derived = production(state.ratio, coefficients, params.scaling)
+    if not abs(derived - 1.0) <= rel_tol:
         raise InvariantViolation(
-            f"income {state.income!r} inconsistent with capital-derived "
-            f"value {derived!r}"
+            f"income {state.income!r} inconsistent with capital: its "
+            f"capital/income ratio produces {derived!r}, not 1"
         )
 
 

@@ -36,7 +36,6 @@ from .core import (
     _as_vector,
     _check_prices,
     _clip_renormalize,
-    weighted_geometric_mean,
 )
 
 #: Relative slack (in log-domain) for boundary-inclusive contour membership.
@@ -50,12 +49,35 @@ def _resolve_prices(params: EconomyParams, coefficients, prices) -> np.ndarray:
     return _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
 
 
-def _check_strategy_sectors(strategy: Strategy, coefficients) -> None:
-    if strategy.sectors != coefficients.sectors:
+def _check_strategy_sectors(sectors: int, coefficients) -> None:
+    if sectors != coefficients.sectors:
         raise ConfigurationError(
-            f"strategy sectors {strategy.sectors} != coefficients sectors "
+            f"strategy sectors {sectors} != coefficients sectors "
             f"{coefficients.sectors}"
         )
+
+
+def _log_response(sigma: np.ndarray, coefficients, prices=None) -> np.ndarray:
+    """Per row of ``sigma``: sum of alpha_i * (log sigma_i - log p_i) over the
+    support (p = 1 without prices); -inf if a supported share is 0.
+
+    Each row's sum is its own np.dot on a C-contiguous row: a matrix product
+    or np.add.reduce rounds some rows differently, and the pins hold the bits.
+    """
+    sup, alph = coefficients.support, coefficients.alphas
+    if sup.size < alph.size:  # zero-alpha sectors are inert; take keeps C order
+        sigma, alph = sigma.take(sup, axis=1), alph[sup]
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        logs = np.log(sigma)
+    if prices is not None:
+        logs -= np.log(prices[sup])
+    return np.fromiter(map(alph.dot, logs), float, len(logs))
+
+
+def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
+    """Equilibrium growth per row of ``sigma`` at prices already checked."""
+    log_terms = _log_response(sigma, coefficients, prices)
+    return params.scaling * np.exp(log_terms) - params.deprecation
 
 
 @dataclass(frozen=True)
@@ -81,8 +103,8 @@ def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
 
     Lies in [0, 1]; attains its unique maximum exactly at sigma = alpha.
     """
-    _check_strategy_sectors(strategy, coefficients)
-    return weighted_geometric_mean(strategy.weights, coefficients)
+    _check_strategy_sectors(strategy.sectors, coefficients)
+    return float(np.exp(_log_response(strategy.weights[np.newaxis], coefficients)[0]))
 
 
 def equilibrium_growth(
@@ -98,15 +120,9 @@ def equilibrium_growth(
     cancellation for extreme prices.  Returns exactly -deprecation when the
     response term is zero.
     """
-    _check_strategy_sectors(strategy, coefficients)
+    _check_strategy_sectors(strategy.sectors, coefficients)
     p = _resolve_prices(params, coefficients, prices)
-    sup = coefficients.support
-    sig = strategy.weights[sup]
-    if (sig == 0.0).any():
-        return -params.deprecation
-    alph = coefficients.alphas[sup]
-    log_term = float(np.dot(alph, np.log(sig) - np.log(p[sup])))
-    return params.scaling * float(np.exp(log_term)) - params.deprecation
+    return float(_growth_rows(strategy.weights[np.newaxis], coefficients, params, p)[0])
 
 
 def equilibrium_ratio(
@@ -139,10 +155,9 @@ def equilibrium_ratio(
 def contour_contains(strategy: Strategy, query: ContourQuery, prices=None) -> bool:
     """True iff ``strategy`` reaches equilibrium growth >= ``query.level``.
 
-    Boundary-inclusive: membership is prod(sigma_i ** alpha_i) >=
-    ((level + deprecation) / scaling) * prod(p_i ** alpha_i), compared in
-    log-domain with a 1e-12 relative slack so points exactly on the contour
-    test true.
+    Boundary-inclusive: membership is prod((sigma_i / p_i) ** alpha_i) >=
+    (level + deprecation) / scaling, compared in log-domain with a 1e-12
+    slack so points exactly on the contour test true.
     """
     params = query.params
     coeffs = query.coefficients
@@ -150,14 +165,9 @@ def contour_contains(strategy: Strategy, query: ContourQuery, prices=None) -> bo
     threshold_scale = (query.level + params.deprecation) / params.scaling
     if threshold_scale <= 0.0:
         return True  # every strategy grows at least at -deprecation
-    resp = response(strategy, coeffs)
-    if resp == 0.0:
-        return False
-    sup = coeffs.support
-    log_rhs = float(np.log(threshold_scale)) + float(
-        np.dot(coeffs.alphas[sup], np.log(p[sup]))
-    )
-    return float(np.log(resp)) >= log_rhs - CONTOUR_REL_TOL
+    _check_strategy_sectors(strategy.sectors, coeffs)
+    log_gain = _log_response(strategy.weights[np.newaxis], coeffs, p)[0]
+    return bool(log_gain >= np.log(threshold_scale) - CONTOUR_REL_TOL)
 
 
 def calibrate_scaling(
@@ -181,10 +191,8 @@ def calibrate_scaling(
             f"target growth must exceed -deprecation ({-deprecation}); "
             f"got {target_growth}"
         )
-    sup = coefficients.support
-    alph = coefficients.alphas[sup]
     # log of prod(p**-alpha) * prod(alpha**alpha), negated for the inversion
-    log_gain = float(np.dot(alph, np.log(alph) - np.log(p[sup])))
+    log_gain = _log_response(coefficients.alphas[np.newaxis], coefficients, p)[0]
     return (target_growth + deprecation) * float(np.exp(-log_gain))
 
 
@@ -225,7 +233,7 @@ def hill_climb(
     """
     if step_size <= 0.0:
         raise DomainError("step_size must be positive")
-    _check_strategy_sectors(start, coefficients)
+    _check_strategy_sectors(start.sectors, coefficients)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = start.sectors
 
@@ -237,10 +245,11 @@ def hill_climb(
     converged = False
     while iterations < max_iters:
         iterations += 1
-        candidate = _clip_renormalize(best.weights + gen.normal(0.0, step, size=n))
-        if candidate is None:
+        repaired = _clip_renormalize(best.weights + gen.normal(0.0, step, size=n))
+        if repaired is None:
             stall += 1
         else:
+            candidate = Strategy(repaired)
             val = response(candidate, coefficients)
             if val > best_val:
                 best, best_val = candidate, val

@@ -180,7 +180,7 @@ def mutate_strategy(
     for _ in range(max_retries):
         child = _clip_renormalize(parent.weights + rng.normal(0.0, sd, size=n))
         if child is not None:
-            return child
+            return Strategy(child)
     return parent
 
 

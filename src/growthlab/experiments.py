@@ -23,9 +23,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig, dump_config
-from .core import ConfigurationError, Strategy, _income, project_to_simplex
+from .core import ConfigurationError, Strategy, _income, _project_rows, _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
-from .equilibrium import equilibrium_growth, optimal_strategy, response
+from .equilibrium import _check_strategy_sectors, _growth_rows, _log_response
+from .equilibrium import _resolve_prices, equilibrium_growth, optimal_strategy, response
 from .evolution import (
     evolve_step,
     experiment_stream,
@@ -71,11 +72,6 @@ def write_trace_csv(records: Sequence[TraceRecord], sectors: int, path: str) -> 
 def population_header(sectors: int) -> str:
     sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
     return f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"
-
-
-def landscape_header(sectors: int) -> str:
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
-    return f"{sigma_cols},response,equilibrium_growth"
 
 
 def write_effective_config(cfg: RunConfig) -> str:
@@ -248,20 +244,27 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
 
 
 def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Sample the strategy simplex; writes response and equilibrium growth rows."""
+    """Sample the strategy simplex; writes response and equilibrium growth rows.
+
+    One batched draw takes the values of one draw per sample from the seed's
+    stream.  Every check runs before the output is opened."""
     _require(cfg, "landscape")
-    rng = experiment_stream(cfg.seed)
-    n = cfg.params.sectors
-    lines = [landscape_header(n)]
-    p = cfg.prices.at(1)
-    ones = np.ones(n)
-    for _ in range(cfg.landscape.samples):
-        sigma = project_to_simplex(rng.dirichlet(ones))
-        resp = response(sigma, cfg.coefficients)
-        g_star = equilibrium_growth(sigma, cfg.coefficients, cfg.params, p)
-        sig = ",".join(fmt17(x) for x in sigma.weights)
-        lines.append(f"{sig},{fmt17(resp)},{fmt17(g_star)}")
-    _write_lines(cfg.output_path, lines)
+    n, coeffs = cfg.params.sectors, cfg.coefficients
+    draws = experiment_stream(cfg.seed).dirichlet(np.ones(n), size=cfg.landscape.samples)
+    sigma = _simplex_point(_project_rows(draws), "strategy weights")
+    _check_strategy_sectors(n, coeffs)
+    p = _resolve_prices(cfg.params, coeffs, cfg.prices.at(1))
+    row = "%.17g," * n + "%.17g,%.17g"
+
+    def lines():  # rows computed and formatted in blocks of 2048
+        yield ",".join([*(f"sigma_{i}" for i in range(n)), "response,equilibrium_growth"])
+        for block in np.split(sigma, range(2048, len(sigma), 2048)):
+            resp = np.exp(_log_response(block, coeffs))
+            g_star = _growth_rows(block, coeffs, cfg.params, p)
+            values = np.column_stack([block, resp, g_star]).tolist()
+            yield "\n".join(row % tuple(v) for v in values)
+
+    _write_lines(cfg.output_path, lines())
     return ExperimentResult(cfg.output_path, (write_effective_config(cfg),))
 
 

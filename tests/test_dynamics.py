@@ -354,6 +354,22 @@ class TestEntryChecks:
         assert np.isfinite([r.growth for r in records]).all()
 
 
+    def test_start_past_float_range(self):
+        # 90% growth per step: income passes float range before step 1,200
+        params = EconomyParams(3.0, 0.6, np.ones(2))
+        c = ProductionCoefficients(np.array([0.5, 0.5]))
+        state = equilibrium_state(Strategy(np.array([0.5, 0.5])), c, params)
+        for _ in range(1200):
+            state = step_agent(state, params, c, params.prices)
+        assert state.income == np.inf and not state.absorbed
+        verify_state_consistency(state, params, c)
+        records = run_hold(state, params, c, PriceSchedule.constant(params.prices), 10)
+        assert [r.step for r in records] == list(range(1, 11))
+        assert records[0].log_income > state.log_income
+        assert np.isfinite([r.log_income for r in records]).all()
+        assert all(r.growth == pytest.approx(0.9, abs=1e-12) for r in records)
+
+
 class TestLongRuns:
     """Runs long enough that income leaves float range: log income stays
     finite and growth still settles on g*."""

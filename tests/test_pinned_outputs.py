@@ -6,8 +6,9 @@ x 8 agents, with ``emit_svg``) cover every selection rule, 2-4 sectors, a
 sector with a zero production coefficient and a price series that changes
 mid-run.  The converge configs are a 3-sector run with a zero coefficient,
 given switch steps, a price series that changes mid-run and SVG charts, and
-a seeded 2-sector run whose switches are drawn.  The landscape config
-samples 300 strategies of a 4-sector economy with a zero coefficient.
+a seeded 2-sector run whose switches are drawn.  The landscape configs
+sample 300 strategies of a 4-sector economy with a zero coefficient, and
+400 of a 6-sector economy with two zero coefficients and non-unit prices.
 """
 
 import os
@@ -32,6 +33,7 @@ PINS = {
         "converge", "converge_drawn", (".csv", ".growth.csv", ".excess.csv")
     ),
     "landscape_zero_alpha": ("landscape", "landscape_zero_alpha", (".csv",)),
+    "landscape_six_sector": ("landscape", "landscape_six_sector", (".csv",)),
 }
 
 

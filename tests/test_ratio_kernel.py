@@ -1,9 +1,10 @@
 """Properties of the ratio-state step, checked on drawn economies.
 
-Two claims of the model: growth never falls below -deprecation (on every
-step of ``run_hold`` and of ``evolve_step``), and the capital/income ratio
-is scale-invariant, so scaling the start capital leaves the growth path
-unchanged.  A zero-income agent stays absorbed, and no NaN reaches its
+Three claims of the model: growth never falls below -deprecation (on every
+step of ``run_hold`` and of ``evolve_step``), the capital/income ratio is
+scale-invariant, so scaling the start capital leaves the growth path
+unchanged, and strategies stay on the simplex after mutation and after
+imitation.  A zero-income agent stays absorbed, and no NaN reaches its
 records: only its log income is -inf.
 """
 
@@ -24,8 +25,9 @@ from growthlab import (
     project_to_simplex,
     run_hold,
     step_agent,
+    validate_simplex,
 )
-from growthlab.evolution import agent_stream
+from growthlab.evolution import SELECTION_RULES, agent_stream, mutate_strategy
 
 STEPS = 40
 FLOOR_TOL = 1e-12  # the same slack as the trajectory tests in test_dynamics.py
@@ -95,6 +97,48 @@ def test_evolve_growth_never_below_minus_deprecation(data, economy):
     for _ in range(STEPS):
         population = evolve_step(population, params, coefficients, prices, config)
         assert population.growth.min() >= -params.deprecation - FLOOR_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    parent=st.integers(1, 6).flatmap(simplex),
+    sd=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32),
+)
+def test_mutation_stays_on_simplex(parent, sd, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        child = mutate_strategy(parent, sd, rng)
+        assert child.sectors == parent.sectors
+        assert validate_simplex(child.weights)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    economy=economies(),
+    rule=st.sampled_from(SELECTION_RULES),
+    sd=st.floats(0.0, 1.0),
+)
+def test_imitation_stays_on_simplex(data, economy, rule, sd):
+    coefficients, params, prices = economy
+    n = params.sectors
+    agents = [
+        state_of(data.draw(capitals(n)), coefficients, params, data.draw(simplex(n)))
+        for _ in range(5)
+    ]
+    config = EvolutionConfig(
+        population_size=5, observation_sample=2, imitation_probability=1.0,
+        imitation_error_sd=sd, selection_rule=rule,
+    )
+    population = Population.from_agents(
+        agents, 0, [agent_stream(11, i) for i in range(5)]
+    )
+    for _ in range(STEPS):
+        population = evolve_step(population, params, coefficients, prices, config)
+        for strategy in population.strategies:
+            assert strategy.sectors == n
+            assert validate_simplex(strategy.weights)
 
 
 @settings(max_examples=60, deadline=None)
