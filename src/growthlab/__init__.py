@@ -36,7 +36,6 @@ from .dynamics import (
     uniform_state,
 )
 from .equilibrium import (
-    ContourQuery,
     HillClimbResult,
     calibrate_scaling,
     contour_contains,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AgentState",
     "ConfigurationError",
-    "ContourQuery",
     "DegenerateInputError",
     "DimensionError",
     "DomainError",

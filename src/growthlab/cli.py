@@ -27,14 +27,13 @@ import numpy as np
 from .config import (
     RunConfig,
     SwitchSpec,
-    _at,
+    _economy_inputs,
     annual_to_step_rate,
     config_from_dict,
     economy_from_dict,
     read_document,
 )
-from .core import ConfigurationError, GrowthLabError, ProductionCoefficients, Strategy
-from .core import _check_prices
+from .core import ConfigurationError, GrowthLabError, Strategy
 from .equilibrium import calibrate_scaling, equilibrium_growth
 from .experiments import run_experiment
 
@@ -165,6 +164,7 @@ _KEYS = {
     "prices": "economy.prices",
     "scaling": "economy.scaling",
     "target": "target_growth",
+    "steps_per_year": "steps_per_year",
     "initial_sigma": "switch.initial_sigma",
     "switch_steps": "switch.switch_steps",
     "mutation_sd": "switch.mutation_sd",
@@ -189,7 +189,7 @@ def _overlay(args, doc: dict) -> dict:
         if value is not None:
             section, _, leaf = key.rpartition(".")
             (_section(doc, section) if section else doc)[leaf] = value
-    if args.scaling is not None:
+    if getattr(args, "scaling", None) is not None:  # calibrate has no --s
         doc.pop("target_growth", None)
     elif args.target is not None:
         _section(doc, "economy").pop("scaling", None)
@@ -233,16 +233,11 @@ def cli_main(argv=None) -> int:
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":
-            with _at("economy.alphas"):
-                coefficients = ProductionCoefficients(np.asarray(args.alpha))
-            n = coefficients.sectors
-            prices = np.ones(n) if args.prices is None else args.prices
-            with _at("economy.prices"):
-                prices = _check_prices(prices, n)
-            target = annual_to_step_rate(args.target, args.steps_per_year)
-            _print_number(
-                calibrate_scaling(target, coefficients, args.delta, prices)
+            coefficients, deprecation, prices, steps_per_year = _economy_inputs(
+                _overlay(args, {"economy": {}})
             )
+            target = annual_to_step_rate(args.target, steps_per_year)
+            _print_number(calibrate_scaling(target, coefficients, deprecation, prices))
             return 0
 
         experiment = {"converge": "switch", "evolve": "evolve", "landscape": "landscape"}[

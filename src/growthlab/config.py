@@ -30,7 +30,9 @@ from .core import (
     GrowthLabError,
     ProductionCoefficients,
     Strategy,
+    _check_deprecation,
     _check_prices,
+    _check_sectors,
 )
 from .dynamics import PriceSchedule, _check_switch_steps
 from .equilibrium import calibrate_scaling
@@ -192,19 +194,12 @@ def _plain(value):
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-def economy_from_dict(
-    doc: dict,
-) -> tuple[ProductionCoefficients, EconomyParams, float | None, float]:
-    """Validate the economy of a run document.
-
-    Reads ``economy``, ``target_growth`` and ``steps_per_year``.  Without
-    ``economy.scaling`` the scaling factor is calibrated so the optimal
-    strategy's equilibrium growth equals the (per-step converted) target.
-    Returns (coefficients, params, target_growth, steps_per_year).
-    """
+def _economy_inputs(doc: dict):
+    """Check ``steps_per_year`` and all of ``economy`` but its scaling; returns
+    (coefficients, deprecation, prices, steps_per_year)."""
     steps_per_year = _get(doc, "steps_per_year", "", float, 1.0)
-    if steps_per_year <= 0.0:
-        raise _fail("steps_per_year", f"must be positive, got {steps_per_year}")
+    if not 0.0 < steps_per_year < np.inf:
+        raise _fail("steps_per_year", f"must be a positive real, got {steps_per_year}")
 
     economy = _get(doc, "economy", "", dict)
     _reject_unknown(economy, _ECONOMY_KEYS, "economy.")
@@ -217,11 +212,26 @@ def economy_from_dict(
     if sectors != n:
         raise _fail("economy.sectors", f"{sectors} != len(economy.alphas) = {n}")
     deprecation = _get(economy, "deprecation", "economy.", float, 0.03)
+    with _at("economy.deprecation"):
+        _check_deprecation(deprecation)
     prices = _get(economy, "prices", "economy.", tuple[float, ...], (1.0,) * n)
     with _at("economy.prices"):
         prices = _check_prices(prices, n)
+    return coefficients, deprecation, prices, steps_per_year
 
-    scaling = _get(economy, "scaling", "economy.", float, None)
+
+def economy_from_dict(
+    doc: dict,
+) -> tuple[ProductionCoefficients, EconomyParams, float | None, float]:
+    """Validate the economy of a run document.
+
+    Reads ``economy``, ``target_growth`` and ``steps_per_year``.  Without
+    ``economy.scaling`` the scaling factor is calibrated so the optimal
+    strategy's equilibrium growth equals the (per-step converted) target.
+    Returns (coefficients, params, target_growth, steps_per_year).
+    """
+    coefficients, deprecation, prices, steps_per_year = _economy_inputs(doc)
+    scaling = _get(doc["economy"], "scaling", "economy.", float, None)
     target_growth = _get(doc, "target_growth", "", float, None)
     if scaling is not None and target_growth is not None:
         raise _fail(
@@ -303,12 +313,9 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def _check_strategy(vec: tuple[float, ...] | None, sectors: int, path: str) -> None:
-    if vec is None:
-        return
-    if len(vec) != sectors:
-        raise _fail(path, f"dimension {len(vec)} != sectors {sectors}")
-    with _at(path):
-        Strategy(np.asarray(vec))
+    if vec is not None:
+        with _at(path):
+            _check_sectors(strategy=Strategy(np.asarray(vec)).sectors, economy=sectors)
 
 
 def annual_to_step_rate(annual: float, steps_per_year: float) -> float:

@@ -5,14 +5,15 @@ of income an agent puts into each capital sector) and production
 coefficients (per-sector Cobb-Douglas elasticities, summing to one for
 constant returns to scale).  This module owns the simplex validation and
 repair rules (along the last axis, so one call checks many points), the
-weighted-geometric-mean kernel of the production function, and the
+price, deprecation and sector-count rules, ``_log_response`` (the log-domain
+product of production and of both equilibrium closed forms), and the
 immutable value types every other module passes around.
 
 All functions here are pure; all types are frozen.  Products of powers are
-evaluated in log-domain so they do not underflow for many sectors, with
-exact-zero factors short-circuiting to 0.  Factors with a zero exponent
-contribute 1 (the 0**0 == 1 convention), which makes sectors with a zero
-production coefficient economically inert.
+evaluated in log-domain so they do not underflow for many sectors; an
+exact-zero factor gives log 0 = -inf, so the product is exactly 0.  Factors
+with a zero exponent contribute 1 (the 0**0 == 1 convention), which makes
+sectors with a zero production coefficient economically inert.
 """
 
 from __future__ import annotations
@@ -75,6 +76,37 @@ def _check_prices(values, sectors: int) -> np.ndarray:
     if not float(p.min()) > 0.0 or float(p.max()) == np.inf:
         raise DomainError("every price must be a positive finite real")
     return p
+
+
+def _check_deprecation(deprecation: float) -> float:
+    """``deprecation`` as a float; DomainError unless it lies in (0, 1]."""
+    if not (0.0 < deprecation <= 1.0):
+        raise DomainError("deprecation must lie in (0, 1]")
+    return float(deprecation)
+
+
+def _check_sectors(**counts: int) -> None:
+    """Raise DimensionError unless the named sector counts are all equal."""
+    if len(set(counts.values())) > 1:
+        found = ", ".join(f"{name} {count}" for name, count in counts.items())
+        raise DimensionError(f"sector counts differ: {found}")
+
+
+def _log_response(sigma: np.ndarray, coefficients, prices=None) -> np.ndarray:
+    """Per row of ``sigma``: sum of alpha_i * (log sigma_i - log p_i) over the
+    support (p = 1 without prices); -inf if a supported entry is 0.
+
+    Each row's sum is its own np.dot on a C-contiguous row: a matrix product
+    or np.add.reduce rounds some rows differently, and the pins hold the bits.
+    """
+    sup, alph = coefficients.support, coefficients.alphas
+    if sup.size < alph.size:  # zero-alpha sectors are inert; take keeps C order
+        sigma, alph = sigma.take(sup, axis=1), alph[sup]
+    with np.errstate(divide="ignore"):  # log 0 = -inf
+        logs = np.log(sigma)
+    if prices is not None:
+        logs -= np.log(prices[sup])
+    return np.fromiter(map(alph.dot, logs), float, len(logs))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -169,11 +201,9 @@ class EconomyParams:
         p = _as_vector(self.prices, "prices")
         if not (np.isfinite(self.scaling) and self.scaling > 0.0):
             raise DomainError("scaling must be a positive real")
-        if not (0.0 < self.deprecation <= 1.0):
-            raise DomainError("deprecation must lie in (0, 1]")
         _check_prices(p, p.size)
         object.__setattr__(self, "scaling", float(self.scaling))
-        object.__setattr__(self, "deprecation", float(self.deprecation))
+        object.__setattr__(self, "deprecation", _check_deprecation(self.deprecation))
         object.__setattr__(self, "prices", _freeze(p))
 
     @property
@@ -303,27 +333,14 @@ def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
 def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:
     """exp(sum over positive-exponent sectors of alpha_i * ln(base_i)).
 
-    Returns 0.0 if any base component under a positive exponent is exactly
-    zero.  Sectors with a zero exponent are skipped entirely (0**0 == 1).
+    The one-row case of ``_log_response``: 0.0 if any base component under a
+    positive exponent is exactly zero, and zero-exponent sectors skipped.
     """
     arr = _as_vector(base, "base")
-    if arr.size != exponents.sectors:
-        raise DimensionError(
-            f"base dimension {arr.size} != coefficients sectors {exponents.sectors}"
-        )
-    lo = float(arr.min())
-    if not lo >= 0.0 or float(arr.max()) == np.inf:
+    _check_sectors(base=arr.size, coefficients=exponents.sectors)
+    if not float(arr.min()) >= 0.0 or float(arr.max()) == np.inf:
         raise DomainError("base components must be non-negative finite reals")
-    sup = exponents.support
-    if sup.size == arr.size:
-        vals = arr
-        alph = exponents.alphas
-    else:
-        vals = arr[sup]
-        alph = exponents.alphas[sup]
-    if lo == 0.0 and (vals == 0.0).any():
-        return 0.0
-    return float(np.exp(np.dot(alph, np.log(vals))))
+    return float(np.exp(_log_response(arr[np.newaxis], exponents)[0]))
 
 
 def production(capital, coefficients: ProductionCoefficients, scaling: float) -> float:

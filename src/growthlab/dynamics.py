@@ -38,6 +38,7 @@ from .core import (
     ProductionCoefficients,
     Strategy,
     _check_prices,
+    _check_sectors,
     _freeze,
     _income,
     production,
@@ -136,16 +137,9 @@ def _step_prices(n: int, params, coefficients, prices_at_t) -> np.ndarray:
     """The period's prices as a float vector, checked against ``n`` sectors
     and for being positive and finite."""
     p = np.asarray(prices_at_t, dtype=float)
-    _check_sectors(n, params, coefficients, p.size)
+    _check_sectors(strategy=n, params=params.sectors, coefficients=coefficients.sectors,
+                   prices=p.size)
     return _check_prices(p, n)
-
-
-def _check_sectors(n: int, params, coefficients, n_prices: int) -> None:
-    if n != params.sectors or n != coefficients.sectors or n_prices != n:
-        raise ConfigurationError(
-            f"dimension mismatch: strategy {n}, params {params.sectors}, "
-            f"coefficients {coefficients.sectors}, prices {n_prices}"
-        )
 
 
 def _advance(x, log_y, absorbed, invest, params, coefficients):
@@ -218,9 +212,9 @@ def equilibrium_state(
     """
     if income <= 0.0:
         raise DomainError("income must be positive")
-    ratio = eq.equilibrium_ratio(strategy, coefficients, params, prices)
-    g = eq.equilibrium_growth(strategy, coefficients, params, prices)
-    return AgentState(ratio * income, income, g, strategy)
+    p = eq._resolve_prices(strategy.sectors, coefficients, params, prices)
+    ratio, g = eq._fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)
+    return AgentState(ratio[0] * income, income, float(g[0]), strategy)
 
 
 def uniform_state(
@@ -285,7 +279,8 @@ def run_switch_experiment(
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     _check_switch_steps([at_step for at_step, _ in switches], steps)
     for strat in [initial, *(strat for _, strat in switches)]:
-        _check_sectors(strat.sectors, params, coefficients, prices.sectors)
+        _check_sectors(strategy=strat.sectors, params=params.sectors,
+                       coefficients=coefficients.sectors, prices=prices.sectors)
 
     if initial_state is None:
         state = equilibrium_state(initial, coefficients, params, prices.at(1))

@@ -18,6 +18,9 @@ at sigma = alpha and no local maxima, so even a trivial hill climber finds it.
 The special case: growth - deprecation is only attainable when every sector
 with a positive production coefficient receives zero investment, in which
 case the response is zero and the growth formula still applies exactly.
+
+Both closed forms come from ``_fixed_point_rows`` over ``core._log_response``,
+one row per strategy; the public functions are their one-row case.
 """
 
 from __future__ import annotations
@@ -27,51 +30,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigurationError,
     DomainError,
     EconomyParams,
     InvariantViolation,
     ProductionCoefficients,
     Strategy,
     _as_vector,
+    _check_deprecation,
     _check_prices,
+    _check_sectors,
     _clip_renormalize,
+    _log_response,
 )
 
 #: Relative slack (in log-domain) for boundary-inclusive contour membership.
 CONTOUR_REL_TOL = 1e-12
 
 
-def _resolve_prices(params: EconomyParams, coefficients, prices) -> np.ndarray:
-    """``prices``, else the params' prices, checked against the coefficients."""
+def _resolve_prices(n: int, coefficients, params, prices) -> np.ndarray:
+    """``prices``, else the params' prices, checked against the coefficients
+    after ``n`` strategy sectors are."""
+    _check_sectors(strategy=n, coefficients=coefficients.sectors)
     if prices is None:
         prices = params.prices
     return _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
-
-
-def _check_strategy_sectors(sectors: int, coefficients) -> None:
-    if sectors != coefficients.sectors:
-        raise ConfigurationError(
-            f"strategy sectors {sectors} != coefficients sectors "
-            f"{coefficients.sectors}"
-        )
-
-
-def _log_response(sigma: np.ndarray, coefficients, prices=None) -> np.ndarray:
-    """Per row of ``sigma``: sum of alpha_i * (log sigma_i - log p_i) over the
-    support (p = 1 without prices); -inf if a supported share is 0.
-
-    Each row's sum is its own np.dot on a C-contiguous row: a matrix product
-    or np.add.reduce rounds some rows differently, and the pins hold the bits.
-    """
-    sup, alph = coefficients.support, coefficients.alphas
-    if sup.size < alph.size:  # zero-alpha sectors are inert; take keeps C order
-        sigma, alph = sigma.take(sup, axis=1), alph[sup]
-    with np.errstate(divide="ignore"):  # log 0 = -inf
-        logs = np.log(sigma)
-    if prices is not None:
-        logs -= np.log(prices[sup])
-    return np.fromiter(map(alph.dot, logs), float, len(logs))
 
 
 def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
@@ -80,22 +62,17 @@ def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
     return params.scaling * np.exp(log_terms) - params.deprecation
 
 
-@dataclass(frozen=True)
-class ContourQuery:
-    """A growth level whose contour (iso-growth) set is being queried."""
-
-    level: float
-    params: EconomyParams
-    coefficients: ProductionCoefficients
-
-    def __post_init__(self):
-        if not np.isfinite(self.level):
-            raise DomainError("contour level must be finite")
-        if self.level < -self.params.deprecation:
-            raise DomainError(
-                "contour level cannot lie below -deprecation "
-                f"({self.level} < {-self.params.deprecation})"
-            )
+def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):
+    """(equilibrium ratio, g*) per row of ``sigma`` at prices already checked;
+    InvariantViolation if g* = -deprecation, as every simplex row invests."""
+    g = _growth_rows(sigma, coefficients, params, prices)
+    denom = g + params.deprecation
+    if not (denom > 0.0).all():
+        raise InvariantViolation(
+            "equilibrium growth is -deprecation while some sector still "
+            "receives investment; its capital/income ratio diverges"
+        )
+    return sigma / (prices * denom[:, np.newaxis]), g
 
 
 def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
@@ -103,7 +80,7 @@ def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
 
     Lies in [0, 1]; attains its unique maximum exactly at sigma = alpha.
     """
-    _check_strategy_sectors(strategy.sectors, coefficients)
+    _check_sectors(strategy=strategy.sectors, coefficients=coefficients.sectors)
     return float(np.exp(_log_response(strategy.weights[np.newaxis], coefficients)[0]))
 
 
@@ -120,8 +97,7 @@ def equilibrium_growth(
     cancellation for extreme prices.  Returns exactly -deprecation when the
     response term is zero.
     """
-    _check_strategy_sectors(strategy.sectors, coefficients)
-    p = _resolve_prices(params, coefficients, prices)
+    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
     return float(_growth_rows(strategy.weights[np.newaxis], coefficients, params, p)[0])
 
 
@@ -133,40 +109,40 @@ def equilibrium_ratio(
 ) -> np.ndarray:
     """Per-sector limit of capital/income: sigma_i / (p_i * (g* + deprecation)).
 
-    Zero-investment sectors have ratio 0.  Requires g* > -deprecation for any
-    sector with positive investment; a strategy whose response is zero but
-    which still invests somewhere has no finite ratio there, so asking for it
-    raises InvariantViolation.
+    Zero-investment sectors have ratio 0.  A strategy whose response is zero
+    still invests somewhere, so it has no finite ratio there, and asking for
+    it raises InvariantViolation.
     """
-    p = _resolve_prices(params, coefficients, prices)
-    g = equilibrium_growth(strategy, coefficients, params, p)
-    denom = g + params.deprecation
-    w = strategy.weights
-    if denom <= 0.0:
-        if (w > 0.0).any():
-            raise InvariantViolation(
-                "equilibrium growth is -deprecation while some sector still "
-                "receives investment; its capital/income ratio diverges"
-            )
-        return np.zeros_like(w)
-    return w / (p * denom)
+    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
+    return _fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)[0][0]
 
 
-def contour_contains(strategy: Strategy, query: ContourQuery, prices=None) -> bool:
-    """True iff ``strategy`` reaches equilibrium growth >= ``query.level``.
+def contour_contains(
+    strategy: Strategy,
+    level: float,
+    coefficients: ProductionCoefficients,
+    params: EconomyParams,
+    prices=None,
+) -> bool:
+    """True iff ``strategy`` reaches equilibrium growth >= ``level``.
 
-    Boundary-inclusive: membership is prod((sigma_i / p_i) ** alpha_i) >=
-    (level + deprecation) / scaling, compared in log-domain with a 1e-12
-    slack so points exactly on the contour test true.
+    The level must be finite and at least -deprecation.  Boundary-inclusive:
+    membership is prod((sigma_i / p_i) ** alpha_i) >= (level + deprecation)
+    / scaling, compared in log-domain with a 1e-12 slack so points exactly on
+    the contour test true.
     """
-    params = query.params
-    coeffs = query.coefficients
-    p = _resolve_prices(params, coeffs, prices)
-    threshold_scale = (query.level + params.deprecation) / params.scaling
+    if not np.isfinite(level):
+        raise DomainError("contour level must be finite")
+    if level < -params.deprecation:
+        raise DomainError(
+            "contour level cannot lie below -deprecation "
+            f"({level} < {-params.deprecation})"
+        )
+    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
+    threshold_scale = (level + params.deprecation) / params.scaling
     if threshold_scale <= 0.0:
         return True  # every strategy grows at least at -deprecation
-    _check_strategy_sectors(strategy.sectors, coeffs)
-    log_gain = _log_response(strategy.weights[np.newaxis], coeffs, p)[0]
+    log_gain = _log_response(strategy.weights[np.newaxis], coefficients, p)[0]
     return bool(log_gain >= np.log(threshold_scale) - CONTOUR_REL_TOL)
 
 
@@ -183,8 +159,7 @@ def calibrate_scaling(
     Zero coefficients contribute factor 1 (0**0 == 1).  The target must exceed
     -deprecation, otherwise the required scaling would not be positive.
     """
-    if not (0.0 < deprecation <= 1.0):
-        raise DomainError("deprecation must lie in (0, 1]")
+    _check_deprecation(deprecation)
     p = _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
     if not np.isfinite(target_growth) or target_growth <= -deprecation:
         raise DomainError(
@@ -233,7 +208,7 @@ def hill_climb(
     """
     if step_size <= 0.0:
         raise DomainError("step_size must be positive")
-    _check_strategy_sectors(start.sectors, coefficients)
+    _check_sectors(strategy=start.sectors, coefficients=coefficients.sectors)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = start.sectors
 

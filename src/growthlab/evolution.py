@@ -31,11 +31,12 @@ from .core import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
+    _check_sectors,
     _clip_renormalize,
     project_to_simplex,
 )
 from .dynamics import _advance, _step_prices
-from .equilibrium import equilibrium_growth, equilibrium_ratio
+from .equilibrium import _fixed_point_rows, _resolve_prices
 
 SELECTION_RULES = ("imitate-best-observed", "growth-proportional", "pairwise-better")
 
@@ -139,11 +140,6 @@ class Population:
                 self.strategies, self.absorbed.tolist(),
             )
         ]
-
-    @property
-    def capital(self) -> np.ndarray:
-        """(agents, sectors) capital: each row's ratio times its income."""
-        return np.array([a.capital for a in self.agents])
 
 
 def agent_stream(master_seed: int, agent_index: int) -> np.random.Generator:
@@ -295,7 +291,7 @@ def init_population(
 
     Without explicit strategies each agent draws a uniform random simplex
     point from its private stream, so agent i's entire history depends only
-    on (seed, i).
+    on (seed, i).  The prices are checked once and all rows solved at once.
     """
     n_agents = config.population_size
     if strategies is not None and len(strategies) != n_agents:
@@ -306,9 +302,12 @@ def init_population(
     if strategies is None:
         ones = np.ones(params.sectors)
         strategies = [project_to_simplex(rng.dirichlet(ones)) for rng in rngs]
-    ratio = [equilibrium_ratio(s, coefficients, params, prices) for s in strategies]
-    growth = [equilibrium_growth(s, coefficients, params, prices) for s in strategies]
+    for n in {s.sectors for s in strategies}:  # each count once, before stacking
+        _check_sectors(strategy=n, coefficients=coefficients.sectors)
+    sigma = np.array([s.weights for s in strategies])
+    p = _resolve_prices(sigma.shape[1], coefficients, params, prices)
+    ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
     return Population(
-        np.array(ratio), np.zeros(n_agents), np.array(growth),
+        ratio, np.zeros(n_agents), growth,
         np.zeros(n_agents, dtype=bool), list(strategies), 0, rngs,
     )

@@ -23,10 +23,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import RunConfig, dump_config
-from .core import ConfigurationError, Strategy, _income, _project_rows, _simplex_point
+from .core import ConfigurationError, Strategy, _income, _log_response, _project_rows
+from .core import _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
-from .equilibrium import _check_strategy_sectors, _growth_rows, _log_response
-from .equilibrium import _resolve_prices, equilibrium_growth, optimal_strategy, response
+from .equilibrium import _growth_rows, _resolve_prices
+from .equilibrium import equilibrium_growth, optimal_strategy, response
 from .evolution import (
     evolve_step,
     experiment_stream,
@@ -69,11 +70,6 @@ def write_trace_csv(records: Sequence[TraceRecord], sectors: int, path: str) -> 
     ])
 
 
-def population_header(sectors: int) -> str:
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
-    return f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"
-
-
 def write_effective_config(cfg: RunConfig) -> str:
     """Dump the materialized configuration next to the main output file."""
     path = os.path.splitext(cfg.output_path)[0] + ".config.json"
@@ -110,7 +106,8 @@ def draw_switch_schedule(
         steps_at = list(sw.switch_steps)
     else:
         lo = min(20, max(2, cfg.steps // 10))
-        hi = max(lo + 1, cfg.steps - max(2, cfg.steps // 25))
+        # switches fall in [lo, hi), and never after the last step
+        hi = min(max(lo + 1, cfg.steps - max(2, cfg.steps // 25)), cfg.steps + 1)
         n_max = sw.max_switches
         count = int(rng.integers(sw.min_switches, n_max + 1)) if n_max > 0 else 0
         count = min(count, hi - lo)
@@ -199,7 +196,9 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     _require(cfg, "evolve")
     evo = cfg.evolution
     pop = init_population(cfg.params, cfg.coefficients, evo, cfg.prices.at(1))
-    blocks = [population_header(cfg.params.sectors)]  # one block of rows per step
+    sigma_cols = ",".join(f"sigma_{i}" for i in range(cfg.params.sectors))
+    header = f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"
+    blocks = [header]  # one block of rows per step
     mean_response: list[tuple[int, float]] = []
     held: list[Strategy | None] = [None] * evo.population_size
     tails = [""] * evo.population_size
@@ -252,8 +251,7 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
     n, coeffs = cfg.params.sectors, cfg.coefficients
     draws = experiment_stream(cfg.seed).dirichlet(np.ones(n), size=cfg.landscape.samples)
     sigma = _simplex_point(_project_rows(draws), "strategy weights")
-    _check_strategy_sectors(n, coeffs)
-    p = _resolve_prices(cfg.params, coeffs, cfg.prices.at(1))
+    p = _resolve_prices(n, coeffs, cfg.params, cfg.prices.at(1))
     row = "%.17g," * n + "%.17g,%.17g"
 
     def lines():  # rows computed and formatted in blocks of 2048

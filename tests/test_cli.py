@@ -215,6 +215,32 @@ class TestExitCodes:
         assert err == "error: economy.prices: every price must be a positive finite real\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["calibrate", "--delta", "0.03", "--steps-per-year", "0"],
+             "steps_per_year: must be a positive real, got 0.0"),
+            (["calibrate", "--delta", "0.03", "--steps-per-year", "-2"],
+             "steps_per_year: must be a positive real, got -2.0"),
+            (["calibrate", "--delta", "0"],
+             "economy.deprecation: deprecation must lie in (0, 1]"),
+            (["equilibrium", "--sigma", "0.5,0.5", "--delta", "0"],
+             "economy.deprecation: deprecation must lie in (0, 1]"),
+            (["equilibrium", "--sigma", "0.5,0.5", "--s", "0.1", "--delta", "1.5"],
+             "economy.deprecation: deprecation must lie in (0, 1]"),
+        ],
+        ids=["calibrate-spy-0", "calibrate-spy-neg", "calibrate-delta-0",
+             "equilibrium-delta-0", "equilibrium-delta-1.5"],
+    )
+    def test_bad_economy_value_named(self, capsys, argv, message):
+        # calibrate reads its economy as the config loader reads a document
+        code, out, err = run_cli(
+            capsys, *argv, "--alpha", "0.5,0.5", "--target", "0.02"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
         # boundary rejection surfaces as a domain error -> runtime exit 1
         code, _, err = run_cli(
@@ -246,6 +272,17 @@ class TestConvergeCommand:
         lines = open(out_path).read().splitlines()
         assert len(lines) == 501
         assert lines[0].startswith("step,agent_id,income,log_income,growth")
+
+    def test_single_step_with_drawn_switches(self, capsys, tmp_path):
+        # the drawn switch window never reaches past the last step
+        out_path = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            capsys, "converge", "--alpha", "0.5,0.5", "--steps", "1",
+            "--output", str(out_path),
+        )
+        assert (code, err) == (0, "")
+        lines = out_path.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("1,0,")
 
     def test_config_file_plus_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"

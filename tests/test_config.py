@@ -78,6 +78,23 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match=rf"^{path}: unknown key$"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"steps_per_year": -2}, "steps_per_year"),
+            ({"steps_per_year": 0}, "steps_per_year"),
+            ({"steps_per_year": float("nan")}, "steps_per_year"),
+            ({"economy": {"alphas": [0.5, 0.5], "deprecation": 0}},
+             "economy.deprecation"),
+            ({"economy": {"alphas": [0.5, 0.5], "deprecation": 1.5, "scaling": 0.1}},
+             "economy.deprecation"),
+        ],
+    )
+    def test_bad_value_named(self, doc, path):
+        doc = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]}, **doc}
+        with pytest.raises(ConfigurationError, match=rf"^{path}: "):
+            config_from_dict(doc)
+
     def test_other_experiments_sections_allowed(self):
         doc = dict(MINIMAL, switch={"anything": 1}, landscape={"samples": 5})
         assert config_from_dict(doc).switch is None

@@ -313,6 +313,13 @@ class TestStepAgentParity:
         assert [r.income for r in records] == [0.0] * 20
         assert records[0].growth == -1.0
         assert [r.growth for r in records[1:]] == [0.0] * 19
+        # an absorbed start: no consistency check applies, and it stays absorbed
+        absorbed = step_agent(state, params, c, params.prices)
+        self.assert_parity(absorbed, [], params, c, prices, 5)
+        self.assert_parity(absorbed, [(2, Strategy(np.array([1.0, 0.0])))],
+                           params, c, prices, 5)
+        held = run_hold(absorbed, params, c, prices, 5)
+        assert [r[2:] for r in held] == [r[2:] for r in records[1:6]]  # all but step
 
     def test_prices_changing_mid_run(self):
         # the hoisted sigma / p must follow each new price row, and must

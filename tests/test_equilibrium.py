@@ -3,7 +3,6 @@ import pytest
 
 from growthlab import (
     ConfigurationError,
-    ContourQuery,
     DomainError,
     EconomyParams,
     InvariantViolation,
@@ -108,20 +107,18 @@ class TestContourContains:
         params = EconomyParams(0.097, 0.03, ONES2)
         alpha = optimal_strategy(HALF)
         level = equilibrium_growth(alpha, HALF, params)
-        q = ContourQuery(level, params, HALF)
-        assert contour_contains(alpha, q) is True
+        assert contour_contains(alpha, level, HALF, params) is True
 
     def test_level_above_maximum(self):
         params = EconomyParams(0.097, 0.03, ONES2)
         alpha = optimal_strategy(HALF)
         level = equilibrium_growth(alpha, HALF, params) + 0.001
-        q = ContourQuery(level, params, HALF)
-        assert contour_contains(alpha, q) is False
+        assert contour_contains(alpha, level, HALF, params) is False
 
     def test_floor_level_contains_everything(self):
         params = EconomyParams(0.097, 0.03, ONES2)
-        q = ContourQuery(-0.03, params, HALF)
-        assert contour_contains(Strategy(np.array([1.0, 0.0])), q) is True
+        corner = Strategy(np.array([1.0, 0.0]))
+        assert contour_contains(corner, -0.03, HALF, params) is True
 
     def test_convex_combinations_stay_inside(self):
         rng = np.random.default_rng(21)
@@ -134,16 +131,24 @@ class TestContourContains:
                 equilibrium_growth(a, inst.coefficients, inst.params),
                 equilibrium_growth(b, inst.coefficients, inst.params),
             )
-            q = ContourQuery(level, inst.params, inst.coefficients)
-            assert contour_contains(a, q) and contour_contains(b, q)
+            q = (level, inst.coefficients, inst.params)
+            assert contour_contains(a, *q) and contour_contains(b, *q)
             for lam in rng.uniform(0.0, 1.0, 20):
                 combo = Strategy(lam * a.weights + (1 - lam) * b.weights)
-                assert contour_contains(combo, q)
+                assert contour_contains(combo, *q)
+
+    def test_sector_mismatch_rejected_at_floor(self):
+        # the floor level holds for every strategy, but not for a 3-sector
+        # strategy asked against 2-sector coefficients
+        params = EconomyParams(0.097, 0.03, ONES2)
+        three = Strategy(np.full(3, 1 / 3))
+        with pytest.raises(ConfigurationError):
+            contour_contains(three, -0.03, HALF, params)
 
     def test_level_below_floor_rejected(self):
         params = EconomyParams(0.097, 0.03, ONES2)
         with pytest.raises(DomainError):
-            ContourQuery(-0.031, params, HALF)
+            contour_contains(optimal_strategy(HALF), -0.031, HALF, params)
 
 
 class TestCalibrateScaling:

@@ -7,6 +7,7 @@ from growthlab import (
     ConfigurationError,
     DomainError,
     EconomyParams,
+    InvariantViolation,
     ProductionCoefficients,
     SelectionError,
     Strategy,
@@ -384,8 +385,34 @@ class TestFromAgents:
         with pytest.raises(ConfigurationError, match="one sector count"):
             Population.from_agents(two + [three], 0, rngs)
         pop = Population.from_agents(two, 4, rngs[:2])
-        assert pop.capital.shape == (2, 2) and pop.step == 4
+        assert pop.ratio.shape == (2, 2) and pop.step == 4
         _assert_same_agents(pop.agents, two)
+
+
+class TestInitPopulation:
+    def test_entry_checks(self):
+        params, c, _ = default_economy()
+        cfg = EvolutionConfig(population_size=2, observation_sample=1)
+        half = Strategy(np.array([0.5, 0.5]))
+        mixed = [half, Strategy(np.array([0.2, 0.3, 0.5]))]
+        with pytest.raises(ConfigurationError):  # not numpy's stacking error
+            init_population(params, c, cfg, strategies=mixed)
+        # sector 0 is productive but receives nothing: zero response, no ratio
+        zero_response = [half, Strategy(np.array([0.0, 1.0]))]
+        with pytest.raises(InvariantViolation):
+            init_population(params, c, cfg, strategies=zero_response)
+
+    def test_rows_match_equilibrium_state(self):
+        rng = np.random.default_rng(331)
+        for n in range(1, 7):
+            inst = random_instance(rng, n=n)
+            cfg = EvolutionConfig(population_size=5, observation_sample=1, seed=n)
+            prices = rng.uniform(0.5, 2.0, n)
+            pop = init_population(inst.params, inst.coefficients, cfg, prices)
+            _assert_same_agents(pop.agents, [
+                equilibrium_state(s, inst.coefficients, inst.params, prices)
+                for s in pop.strategies
+            ])
 
 
 class TestBatchedPhaseOne:

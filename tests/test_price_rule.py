@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from growthlab import (
     ConfigurationError,
-    ContourQuery,
     DomainError,
     EconomyParams,
     EvolutionConfig,
@@ -56,9 +55,9 @@ ENTRIES = {
     ),
     "equilibrium_growth": lambda v: equilibrium_growth(SIGMA, COEFFS, PARAMS, v),
     "equilibrium_ratio": lambda v: equilibrium_ratio(SIGMA, COEFFS, PARAMS, v),
-    "contour_contains": lambda v: contour_contains(
-        SIGMA, ContourQuery(0.0, PARAMS, COEFFS), prices=v
-    ),
+    "contour_contains": lambda v: contour_contains(SIGMA, 0.0, COEFFS, PARAMS, v),
+    "equilibrium_state": lambda v: equilibrium_state(SIGMA, COEFFS, PARAMS, v),
+    "init_population": lambda v: init_population(PARAMS, COEFFS, EVOLUTION, v),
     "calibrate_scaling": lambda v: calibrate_scaling(0.02, COEFFS, 0.05, v),
     "step_agent": lambda v: step_agent(START, PARAMS, COEFFS, v),
     "evolve_step": lambda v: evolve_step(POPULATION, PARAMS, COEFFS, v, EVOLUTION),
