@@ -95,7 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument(
         "--steps-per-year",
         type=float,
-        default=1.0,
         help="interpret --target as per-year and convert (default 1: per step)",
     )
 

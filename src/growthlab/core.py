@@ -5,13 +5,16 @@ of income an agent puts into each capital sector) and production
 coefficients (per-sector Cobb-Douglas elasticities, summing to one for
 constant returns to scale).  This module owns the simplex validation and
 repair rules (along the last axis, so one call checks many points), the
-price, deprecation and sector-count rules, ``_log_response`` (the log-domain
-product of production and of both equilibrium closed forms), and the
-immutable value types every other module passes around.
+price, deprecation and sector-count rules, ``_log_response`` (the one
+weighted log-sum: the log-domain product of the step kernel, of production
+and of both equilibrium closed forms), and the immutable value types every
+other module passes around.
 
 All functions here are pure; all types are frozen.  Products of powers are
 evaluated in log-domain so they do not underflow for many sectors; an
-exact-zero factor gives log 0 = -inf, so the product is exactly 0.  Factors
+exact-zero factor gives log 0 = -inf, so the product is exactly 0 (each
+caller silences numpy's divide warning, once, outside any per-step loop).
+Rows stay C-ordered: F-ordered rows round some sums differently.  Factors
 with a zero exponent contribute 1 (the 0**0 == 1 convention), which makes
 sectors with a zero production coefficient economically inert.
 """
@@ -92,21 +95,22 @@ def _check_sectors(**counts: int) -> None:
         raise DimensionError(f"sector counts differ: {found}")
 
 
-def _log_response(sigma: np.ndarray, coefficients, prices=None) -> np.ndarray:
-    """Per row of ``sigma``: sum of alpha_i * (log sigma_i - log p_i) over the
-    support (p = 1 without prices); -inf if a supported entry is 0.
+def _log_response(values: np.ndarray, coefficients, prices=None) -> np.ndarray:
+    """Per row of ``values``, (sectors,) or (rows, sectors): the sum of
+    alpha_i * (log v_i - log p_i) over the support (p = 1 without prices);
+    -inf, under the caller's errstate, if a supported entry is 0.
 
-    Each row's sum is its own np.dot on a C-contiguous row: a matrix product
-    or np.add.reduce rounds some rows differently, and the pins hold the bits.
+    np.vecdot gives each row the bits of its own np.dot, the same as a
+    (sectors,) vector, but only on C-ordered rows: F-ordered rows of 4 or
+    more sectors round some sums differently, and the pins hold the bits.
     """
     sup, alph = coefficients.support, coefficients.alphas
     if sup.size < alph.size:  # zero-alpha sectors are inert; take keeps C order
-        sigma, alph = sigma.take(sup, axis=1), alph[sup]
-    with np.errstate(divide="ignore"):  # log 0 = -inf
-        logs = np.log(sigma)
+        values, alph = values.take(sup, axis=-1), alph[sup]
+    logs = np.log(values)
     if prices is not None:
         logs -= np.log(prices[sup])
-    return np.fromiter(map(alph.dot, logs), float, len(logs))
+    return np.vecdot(logs, alph)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -330,6 +334,7 @@ def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
     return (clipped.T / total).T if np.count_nonzero(total) == total.size else None
 
 
+@np.errstate(divide="ignore")  # log 0 = -inf: a zero base gives 0.0
 def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:
     """exp(sum over positive-exponent sectors of alpha_i * ln(base_i)).
 
@@ -340,7 +345,7 @@ def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:
     _check_sectors(base=arr.size, coefficients=exponents.sectors)
     if not float(arr.min()) >= 0.0 or float(arr.max()) == np.inf:
         raise DomainError("base components must be non-negative finite reals")
-    return float(np.exp(_log_response(arr[np.newaxis], exponents)[0]))
+    return float(np.exp(_log_response(arr, exponents)))
 
 
 def production(capital, coefficients: ProductionCoefficients, scaling: float) -> float:

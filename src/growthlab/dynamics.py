@@ -16,6 +16,10 @@ Invested capital is non-malleable: a strategy switch reallocates only new
 investment, never the existing per-sector stock.  Zero income is absorbing:
 log income -inf, ratio 0, and growth 0.0 with the ``absorbed`` flag set.
 
+The product is the closed forms' ``core._log_response`` on C-ordered rows
+(F-ordered rows round differently); a zero factor is log 0 = -inf, and the
+kernel's callers silence numpy's divide warning once, outside their loops.
+
 Steps are numbered from 1; a PriceSchedule maps each step to a price vector
 (constant, or a time series that holds its last value past the end).
 """
@@ -41,6 +45,7 @@ from .core import (
     _check_sectors,
     _freeze,
     _income,
+    _log_response,
     production,
 )
 from . import equilibrium as eq
@@ -102,7 +107,7 @@ class TraceRecord(NamedTuple):
     """One row of simulation output."""
 
     step: int
-    agent_id: int
+    agent_id: int  # 0: a trace follows one agent
     income: float  # exp(log_income): inf past float range, 0.0 once absorbed
     growth: float
     equilibrium_growth: float  # of the current strategy at the step's prices
@@ -146,17 +151,14 @@ def _advance(x, log_y, absorbed, invest, params, coefficients):
     """One period of the ratio state; returns the new (x, log_y, growth, absorbed).
 
     ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with scalar
-    log income and flag, or (agents, sectors) with (agents,) arrays.  Each
-    row's log-sum is reduced on its own C-contiguous row, so a population row
-    equals the one-agent call bit for bit.  A zero factor (log 0; callers
-    silence numpy's warning) absorbs the row: growth -1, then 0.0.  Raises
-    DomainError unless each row's log growth is finite or -inf.
+    log income and flag, or C-ordered (agents, sectors) with (agents,) arrays.
+    log(1 + g') is log scaling plus ``_log_response`` of each row, so a
+    population row equals the one-agent call bit for bit.  A zero factor (log
+    0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0.
+    Raises DomainError unless each row's log growth is finite or -inf.
     """
     v = invest + (1.0 - params.deprecation) * x
-    sup, v_sup, alph = coefficients.support, v, coefficients.alphas
-    if sup.size < alph.size:  # zero-alpha sectors are inert
-        v_sup, alph = v[..., sup], alph[sup]
-    log_g = math.log(params.scaling) + np.add.reduce(np.log(v_sup, order="C") * alph, -1)
+    log_g = math.log(params.scaling) + _log_response(v, coefficients)
     log_y = log_y + log_g
     gross = np.exp(log_g)
     growth = gross - 1.0
@@ -183,14 +185,13 @@ def verify_state_consistency(
     state: AgentState,
     params: EconomyParams,
     coefficients: ProductionCoefficients,
-    rel_tol: float = 1e-12,
 ) -> None:
-    """Raise unless the capital/income ratio produces income 1 within rel_tol:
+    """Raise unless the capital/income ratio produces income 1 within 1e-12:
     income = production(capital), also past float range.  Absorbed: no check."""
     if state.absorbed:
         return
     derived = production(state.ratio, coefficients, params.scaling)
-    if not abs(derived - 1.0) <= rel_tol:
+    if not abs(derived - 1.0) <= 1e-12:
         raise InvariantViolation(
             f"income {state.income!r} inconsistent with capital: its "
             f"capital/income ratio produces {derived!r}, not 1"
@@ -202,19 +203,15 @@ def equilibrium_state(
     coefficients: ProductionCoefficients,
     params: EconomyParams,
     prices=None,
-    income: float = 1.0,
 ) -> AgentState:
-    """Agent state sitting exactly at the strategy's equilibrium ratio.
-
-    Capital is the equilibrium capital/income ratio scaled to the requested
-    income level; stepping such a state realizes the equilibrium growth rate
-    immediately.  Requires a strategy with positive response.
+    """Agent state with income 1 sitting exactly at the strategy's equilibrium
+    ratio, which is then its capital; stepping such a state realizes the
+    equilibrium growth rate immediately.  Requires a strategy with positive
+    response.
     """
-    if income <= 0.0:
-        raise DomainError("income must be positive")
     p = eq._resolve_prices(strategy.sectors, coefficients, params, prices)
     ratio, g = eq._fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)
-    return AgentState(ratio[0] * income, income, float(g[0]), strategy)
+    return AgentState(ratio[0], 1.0, float(g[0]), strategy)
 
 
 def uniform_state(
@@ -237,15 +234,13 @@ def run_hold(
     coefficients: ProductionCoefficients,
     prices: PriceSchedule,
     steps: int,
-    agent_id: int = 0,
 ) -> list[TraceRecord]:
     """Simulate ``steps`` periods with a fixed strategy; one record per step.
 
     The no-switch case of ``run_switch_experiment``, with the same checks.
     """
     return run_switch_experiment(
-        state.strategy, (), params, coefficients, prices, steps,
-        initial_state=state, agent_id=agent_id,
+        state.strategy, (), params, coefficients, prices, steps, initial_state=state
     )
 
 
@@ -257,7 +252,6 @@ def run_switch_experiment(
     prices: PriceSchedule,
     steps: int,
     initial_state: AgentState | None = None,
-    agent_id: int = 0,
 ) -> list[TraceRecord]:
     """Simulate one agent whose strategy is replaced at the given steps.
 
@@ -306,6 +300,6 @@ def run_switch_experiment(
             )
             g, log_y = float(g), float(log_y)
             records.append(TraceRecord(
-                t, agent_id, _income(log_y), g, g_star, g - g_star, sigma, log_y
+                t, 0, _income(log_y), g, g_star, g - g_star, sigma, log_y
             ))
     return records

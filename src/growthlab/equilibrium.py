@@ -20,7 +20,9 @@ with a positive production coefficient receives zero investment, in which
 case the response is zero and the growth formula still applies exactly.
 
 Both closed forms come from ``_fixed_point_rows`` over ``core._log_response``,
-one row per strategy; the public functions are their one-row case.
+one C-ordered row per strategy; the public functions are their one-row case.
+Each function here that can pass a zero (log 0 = -inf) silences numpy's
+divide warning once; the helper does not.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def _resolve_prices(n: int, coefficients, params, prices) -> np.ndarray:
     return _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
 
 
+@np.errstate(divide="ignore")  # log 0 = -inf: response 0, g* = -deprecation
 def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
     """Equilibrium growth per row of ``sigma`` at prices already checked."""
     log_terms = _log_response(sigma, coefficients, prices)
@@ -81,7 +84,8 @@ def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
     Lies in [0, 1]; attains its unique maximum exactly at sigma = alpha.
     """
     _check_sectors(strategy=strategy.sectors, coefficients=coefficients.sectors)
-    return float(np.exp(_log_response(strategy.weights[np.newaxis], coefficients)[0]))
+    with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
+        return float(np.exp(_log_response(strategy.weights, coefficients)))
 
 
 def equilibrium_growth(
@@ -142,7 +146,8 @@ def contour_contains(
     threshold_scale = (level + params.deprecation) / params.scaling
     if threshold_scale <= 0.0:
         return True  # every strategy grows at least at -deprecation
-    log_gain = _log_response(strategy.weights[np.newaxis], coefficients, p)[0]
+    with np.errstate(divide="ignore"):  # log 0 = -inf: below every level
+        log_gain = _log_response(strategy.weights, coefficients, p)
     return bool(log_gain >= np.log(threshold_scale) - CONTOUR_REL_TOL)
 
 
@@ -167,7 +172,7 @@ def calibrate_scaling(
             f"got {target_growth}"
         )
     # log of prod(p**-alpha) * prod(alpha**alpha), negated for the inversion
-    log_gain = _log_response(coefficients.alphas[np.newaxis], coefficients, p)[0]
+    log_gain = _log_response(coefficients.alphas, coefficients, p)
     return (target_growth + deprecation) * float(np.exp(-log_gain))
 
 
@@ -190,18 +195,14 @@ def hill_climb(
     step_size: float = 0.05,
     max_iters: int = 10_000,
     rng=None,
-    *,
-    patience: int = 20,
-    decay: float = 0.5,
-    min_step: float = 1e-7,
 ) -> HillClimbResult:
     """Random-perturbation ascent of the response term on the simplex.
 
     Perturb the incumbent with spherical Gaussian noise of the current step
     size, repair onto the simplex, keep the candidate iff its response is
-    strictly higher.  After ``patience`` consecutive rejections the step size
-    decays geometrically; the search stops once it falls below ``min_step``
-    (converged) or ``max_iters`` is exhausted (best-so-far, not converged).
+    strictly higher.  After 20 consecutive rejections the step size halves;
+    the search stops once it falls below 1e-7 (converged) or ``max_iters`` is
+    exhausted (best-so-far, not converged).
 
     ``rng`` may be a numpy Generator or a seed; pass one explicitly for
     reproducible searches.
@@ -231,10 +232,10 @@ def hill_climb(
                 stall = 0
             else:
                 stall += 1
-        if stall >= patience:
-            step *= decay
+        if stall >= 20:
+            step *= 0.5
             stall = 0
-            if step < min_step:
+            if step < 1e-7:
                 converged = True
                 break
     return HillClimbResult(best, best_val, iterations, converged)

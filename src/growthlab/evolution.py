@@ -156,24 +156,19 @@ def experiment_stream(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def mutate_strategy(
-    parent: Strategy,
-    sd: float,
-    rng: np.random.Generator,
-    max_retries: int = 16,
-) -> Strategy:
+def mutate_strategy(parent: Strategy, sd: float, rng: np.random.Generator) -> Strategy:
     """Noisy copy of a strategy: per-component N(0, sd**2), then simplex repair.
 
     sd = 0 returns the parent unchanged.  If the noise wipes out every
     component (nothing positive left to renormalize), fresh noise is drawn up
-    to ``max_retries`` times before falling back to the parent.
+    to 16 times before falling back to the parent.
     """
     if sd < 0.0:
         raise DomainError("sd must be >= 0")
     if sd == 0.0:
         return parent
     n = parent.sectors
-    for _ in range(max_retries):
+    for _ in range(16):
         child = _clip_renormalize(parent.weights + rng.normal(0.0, sd, size=n))
         if child is not None:
             return Strategy(child)

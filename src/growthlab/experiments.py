@@ -257,7 +257,8 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
     def lines():  # rows computed and formatted in blocks of 2048
         yield ",".join([*(f"sigma_{i}" for i in range(n)), "response,equilibrium_growth"])
         for block in np.split(sigma, range(2048, len(sigma), 2048)):
-            resp = np.exp(_log_response(block, coeffs))
+            with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
+                resp = np.exp(_log_response(block, coeffs))
             g_star = _growth_rows(block, coeffs, cfg.params, p)
             values = np.column_stack([block, resp, g_star]).tolist()
             yield "\n".join(row % tuple(v) for v in values)

@@ -241,6 +241,29 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "economy, flags, message",
+        [
+            ({"alphas": [0.5, 0.5]}, ["--switch-steps", "1,x"],
+             "not a comma-separated int list: '1,x'"),
+            (3, ["--alpha", "0.5,0.5"], "error: economy: expected dict, got int"),
+        ],
+        ids=["switch-steps", "economy-not-object"],
+    )
+    def test_bad_outside_input_writes_nothing(
+        self, capsys, tmp_path, economy, flags, message
+    ):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch", "seed": 1, "economy": economy,
+            "output": str(tmp_path / "trace.csv"),
+        }))
+        code, out, err = run_cli(capsys, "converge", "--config", str(cfg_path), *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
         # boundary rejection surfaces as a domain error -> runtime exit 1
         code, _, err = run_cli(
@@ -341,15 +364,17 @@ class TestConvergeCommand:
         assert open(rerun, "rb").read() == (tmp_path / "a.csv").read_bytes()
 
     def test_env_seed_must_be_integer(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("GROWTHLAB_SEED", "not-a-number")
-        code, _, err = run_cli(
+        monkeypatch.setenv("GROWTHLAB_SEED", "abc")
+        code, out, err = run_cli(
             capsys,
             "converge",
             "--alpha", "0.5,0.5",
             "--output", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        assert "GROWTHLAB_SEED" in err
+        assert out == ""
+        assert err == "error: GROWTHLAB_SEED must be an integer, got 'abc'\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestEvolveCommand:

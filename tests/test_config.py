@@ -88,12 +88,40 @@ class TestValidationErrors:
              "economy.deprecation"),
             ({"economy": {"alphas": [0.5, 0.5], "deprecation": 1.5, "scaling": 0.1}},
              "economy.deprecation"),
+            ({"steps": "10"}, "steps"),
+            ({"economy": {"alphas": "x"}}, "economy.alphas"),
+            ({"economy": {"alphas": [0.5, 0.5], "deprecation": "a"}},
+             "economy.deprecation"),
+            ({"emit_svg": 1}, "emit_svg"),
+            ({"economy": {"alphas": [0.5, 0.5], "sectors": 3}}, "economy.sectors"),
+            ({"price_schedule": []}, "price_schedule"),
+            ({"experiment": "switch", "switch": {"switch_sigmas": [[0.5, 0.5]]}},
+             "switch.switch_sigmas"),
+            ({"experiment": "switch",
+              "switch": {"switch_steps": [5, 9], "switch_sigmas": [[0.5, 0.5]]}},
+             "switch.switch_sigmas"),
+            ({"experiment": "switch", "switch": {"mutation_sd": -1}},
+             "switch.mutation_sd"),
+            ({"experiment": "switch", "switch": {"min_switches": 5, "max_switches": 2}},
+             "switch.max_switches"),
+            ({"experiment": "evolve", "evolution": {"population_size": 0}},
+             "evolution.population_size"),
+            ({"experiment": "evolve", "evolution": {"imitation_probability": 2}},
+             "evolution.imitation_probability"),
+            ({"experiment": "evolve", "evolution": {"observation_sample": 0}},
+             "evolution.observation_sample"),
         ],
     )
     def test_bad_value_named(self, doc, path):
         doc = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]}, **doc}
         with pytest.raises(ConfigurationError, match=rf"^{path}: "):
             config_from_dict(doc)
+
+    def test_config_file_root_must_be_object(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([MINIMAL]))
+        with pytest.raises(ConfigurationError, match="^config root must be a JSON object$"):
+            load_config(str(path))
 
     def test_other_experiments_sections_allowed(self):
         doc = dict(MINIMAL, switch={"anything": 1}, landscape={"samples": 5})
