@@ -9,16 +9,18 @@ Subcommands:
 
 Global flags: --config PATH (JSON run configuration), --seed N, --output
 PATH, --svg, --steps N.  Every flag is written onto the --config document at
-its key and the result is validated by the config loader, so flags override
-config values.  The GROWTHLAB_SEED environment variable acts as --seed only
-when neither that flag nor the --config document gives a seed, so re-running
-an effective .config.json reproduces its run.  Exit codes: 0 success,
+its key (the flag's dest, which --help shows as its metavar) and the result
+is validated by the config loader, so flags override config values.  The
+GROWTHLAB_SEED environment variable acts as --seed only when neither that
+flag nor the --config document gives a seed, so re-running an effective
+.config.json reproduces its run.  Exit codes: 0 success,
 2 configuration/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -54,7 +56,15 @@ def _ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+# the keys of --s and --target exclude each other (see _overlay)
+_SCALING, _TARGET = "economy.scaling", "target_growth"
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  A flag's dest is the run document
+    key it overrides (--help shows it as the metavar); only command, config,
+    seed and sigma are not keys."""
     parser = argparse.ArgumentParser(
         prog="growthlab",
         description="Growth-economy simulator: equilibrium analysis, "
@@ -62,66 +72,70 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON run configuration file")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--output", help="output CSV path")
-        p.add_argument(
-            "--svg", action="store_true", default=None, help="also write SVG charts"
-        )
-        p.add_argument("--steps", type=int, help="number of simulation steps")
-
-    def add_economy(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--alpha", type=_floats, help="production coefficients")
-        p.add_argument("--delta", type=float, help="deprecation rate in (0, 1]")
-        p.add_argument("--prices", type=_floats, help="sector prices")
-        p.add_argument("--s", type=float, dest="scaling", help="scaling factor")
-        p.add_argument(
-            "--target",
-            type=float,
-            help="target equilibrium growth of the optimal strategy "
-            "(calibrates the scaling factor)",
-        )
+    def add_economy(p: argparse.ArgumentParser, calibrate: bool = False) -> None:
+        """The economy flags; calibrate requires three of them and has no --s."""
+        p.add_argument("--alpha", dest="economy.alphas", type=_floats,
+                       required=calibrate, help="production coefficients")
+        p.add_argument("--delta", dest="economy.deprecation", type=float,
+                       required=calibrate, help="deprecation rate in (0, 1]")
+        p.add_argument("--prices", dest="economy.prices", type=_floats,
+                       help="sector prices")
+        p.add_argument("--target", dest=_TARGET, type=float, required=calibrate,
+                       help="target equilibrium growth of the optimal strategy "
+                       "(calibrates the scaling factor)")
+        if not calibrate:
+            p.add_argument("--s", dest=_SCALING, type=float, help="scaling factor")
 
     p_eq = sub.add_parser("equilibrium", help="print g* for a strategy")
     add_economy(p_eq)
     p_eq.add_argument("--sigma", type=_floats, required=True, help="strategy weights")
 
     p_cal = sub.add_parser("calibrate", help="print s for a target growth")
-    p_cal.add_argument("--target", type=float, required=True)
-    p_cal.add_argument("--alpha", type=_floats, required=True)
-    p_cal.add_argument("--delta", type=float, required=True)
-    p_cal.add_argument("--prices", type=_floats)
+    add_economy(p_cal, calibrate=True)
     p_cal.add_argument(
         "--steps-per-year",
         type=float,
         help="interpret --target as per-year and convert (default 1: per step)",
     )
 
-    p_conv = sub.add_parser("converge", help="strategy-switch experiment")
-    add_common(p_conv)
-    add_economy(p_conv)
-    p_conv.add_argument("--initial-sigma", type=_floats, help="starting strategy")
-    p_conv.add_argument("--switch-steps", type=_ints, help="steps to switch at")
+    p_conv, p_evo, p_land = runs = [
+        sub.add_parser("converge", help="strategy-switch experiment"),
+        sub.add_parser("evolve", help="population imitation loop"),
+        sub.add_parser("landscape", help="sample the strategy simplex"),
+    ]
+    for p in runs:
+        p.add_argument("--config", help="JSON run configuration file")
+        p.add_argument("--seed", type=int, help="master random seed")
+        p.add_argument("--output", help="output CSV path")
+        p.add_argument("--svg", dest="emit_svg", action="store_true", default=None,
+                       help="also write SVG charts")
+        p.add_argument("--steps", type=int, help="number of simulation steps")
+        add_economy(p)
+
+    p_conv.add_argument("--initial-sigma", dest="switch.initial_sigma", type=_floats,
+                        help="starting strategy")
+    p_conv.add_argument("--switch-steps", dest="switch.switch_steps", type=_ints,
+                        help="steps to switch at")
     p_conv.add_argument(
         "--mutation-sd",
+        dest="switch.mutation_sd",
         type=float,
         help=f"sd of the imitation error (default {SwitchSpec.mutation_sd})",
     )
 
-    p_evo = sub.add_parser("evolve", help="population imitation loop")
-    add_common(p_evo)
-    add_economy(p_evo)
-    p_evo.add_argument("--population", type=int, help="number of agents")
-    p_evo.add_argument("--imitation-probability", type=float)
-    p_evo.add_argument("--imitation-sd", type=float)
-    p_evo.add_argument("--rule", help="selection rule")
-    p_evo.add_argument("--sample", type=int, help="peers observed per decision")
+    p_evo.add_argument("--population", dest="evolution.population_size", type=int,
+                       help="number of agents")
+    p_evo.add_argument("--imitation-probability",
+                       dest="evolution.imitation_probability", type=float)
+    p_evo.add_argument("--imitation-sd", dest="evolution.imitation_error_sd",
+                       type=float)
+    p_evo.add_argument("--rule", dest="evolution.selection_rule",
+                       help="selection rule")
+    p_evo.add_argument("--sample", dest="evolution.observation_sample", type=int,
+                       help="peers observed per decision")
 
-    p_land = sub.add_parser("landscape", help="sample the strategy simplex")
-    add_common(p_land)
-    add_economy(p_land)
-    p_land.add_argument("--samples", type=int, help="number of simplex samples")
+    p_land.add_argument("--samples", dest="landscape.samples", type=int,
+                        help="number of simplex samples")
 
     return parser
 
@@ -153,45 +167,22 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
-#: flag dest -> the run document key the flag overrides
-_KEYS = {
-    "output": "output",
-    "svg": "emit_svg",
-    "steps": "steps",
-    "alpha": "economy.alphas",
-    "delta": "economy.deprecation",
-    "prices": "economy.prices",
-    "scaling": "economy.scaling",
-    "target": "target_growth",
-    "steps_per_year": "steps_per_year",
-    "initial_sigma": "switch.initial_sigma",
-    "switch_steps": "switch.switch_steps",
-    "mutation_sd": "switch.mutation_sd",
-    "population": "evolution.population_size",
-    "imitation_probability": "evolution.imitation_probability",
-    "imitation_sd": "evolution.imitation_error_sd",
-    "rule": "evolution.selection_rule",
-    "sample": "evolution.observation_sample",
-    "samples": "landscape.samples",
-}
-
-
 def _overlay(args, doc: dict) -> dict:
-    """Write every given flag onto the run document at its key.
+    """Write every given flag onto the run document at its key (its dest).
 
-    ``--s`` drops ``target_growth`` and ``--target`` drops ``economy.scaling``,
+    ``--s`` nulls ``target_growth`` and ``--target`` nulls ``economy.scaling``,
     so a flag also wins over the key that excludes it; given both, ``--s``
     wins.
     """
-    for dest, key in _KEYS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            section, _, leaf = key.rpartition(".")
-            (_section(doc, section) if section else doc)[leaf] = value
-    if getattr(args, "scaling", None) is not None:  # calibrate has no --s
-        doc.pop("target_growth", None)
-    elif args.target is not None:
-        _section(doc, "economy").pop("scaling", None)
+    values = {key: value for key, value in vars(args).items()
+              if value is not None and key not in ("command", "config", "seed", "sigma")}
+    if _SCALING in values:
+        values[_TARGET] = None
+    elif _TARGET in values:
+        values[_SCALING] = None
+    for key, value in values.items():
+        section, _, leaf = key.rpartition(".")
+        (_section(doc, section) if section else doc)[leaf] = value
     return doc
 
 
@@ -235,7 +226,7 @@ def cli_main(argv=None) -> int:
             coefficients, deprecation, prices, steps_per_year = _economy_inputs(
                 _overlay(args, {"economy": {}})
             )
-            target = annual_to_step_rate(args.target, steps_per_year)
+            target = annual_to_step_rate(getattr(args, _TARGET), steps_per_year)
             _print_number(calibrate_scaling(target, coefficients, deprecation, prices))
             return 0
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     ConfigurationError,
+    DomainError,
     EconomyParams,
     GrowthLabError,
     ProductionCoefficients,
@@ -61,8 +62,8 @@ class SwitchSpec:
                 raise ConfigurationError(
                     f"switch_sigmas: expected {len(self.switch_steps)} strategy vectors"
                 )
-        if self.mutation_sd < 0.0:
-            raise ConfigurationError("mutation_sd: must be >= 0")
+        if not 0.0 <= self.mutation_sd < np.inf:
+            raise ConfigurationError("mutation_sd: must be finite and >= 0")
         if not (0 <= self.min_switches <= self.max_switches):
             raise ConfigurationError(
                 "max_switches: need 0 <= min_switches <= max_switches"
@@ -241,8 +242,8 @@ def economy_from_dict(
     if scaling is None:
         if target_growth is None:
             target_growth = DEFAULT_TARGET_GROWTH
-        per_step_target = annual_to_step_rate(target_growth, steps_per_year)
         with _at("target_growth"):
+            per_step_target = annual_to_step_rate(target_growth, steps_per_year)
             scaling = calibrate_scaling(
                 per_step_target, coefficients, deprecation, prices
             )
@@ -282,7 +283,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         for i, row in enumerate(rows):
             with _at(f"price_schedule[{i}]"):
                 _check_prices(row, n)
-        prices = PriceSchedule.series(rows)
+        prices = PriceSchedule(rows)
 
     name, spec = _SECTIONS[experiment]
     # the population's random streams default to the run seed
@@ -322,8 +323,11 @@ def annual_to_step_rate(annual: float, steps_per_year: float) -> float:
     """Geometric conversion of a per-year growth rate to a per-step rate.
 
     With the default steps_per_year = 1.0 the rates are identical ("percent
-    per year" read as "percent per step").
+    per year" read as "percent per step").  A rate at or below -1 (all income
+    lost) has no per-step root and raises DomainError.
     """
+    if annual <= -1.0:
+        raise DomainError(f"growth rate must exceed -1 (-100%), got {annual}")
     if steps_per_year == 1.0:
         return annual
     return float((1.0 + annual) ** (1.0 / steps_per_year) - 1.0)
@@ -373,7 +377,8 @@ def dump_config(cfg: RunConfig) -> dict[str, Any]:
     }
     if cfg.target_growth is not None:
         doc["target_growth"] = cfg.target_growth
-    if cfg.prices.mode == "time-series":
+    # a schedule other than the one row economy.prices
+    if not np.array_equal(cfg.prices.values, [cfg.params.prices]):
         doc["price_schedule"] = [[float(x) for x in row] for row in cfg.prices.values]
     for name, _ in _SECTIONS.values():
         section = getattr(cfg, name)

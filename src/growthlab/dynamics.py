@@ -20,14 +20,14 @@ The product is the closed forms' ``core._log_response`` on C-ordered rows
 (F-ordered rows round differently); a zero factor is log 0 = -inf, and the
 kernel's callers silence numpy's divide warning once, outside their loops.
 
-Steps are numbered from 1; a PriceSchedule maps each step to a price vector
-(constant, or a time series that holds its last value past the end).
+Steps are numbered from 1; a PriceSchedule maps each step to a row of its
+price table, holding the last row past the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .core import (
     ProductionCoefficients,
     Strategy,
     _check_prices,
-    _check_sectors,
     _freeze,
     _income,
     _log_response,
@@ -53,54 +52,48 @@ from . import equilibrium as eq
 
 @dataclass(frozen=True, eq=False)
 class PriceSchedule:
-    """Prices per simulation step: a constant vector or a step-indexed series.
+    """Prices per simulation step: a (T, n) table whose row t - 1 holds the
+    prices of step t; the last row holds past the end.  A constant schedule
+    is one row.
 
-    Series lookups past the last entry hold the last value.  The model itself
-    prescribes no law for dynamic prices; this type makes whatever choice the
-    caller made explicit.
+    The model itself prescribes no law for dynamic prices; this type makes
+    whatever choice the caller made explicit.  A row equal to the one before
+    it is that row's array, so ``at`` returns the same object while prices
+    hold and a loop over the steps need only test ``p is not last_p``.
     """
 
-    mode: str  # "constant" | "time-series"
-    values: np.ndarray  # (n,) for constant, (T, n) for time-series
+    values: np.ndarray
+    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("constant", "time-series"):
-            raise ConfigurationError(f"unknown price schedule mode {self.mode!r}")
         try:
             arr = np.asarray(self.values, dtype=float)
         except ValueError as exc:  # ragged rows
             raise DimensionError(f"prices must be one rectangular array: {exc}") from None
-        ndim = 1 if self.mode == "constant" else 2
-        if arr.ndim != ndim or arr.size == 0:
-            raise DimensionError(
-                f"{self.mode} price schedule needs a non-empty {ndim}-d price array"
-            )
-        object.__setattr__(self, "values", _freeze(_check_prices(arr, arr.shape[-1])))
+        if arr.ndim != 2 or arr.size == 0:
+            raise DimensionError("a price schedule needs a non-empty (steps, sectors) table")
+        values = _freeze(_check_prices(arr, arr.shape[1]))
+        rows = [values[0]]
+        for row in values[1:]:
+            rows.append(rows[-1] if np.array_equal(row, rows[-1]) else row)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @classmethod
     def constant(cls, prices) -> "PriceSchedule":
-        return cls("constant", prices)
-
-    @classmethod
-    def series(cls, rows) -> "PriceSchedule":
-        return cls("time-series", rows)
-
-    @property
-    def sectors(self) -> int:
-        return int(self.values.shape[-1])
+        return cls([prices])
 
     def at(self, step: int) -> np.ndarray:
         """Price vector for simulation step ``step`` (1-based)."""
         if step < 1:
             raise ConfigurationError(f"step must be >= 1, got {step}")
-        if self.mode == "constant":
-            return self.values
-        return self.values[min(step - 1, self.values.shape[0] - 1)]
+        rows = self._rows
+        return rows[step - 1] if step < len(rows) else rows[-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PriceSchedule):
             return NotImplemented
-        return self.mode == other.mode and np.array_equal(self.values, other.values)
+        return np.array_equal(self.values, other.values)
 
 
 class TraceRecord(NamedTuple):
@@ -128,7 +121,7 @@ def step_agent(
     new state carries its ratio and log income, so a loop of calls steps
     exactly as ``run_hold`` does.
     """
-    p = _step_prices(state.sectors, params, coefficients, prices_at_t)
+    p = eq._resolve_prices(state.sectors, coefficients, params, prices_at_t)
     # log 0 = -inf is an absorbed agent; capital past float range reads inf
     with np.errstate(divide="ignore", over="ignore"):
         x, log_y, g, absorbed = _advance(
@@ -136,15 +129,6 @@ def step_agent(
             state.strategy.weights / p, params, coefficients,
         )
         return AgentState._stepped(x, log_y, g, state.strategy, absorbed)
-
-
-def _step_prices(n: int, params, coefficients, prices_at_t) -> np.ndarray:
-    """The period's prices as a float vector, checked against ``n`` sectors
-    and for being positive and finite."""
-    p = np.asarray(prices_at_t, dtype=float)
-    _check_sectors(strategy=n, params=params.sectors, coefficients=coefficients.sectors,
-                   prices=p.size)
-    return _check_prices(p, n)
 
 
 def _advance(x, log_y, absorbed, invest, params, coefficients):
@@ -273,8 +257,7 @@ def run_switch_experiment(
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     _check_switch_steps([at_step for at_step, _ in switches], steps)
     for strat in [initial, *(strat for _, strat in switches)]:
-        _check_sectors(strategy=strat.sectors, params=params.sectors,
-                       coefficients=coefficients.sectors, prices=prices.sectors)
+        eq._resolve_prices(strat.sectors, coefficients, params, prices.at(1))
 
     if initial_state is None:
         state = equilibrium_state(initial, coefficients, params, prices.at(1))
@@ -290,7 +273,7 @@ def run_switch_experiment(
     with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
         for t in range(1, steps + 1):
             p = prices.at(t)
-            if t in pending or not (p is last_p or np.array_equal(p, last_p)):
+            if t in pending or p is not last_p:
                 current = pending.get(t, current)
                 sigma, last_p = current.as_tuple(), p
                 g_star = eq.equilibrium_growth(current, coefficients, params, p)

@@ -49,13 +49,14 @@ from .core import (
 CONTOUR_REL_TOL = 1e-12
 
 
-def _resolve_prices(n: int, coefficients, params, prices) -> np.ndarray:
-    """``prices``, else the params' prices, checked against the coefficients
-    after ``n`` strategy sectors are."""
-    _check_sectors(strategy=n, coefficients=coefficients.sectors)
+def _resolve_prices(n: int, coefficients, params, prices=None) -> np.ndarray:
+    """``prices``, else the params' prices, as a float vector: the one entry
+    check of ``n`` strategy sectors against the params, the coefficients and
+    the prices, each price positive and finite."""
+    _check_sectors(strategy=n, params=params.sectors, coefficients=coefficients.sectors)
     if prices is None:
-        prices = params.prices
-    return _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
+        return params.prices
+    return _check_prices(_as_vector(prices, "prices"), n)
 
 
 @np.errstate(divide="ignore")  # log 0 = -inf: response 0, g* = -deprecation
@@ -207,8 +208,8 @@ def hill_climb(
     ``rng`` may be a numpy Generator or a seed; pass one explicitly for
     reproducible searches.
     """
-    if step_size <= 0.0:
-        raise DomainError("step_size must be positive")
+    if not 0.0 < step_size < np.inf:
+        raise DomainError("step_size must be positive and finite")
     _check_sectors(strategy=start.sectors, coefficients=coefficients.sectors)
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     n = start.sectors

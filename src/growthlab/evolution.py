@@ -31,11 +31,10 @@ from .core import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
-    _check_sectors,
     _clip_renormalize,
     project_to_simplex,
 )
-from .dynamics import _advance, _step_prices
+from .dynamics import _advance
 from .equilibrium import _fixed_point_rows, _resolve_prices
 
 SELECTION_RULES = ("imitate-best-observed", "growth-proportional", "pairwise-better")
@@ -64,8 +63,8 @@ class EvolutionConfig:
         # messages start with the field name; the config loader adds "evolution."
         if self.population_size < 1:
             raise ConfigurationError("population_size: must be a positive integer")
-        if self.imitation_error_sd < 0.0:
-            raise ConfigurationError("imitation_error_sd: must be >= 0")
+        if not 0.0 <= self.imitation_error_sd < np.inf:
+            raise ConfigurationError("imitation_error_sd: must be finite and >= 0")
         if not (0.0 <= self.imitation_probability <= 1.0):
             raise ConfigurationError("imitation_probability: must lie in [0, 1]")
         if self.selection_rule not in SELECTION_RULES:
@@ -163,8 +162,8 @@ def mutate_strategy(parent: Strategy, sd: float, rng: np.random.Generator) -> St
     component (nothing positive left to renormalize), fresh noise is drawn up
     to 16 times before falling back to the parent.
     """
-    if sd < 0.0:
-        raise DomainError("sd must be >= 0")
+    if not 0.0 <= sd < np.inf:
+        raise DomainError("sd must be finite and >= 0")
     if sd == 0.0:
         return parent
     n = parent.sectors
@@ -245,7 +244,7 @@ def evolve_step(
     and reads the shared phase-1 snapshot, the result is the same for any
     order (exposed for tests).
     """
-    p = _step_prices(population.ratio.shape[1], params, coefficients, prices_at_t)
+    p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
     invest = np.array([s.weights for s in population.strategies]) / p
     with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
         stepped = _advance(
@@ -298,9 +297,8 @@ def init_population(
         ones = np.ones(params.sectors)
         strategies = [project_to_simplex(rng.dirichlet(ones)) for rng in rngs]
     for n in {s.sectors for s in strategies}:  # each count once, before stacking
-        _check_sectors(strategy=n, coefficients=coefficients.sectors)
+        p = _resolve_prices(n, coefficients, params, prices)
     sigma = np.array([s.weights for s in strategies])
-    p = _resolve_prices(sigma.shape[1], coefficients, params, prices)
     ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
     return Population(
         ratio, np.zeros(n_agents), growth,

@@ -208,7 +208,7 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     def snapshot(step: int) -> None:
         nonlocal last_p
         p = cfg.prices.at(max(step, 1))
-        if last_p is None or (p is not last_p and not np.array_equal(p, last_p)):
+        if p is not last_p:  # the schedule repeats a row's object while prices hold
             last_p = p
             held[:] = [None] * len(held)
         for i, strategy in enumerate(pop.strategies):

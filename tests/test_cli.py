@@ -1,9 +1,10 @@
+import argparse
 import json
 import os
 
 import pytest
 
-from growthlab.cli import cli_main
+from growthlab.cli import _build_parser, _overlay, cli_main
 
 
 def _write_evolve_config(tmp_path, output: str) -> str:
@@ -247,8 +248,10 @@ class TestExitCodes:
             ({"alphas": [0.5, 0.5]}, ["--switch-steps", "1,x"],
              "not a comma-separated int list: '1,x'"),
             (3, ["--alpha", "0.5,0.5"], "error: economy: expected dict, got int"),
+            ({"alphas": [0.5, 0.5]}, ["--mutation-sd", "nan"],
+             "error: switch.mutation_sd: must be finite and >= 0\n"),
         ],
-        ids=["switch-steps", "economy-not-object"],
+        ids=["switch-steps", "economy-not-object", "mutation-sd-nan"],
     )
     def test_bad_outside_input_writes_nothing(
         self, capsys, tmp_path, economy, flags, message
@@ -275,6 +278,85 @@ class TestExitCodes:
         )
         assert code == 1
         assert "target" in err
+
+    def test_target_at_or_below_minus_100_percent(self, capsys, tmp_path):
+        # a per-year rate of -100% or less has no per-step rate
+        code, out, err = run_cli(
+            capsys, "calibrate", "--target", "-1.5", "--alpha", "0.5,0.5",
+            "--delta", "0.03", "--steps-per-year", "12",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: growth rate must exceed -1 (-100%), got -1.5\n"
+        cfg_path = tmp_path / "run.json"
+        for experiment, command in [("switch", "converge"), ("evolve", "evolve"),
+                                    ("landscape", "landscape")]:
+            cfg_path.write_text(json.dumps({
+                "experiment": experiment, "economy": {"alphas": [0.5, 0.5]},
+                "target_growth": -2.0, "steps_per_year": 12,
+                "output": str(tmp_path / "out.csv"),
+            }))
+            code, out, err = run_cli(capsys, command, "--config", str(cfg_path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: target_growth: growth rate must exceed -1")
+            assert os.listdir(tmp_path) == ["run.json"]
+
+
+#: flag -> (its argument, the run document key it sets, the value written there)
+FLAG_KEYS = {
+    "--output": ("o.csv", "output", "o.csv"),
+    "--svg": (None, "emit_svg", True),
+    "--steps": ("7", "steps", 7),
+    "--alpha": ("0.5,0.5", "economy.alphas", [0.5, 0.5]),
+    "--delta": ("0.1", "economy.deprecation", 0.1),
+    "--prices": ("1,2", "economy.prices", [1.0, 2.0]),
+    "--s": ("0.2", "economy.scaling", 0.2),
+    "--target": ("0.04", "target_growth", 0.04),
+    "--steps-per-year": ("12", "steps_per_year", 12.0),
+    "--initial-sigma": ("0.4,0.6", "switch.initial_sigma", [0.4, 0.6]),
+    "--switch-steps": ("3,5", "switch.switch_steps", [3, 5]),
+    "--mutation-sd": ("0.1", "switch.mutation_sd", 0.1),
+    "--population": ("9", "evolution.population_size", 9),
+    "--imitation-probability": ("0.5", "evolution.imitation_probability", 0.5),
+    "--imitation-sd": ("0.3", "evolution.imitation_error_sd", 0.3),
+    "--rule": ("pairwise-better", "evolution.selection_rule", "pairwise-better"),
+    "--sample": ("4", "evolution.observation_sample", 4),
+    "--samples": ("11", "landscape.samples", 11),
+}
+#: flags that set no key, and each subcommand's required flags
+NOT_KEYS = {"-h", "--help", "--config", "--seed", "--sigma"}
+REQUIRED = {
+    "equilibrium": ["--sigma", "0.5,0.5"],
+    "calibrate": ["--alpha", "0.3,0.7", "--delta", "0.03", "--target", "0.02"],
+}
+
+
+def _subparsers() -> dict:
+    (action,) = (a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+FLAGS = [
+    (command, flag)
+    for command, sub in _subparsers().items()
+    for action in sub._actions
+    for flag in action.option_strings
+    if flag not in NOT_KEYS
+]
+
+
+@pytest.mark.parametrize("command, flag", FLAGS, ids=["".join(c) for c in FLAGS])
+def test_flag_lands_on_its_documented_key(command, flag):
+    arg, key, value = FLAG_KEYS[flag]
+    args = _build_parser().parse_args(
+        [command, *REQUIRED.get(command, []), flag, *([arg] if arg else [])]
+    )
+    doc = _overlay(args, {})
+    section, _, leaf = key.rpartition(".")
+    assert (doc[section] if section else doc)[leaf] == value
+    if arg:  # --help shows the key as the flag's metavar
+        help_text = " ".join(_subparsers()[command].format_help().split())
+        assert f"{flag} {key.upper()}" in help_text
 
 
 class TestConvergeCommand:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from growthlab import ConfigurationError
+from growthlab import ConfigurationError, DomainError
 from growthlab.config import (
     annual_to_step_rate,
     config_from_dict,
@@ -110,6 +110,10 @@ class TestValidationErrors:
              "evolution.imitation_probability"),
             ({"experiment": "evolve", "evolution": {"observation_sample": 0}},
              "evolution.observation_sample"),
+            ({"experiment": "switch", "switch": {"mutation_sd": float("nan")}},
+             "switch.mutation_sd"),
+            ({"experiment": "evolve", "evolution": {"imitation_error_sd": float("inf")}},
+             "evolution.imitation_error_sd"),
         ],
     )
     def test_bad_value_named(self, doc, path):
@@ -231,6 +235,15 @@ class TestRoundTrip:
         assert first == second
         assert dump_config(second) == dumped
 
+    def test_one_row_schedule_at_economy_prices_is_not_dumped(self):
+        # a one-row schedule equal to economy.prices is the constant schedule
+        doc = dict(MINIMAL, economy={"alphas": [0.5, 0.5], "prices": [1.0, 2.0]},
+                   price_schedule=[[1.0, 2.0]])
+        first = config_from_dict(doc)
+        dumped = dump_config(first)
+        assert "price_schedule" not in dumped
+        assert config_from_dict(json.loads(json.dumps(dumped))) == first
+
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(MINIMAL))
@@ -251,6 +264,15 @@ class TestRoundTrip:
 class TestAnnualConversion:
     def test_identity_by_default(self):
         assert annual_to_step_rate(0.0185, 1.0) == 0.0185
+
+    def test_rate_at_or_below_minus_one_is_rejected(self):
+        # (1 + annual) ** (1 / steps_per_year) has no real root below -1
+        for annual in (-1.0, -2.0):
+            with pytest.raises(DomainError, match="must exceed -1"):
+                annual_to_step_rate(annual, 12.0)
+        doc = dict(MINIMAL, target_growth=-2.0, steps_per_year=12)
+        with pytest.raises(ConfigurationError, match="^target_growth: "):
+            config_from_dict(doc)
 
     def test_geometric_split(self):
         per_step = annual_to_step_rate(0.0185, 12.0)

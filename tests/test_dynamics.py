@@ -39,7 +39,7 @@ class TestPriceSchedule:
         assert np.array_equal(s.at(999), [1.0, 2.0])
 
     def test_series_holds_last_value(self):
-        s = PriceSchedule.series([[1.0, 1.0], [2.0, 2.0]])
+        s = PriceSchedule([[1.0, 1.0], [2.0, 2.0]])
         assert np.array_equal(s.at(1), [1.0, 1.0])
         assert np.array_equal(s.at(2), [2.0, 2.0])
         assert np.array_equal(s.at(50), [2.0, 2.0])
@@ -48,16 +48,32 @@ class TestPriceSchedule:
         with pytest.raises(DomainError):
             PriceSchedule.constant([1.0, 0.0])
         with pytest.raises(DomainError):
-            PriceSchedule.series([[1.0], [-2.0]])
+            PriceSchedule([[1.0], [-2.0]])
 
     def test_ragged_series_is_a_dimension_error(self):
         with pytest.raises(DimensionError, match="rectangular"):
-            PriceSchedule.series([[1.0, 1.0], [1.0]])
+            PriceSchedule([[1.0, 1.0], [1.0]])
 
     def test_step_must_be_positive(self):
         s = PriceSchedule.constant([1.0])
         with pytest.raises(ConfigurationError):
             s.at(0)
+
+    def test_constant_is_one_row(self):
+        s = PriceSchedule.constant([1.0, 2.0])
+        assert s == PriceSchedule([[1.0, 2.0]])
+        assert s.values.shape == (1, 2)
+
+    def test_at_returns_one_object_while_prices_hold(self):
+        # run_switch_experiment and evolve_experiment test only `p is not last_p`
+        s = PriceSchedule([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+        assert s.at(1) is s.at(2)
+        assert s.at(3) is not s.at(2)
+        assert s.at(3) is s.at(4)
+        assert s.at(5) is not s.at(4)
+        assert s.at(5) is s.at(6) is s.at(10**6)
+        c = PriceSchedule.constant([1.0, 2.0])
+        assert c.at(1) is c.at(2) is c.at(999)
 
 
 class TestStepAgent:
@@ -328,7 +344,7 @@ class TestStepAgentParity:
         inst = random_instance(rng, n=3)
         rows = rng.uniform(0.5, 2.0, (12, 3))
         rows[5] = rows[4]
-        prices = PriceSchedule.series(rows)
+        prices = PriceSchedule(rows)
         c, params = inst.coefficients, inst.params
         state = uniform_state(inst.strategy, c, params)
         self.assert_parity(state, [], params, c, prices, 60)

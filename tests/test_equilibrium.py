@@ -233,8 +233,9 @@ class TestHillClimb:
         assert r1.iterations == r2.iterations
 
     def test_bad_step_size(self):
-        with pytest.raises(DomainError):
-            hill_climb(optimal_strategy(HALF), HALF, step_size=0.0)
+        for step_size in (0.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                hill_climb(optimal_strategy(HALF), HALF, step_size=step_size)
 
 
 class TestOrderInvariance:

@@ -56,8 +56,10 @@ class TestMutateStrategy:
                 assert validate_simplex(child.weights, 1e-12)
 
     def test_negative_sd_rejected(self):
-        with pytest.raises(Exception):
-            mutate_strategy(Strategy(np.array([1.0])), -0.1, np.random.default_rng(0))
+        # and a non-finite sd, which would leave no finite child
+        for sd in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                mutate_strategy(Strategy(np.array([1.0])), sd, np.random.default_rng(0))
 
 
 def _population_with_growths(growths, params, coefficients):

@@ -47,8 +47,8 @@ ENTRIES = {
     "PriceSchedule.constant": lambda v: run_hold(
         START, PARAMS, COEFFS, PriceSchedule.constant(v), 1
     ),
-    "PriceSchedule.series": lambda v: run_hold(
-        START, PARAMS, COEFFS, PriceSchedule.series([v, v]), 2
+    "PriceSchedule": lambda v: run_hold(
+        START, PARAMS, COEFFS, PriceSchedule([v, v]), 2
     ),
     "EconomyParams": lambda v: equilibrium_growth(
         SIGMA, COEFFS, EconomyParams(0.1, 0.05, v)

@@ -1,10 +1,10 @@
 """Properties of the ratio-state step, checked on drawn economies.
 
-Three claims of the model: growth never falls below -deprecation (on every
+Four claims of the model: growth never falls below -deprecation (on every
 step of ``run_hold`` and of ``evolve_step``), the capital/income ratio is
 scale-invariant, so scaling the start capital leaves the growth path
-unchanged, and strategies stay on the simplex after mutation and after
-imitation.  A zero-income agent stays absorbed, and no NaN reaches its
+unchanged, strategies stay on the simplex after mutation and after
+imitation, and every switch approaches its new equilibrium from above.  A zero-income agent stays absorbed, and no NaN reaches its
 records: only its log income is -inf.
 """
 
@@ -21,9 +21,11 @@ from growthlab import (
     ProductionCoefficients,
     Population,
     evolve_step,
+    calibrate_scaling,
     production,
     project_to_simplex,
     run_hold,
+    run_switch_experiment,
     step_agent,
     validate_simplex,
 )
@@ -31,6 +33,7 @@ from growthlab.evolution import SELECTION_RULES, agent_stream, mutate_strategy
 
 STEPS = 40
 FLOOR_TOL = 1e-12  # the same slack as the trajectory tests in test_dynamics.py
+EXCESS_TOL = 1e-10  # criterion 4's bound on post-switch excess growth
 
 
 def simplex(n: int, low: float = 0.0):
@@ -159,6 +162,42 @@ def test_growth_path_is_scale_invariant(data, economy, factor):
     )
     for one, other in zip(base, scaled):
         assert abs(one.growth - other.growth) <= 1e-12
+
+
+@st.composite
+def switch_runs(draw):
+    """(a, b, params, coefficients, prices) with 2-6 sectors and zero entries
+    drawn in alpha, a and b.  a invests in every sector alpha supports, so
+    its response is positive and it has a fixed point to start from.
+
+    Nonzero strategy entries are at least 1e-3 before repair: with a
+    response near 0, a's fixed point divides by g* + deprecation after the
+    two cancel, and the start is off its fixed point by more than the bound.
+    Deprecation starts at 1e-6, far from where the ratio, about 1 / delta,
+    leaves float range.
+    """
+    n = draw(st.integers(2, 6))
+    coefficients = ProductionCoefficients(draw(simplex(n)).weights)
+    positive = st.floats(1e-3, 1.0)
+    entries = st.one_of(st.just(0.0), positive)
+    a = draw(st.tuples(*(positive if x > 0.0 else entries for x in coefficients.alphas)))
+    b = draw(st.lists(entries, min_size=n, max_size=n).filter(lambda w: sum(w) > 0.0))
+    delta = draw(st.floats(1e-6, 1.0))
+    prices = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)))
+    target = draw(st.floats(-0.5 * delta, 0.2))
+    scaling = calibrate_scaling(target, coefficients, delta, prices)
+    params = EconomyParams(scaling, delta, prices)
+    return project_to_simplex(a), project_to_simplex(b), params, coefficients, prices
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=switch_runs())
+def test_every_switch_overshoots_from_above(run):
+    a, b, params, coefficients, prices = run
+    records = run_switch_experiment(
+        a, [(2, b)], params, coefficients, PriceSchedule.constant(prices), STEPS
+    )
+    assert min(r.excess_growth for r in records) >= -EXCESS_TOL
 
 
 def test_absorbed_agent_reads_no_nan():
