@@ -29,14 +29,12 @@ import numpy as np
 from .config import (
     RunConfig,
     SwitchSpec,
-    _economy_inputs,
-    annual_to_step_rate,
     config_from_dict,
     economy_from_dict,
     read_document,
 )
 from .core import ConfigurationError, GrowthLabError, Strategy
-from .equilibrium import calibrate_scaling, equilibrium_growth
+from .equilibrium import equilibrium_growth
 from .experiments import run_experiment
 
 SEED_ENV_VAR = "GROWTHLAB_SEED"
@@ -223,11 +221,8 @@ def cli_main(argv=None) -> int:
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":
-            coefficients, deprecation, prices, steps_per_year = _economy_inputs(
-                _overlay(args, {"economy": {}})
-            )
-            target = annual_to_step_rate(getattr(args, _TARGET), steps_per_year)
-            _print_number(calibrate_scaling(target, coefficients, deprecation, prices))
+            _, params, *_ = economy_from_dict(_overlay(args, {"economy": {}}))
+            _print_number(params.scaling)
             return 0
 
         experiment = {"converge": "switch", "evolve": "evolve", "landscape": "landscape"}[

@@ -195,9 +195,16 @@ def _plain(value):
     return [_plain(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _economy_inputs(doc: dict):
-    """Check ``steps_per_year`` and all of ``economy`` but its scaling; returns
-    (coefficients, deprecation, prices, steps_per_year)."""
+def economy_from_dict(
+    doc: dict,
+) -> tuple[ProductionCoefficients, EconomyParams, float | None, float]:
+    """Validate the economy of a run document.
+
+    Reads ``economy``, ``target_growth`` and ``steps_per_year``.  Without
+    ``economy.scaling`` the scaling factor is calibrated so the optimal
+    strategy's equilibrium growth equals the (per-step converted) target.
+    Returns (coefficients, params, target_growth, steps_per_year).
+    """
     steps_per_year = _get(doc, "steps_per_year", "", float, 1.0)
     if not 0.0 < steps_per_year < np.inf:
         raise _fail("steps_per_year", f"must be a positive real, got {steps_per_year}")
@@ -218,21 +225,7 @@ def _economy_inputs(doc: dict):
     prices = _get(economy, "prices", "economy.", tuple[float, ...], (1.0,) * n)
     with _at("economy.prices"):
         prices = _check_prices(prices, n)
-    return coefficients, deprecation, prices, steps_per_year
-
-
-def economy_from_dict(
-    doc: dict,
-) -> tuple[ProductionCoefficients, EconomyParams, float | None, float]:
-    """Validate the economy of a run document.
-
-    Reads ``economy``, ``target_growth`` and ``steps_per_year``.  Without
-    ``economy.scaling`` the scaling factor is calibrated so the optimal
-    strategy's equilibrium growth equals the (per-step converted) target.
-    Returns (coefficients, params, target_growth, steps_per_year).
-    """
-    coefficients, deprecation, prices, steps_per_year = _economy_inputs(doc)
-    scaling = _get(doc["economy"], "scaling", "economy.", float, None)
+    scaling = _get(economy, "scaling", "economy.", float, None)
     target_growth = _get(doc, "target_growth", "", float, None)
     if scaling is not None and target_growth is not None:
         raise _fail(

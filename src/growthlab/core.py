@@ -273,7 +273,7 @@ class AgentState:
         """The state the step kernel returned; nothing is checked or copied."""
         income = _income(log_income)
         # a ratio that underflowed to 0 keeps capital 0, also at inf income
-        capital = np.multiply(ratio, income, out=np.zeros_like(ratio), where=ratio > 0.0)
+        capital = np.multiply(ratio, income, out=np.zeros(ratio.shape), where=ratio > 0.0)
         capital.flags.writeable = ratio.flags.writeable = False
         return cls(capital, income, float(growth), strategy, bool(absorbed), ratio,
                    float(log_income))

@@ -59,7 +59,8 @@ class PriceSchedule:
     The model itself prescribes no law for dynamic prices; this type makes
     whatever choice the caller made explicit.  A row equal to the one before
     it is that row's array, so ``at`` returns the same object while prices
-    hold and a loop over the steps need only test ``p is not last_p``.
+    hold, and a loop over the steps recomputes only where the row object
+    changes.
     """
 
     values: np.ndarray
@@ -109,6 +110,8 @@ class TraceRecord(NamedTuple):
     log_income: float  # -inf once absorbed
 
 
+# log 0 = -inf is an absorbed agent; capital past float range reads inf
+@np.errstate(divide="ignore", over="ignore")
 def step_agent(
     state: AgentState,
     params: EconomyParams,
@@ -117,18 +120,18 @@ def step_agent(
 ) -> AgentState:
     """Advance one agent by one period under the given prices.
 
-    Checks sector counts and that each price is positive and finite.  The
-    new state carries its ratio and log income, so a loop of calls steps
-    exactly as ``run_hold`` does.
+    Checks sector counts and that each price is positive and finite, except
+    for ``params.prices`` itself, which EconomyParams checked.  The new state
+    carries its ratio and log income, so a loop of calls steps exactly as
+    ``run_hold`` does.
     """
-    p = eq._resolve_prices(state.sectors, coefficients, params, prices_at_t)
-    # log 0 = -inf is an absorbed agent; capital past float range reads inf
-    with np.errstate(divide="ignore", over="ignore"):
-        x, log_y, g, absorbed = _advance(
-            state.ratio, state.log_income, state.absorbed,
-            state.strategy.weights / p, params, coefficients,
-        )
-        return AgentState._stepped(x, log_y, g, state.strategy, absorbed)
+    p = eq._resolve_prices(state.sectors, coefficients, params,
+                           None if prices_at_t is params.prices else prices_at_t)
+    x, log_y, g, absorbed = _advance(
+        state.ratio, state.log_income, state.absorbed,
+        state.strategy.weights / p, params, coefficients,
+    )
+    return AgentState._stepped(x, log_y, g, state.strategy, absorbed)
 
 
 def _advance(x, log_y, absorbed, invest, params, coefficients):
@@ -146,14 +149,15 @@ def _advance(x, log_y, absorbed, invest, params, coefficients):
     log_y = log_y + log_g
     gross = np.exp(log_g)
     growth = gross - 1.0
-    # one reduction: finite unless some row is absorbed, or broken
-    if not math.isfinite(np.add.reduce(log_y, axis=None)):
+    one = v.ndim == 1  # one agent: a 0-d log income, tested with no reduction
+    # finite unless some row is absorbed, or broken
+    if not math.isfinite(log_y if one else np.add.reduce(log_y, axis=None)):
         if not (log_y < np.inf).all():  # NaN or +inf
             raise DomainError("growth must be finite")
         growth = np.where(absorbed, 0.0, growth)
         absorbed = log_y == -np.inf
         gross = np.where(absorbed, np.inf, gross)  # so their ratio reads 0
-    return (v.T / gross).T, log_y, growth, absorbed
+    return (v / gross if one else (v.T / gross).T), log_y, growth, absorbed
 
 
 def _check_switch_steps(at_steps: Sequence[int], steps: int) -> None:
@@ -266,16 +270,19 @@ def run_switch_experiment(
         verify_state_consistency(state, params, coefficients)
 
     pending = dict(switches)
+    # the steps that change the strategy or the prices; the others only step
+    rows = prices._rows
+    changes = {1, *pending}.union(t for t in range(2, min(len(rows), steps) + 1)
+                                  if rows[t - 1] is not rows[t - 2])
     records: list[TraceRecord] = []
     x, log_y, absorbed = state.ratio, state.log_income, state.absorbed
     current = initial
-    last_p = None
     with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
         for t in range(1, steps + 1):
-            p = prices.at(t)
-            if t in pending or p is not last_p:
+            if t in changes:
+                p = prices.at(t)
                 current = pending.get(t, current)
-                sigma, last_p = current.as_tuple(), p
+                sigma = current.as_tuple()
                 g_star = eq.equilibrium_growth(current, coefficients, params, p)
                 invest = current.weights / p
             x, log_y, g, absorbed = _advance(

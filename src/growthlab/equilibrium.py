@@ -68,7 +68,8 @@ def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
 
 def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):
     """(equilibrium ratio, g*) per row of ``sigma`` at prices already checked;
-    InvariantViolation if g* = -deprecation, as every simplex row invests."""
+    InvariantViolation if g* = -deprecation, as every simplex row invests,
+    and DomainError if a ratio is past float range."""
     g = _growth_rows(sigma, coefficients, params, prices)
     denom = g + params.deprecation
     if not (denom > 0.0).all():
@@ -76,7 +77,12 @@ def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):
             "equilibrium growth is -deprecation while some sector still "
             "receives investment; its capital/income ratio diverges"
         )
-    return sigma / (prices * denom[:, np.newaxis]), g
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        ratio = sigma / (prices * denom[:, np.newaxis])
+    if not np.isfinite(ratio).all():
+        raise DomainError("the equilibrium capital/income ratio is past float range: "
+                          f"g* + deprecation is {float(denom.min())!r}")
+    return ratio, g
 
 
 def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:

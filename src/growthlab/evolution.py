@@ -31,6 +31,7 @@ from .core import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
+    _check_sectors,
     _clip_renormalize,
     project_to_simplex,
 )
@@ -114,11 +115,8 @@ class Population:
             raise ConfigurationError("a population needs at least one agent")
         if len(agents) != len(rngs):
             raise ConfigurationError("one random stream per agent is required")
-        sectors = {a.sectors for a in agents}
-        if len(sectors) > 1:
-            raise ConfigurationError(
-                f"all agents must share one sector count, got {sorted(sectors)}"
-            )
+        for i, a in enumerate(agents):  # names the first agent that differs
+            _check_sectors(**{"agents[0]": agents[0].sectors, f"agents[{i}]": a.sectors})
         return cls(
             np.array([a.ratio for a in agents]),
             np.array([a.log_income for a in agents]),

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import warnings
 
 import pytest
 
@@ -268,16 +269,19 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["run.json"]
 
     def test_calibrate_floor_target_is_config_error_free(self, capsys):
-        # boundary rejection surfaces as a domain error -> runtime exit 1
-        code, _, err = run_cli(
+        # a target at the floor is bad input at its key, as in every command
+        code, out, err = run_cli(
             capsys,
             "calibrate",
             "--target", "-0.03",
             "--alpha", "0.5,0.5",
             "--delta", "0.03",
         )
-        assert code == 1
-        assert "target" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: target_growth: target growth must exceed -deprecation "
+            "(-0.03); got -0.03\n"
+        )
 
     def test_target_at_or_below_minus_100_percent(self, capsys, tmp_path):
         # a per-year rate of -100% or less has no per-step rate
@@ -285,8 +289,8 @@ class TestExitCodes:
             capsys, "calibrate", "--target", "-1.5", "--alpha", "0.5,0.5",
             "--delta", "0.03", "--steps-per-year", "12",
         )
-        assert (code, out) == (1, "")
-        assert err == "error: growth rate must exceed -1 (-100%), got -1.5\n"
+        assert (code, out) == (2, "")
+        assert err == "error: target_growth: growth rate must exceed -1 (-100%), got -1.5\n"
         cfg_path = tmp_path / "run.json"
         for experiment, command in [("switch", "converge"), ("evolve", "evolve"),
                                     ("landscape", "landscape")]:
@@ -299,6 +303,23 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err.startswith("error: target_growth: growth rate must exceed -1")
             assert os.listdir(tmp_path) == ["run.json"]
+
+    def test_equilibrium_ratio_past_float_range(self, capsys, tmp_path):
+        # g* + delta below ~1e-308: the ratio overflows, a runtime error
+        out_csv = tmp_path / "trace.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "converge", "--alpha", "0.5,0.5", "--delta", "1e-310",
+                "--target", "0", "--steps", "3", "--output", str(out_csv),
+            )
+        assert caught == []
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            "error: the equilibrium capital/income ratio is past float range: "
+            "g* + deprecation is "
+        )
+        assert os.listdir(tmp_path) == []
 
 
 #: flag -> (its argument, the run document key it sets, the value written there)

@@ -16,6 +16,7 @@ from growthlab import (
 from growthlab.dynamics import (
     PriceSchedule,
     TraceRecord,
+    _advance,
     equilibrium_state,
     run_hold,
     run_switch_experiment,
@@ -127,6 +128,28 @@ class TestStepAgent:
         state = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
         with pytest.raises(DomainError):
             step_agent(state, params, c, np.array([1.0, np.nan]))
+
+    def test_params_prices_skip_only_the_price_check(self):
+        # params.prices itself is not re-checked, but the sector counts are,
+        # and any other array, also a copy of it, gets the full check
+        c = ProductionCoefficients(np.array([0.5, 0.5]))
+        params = EconomyParams(0.1, 0.05, np.array([1.0, 1.0]))
+        three = uniform_state(
+            Strategy(np.array([0.2, 0.3, 0.5])),
+            ProductionCoefficients(np.array([0.2, 0.3, 0.5])),
+            EconomyParams(0.1, 0.05, np.ones(3)),
+        )
+        with pytest.raises(DimensionError, match="sector counts differ"):
+            step_agent(three, params, c, params.prices)
+        state = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
+        nan_copy = params.prices.copy()
+        nan_copy[1] = np.nan
+        with pytest.raises(DomainError, match="positive finite"):
+            step_agent(state, params, c, nan_copy)
+        same, copied = (step_agent(state, params, c, p)
+                        for p in (params.prices, params.prices.copy()))
+        assert (same.ratio.tolist(), same.log_income, same.growth) == (
+            copied.ratio.tolist(), copied.log_income, copied.growth)
 
     def test_zero_income_state_is_absorbing(self):
         # full deprecation with all investment in a zero-coefficient sector:
@@ -350,6 +373,51 @@ class TestStepAgentParity:
         self.assert_parity(state, [], params, c, prices, 60)
         b = project_to_simplex(rng.dirichlet(np.ones(3)))
         self.assert_parity(state, [(3, b), (9, inst.strategy)], params, c, prices, 60)
+
+    def parity_case(self, seed):
+        """A random 3-sector economy, a uniform start, two price rows and a
+        second strategy."""
+        rng = np.random.default_rng(seed)
+        inst = random_instance(rng, n=3)
+        state = uniform_state(inst.strategy, inst.coefficients, inst.params)
+        rows = rng.uniform(0.5, 2.0, (2, 3))
+        b = project_to_simplex(rng.dirichlet(np.ones(3)))
+        return inst, state, rows, b
+
+    def test_switch_on_the_step_prices_change(self):
+        inst, state, (p, q), b = self.parity_case(227)
+        prices = PriceSchedule([p, p, p, q, q])
+        c, params = inst.coefficients, inst.params
+        self.assert_parity(state, [(4, b)], params, c, prices, 30)
+        self.assert_parity(state, [(4, b), (5, inst.strategy)], params, c, prices, 30)
+
+    def test_more_price_rows_than_steps(self):
+        inst, state, _, b = self.parity_case(229)
+        rows = np.random.default_rng(1).uniform(0.5, 2.0, (40, 3))
+        c, params = inst.coefficients, inst.params
+        self.assert_parity(state, [], params, c, PriceSchedule(rows), 7)
+        self.assert_parity(state, [(7, b)], params, c, PriceSchedule(rows), 7)
+
+    def test_rows_that_return_to_an_earlier_value(self):
+        # A, B, A: three distinct row objects, the first and last equal
+        inst, state, (p, q), b = self.parity_case(233)
+        prices = PriceSchedule([p, q, p])
+        assert prices.at(3) is not prices.at(1) and prices.at(4) is prices.at(3)
+        c, params = inst.coefficients, inst.params
+        self.assert_parity(state, [], params, c, prices, 10)
+        self.assert_parity(state, [(3, b)], params, c, prices, 10)
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_broken_log_income_raises(self, bad):
+        # NaN or +inf is a fault, not an absorbed agent (-inf)
+        params, c, _ = default_economy()
+        with pytest.raises(DomainError, match="growth must be finite"):
+            _advance(np.ones(2), bad, False, np.full(2, 0.5), params, c)
+        with pytest.raises(DomainError, match="growth must be finite"):
+            _advance(np.ones((3, 2)), np.array([0.0, bad, 0.0]), np.zeros(3, bool),
+                     np.full((3, 2), 0.5), params, c)
 
 
 class TestEntryChecks:

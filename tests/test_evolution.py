@@ -5,6 +5,7 @@ from scipy import stats
 from growthlab import (
     AgentState,
     ConfigurationError,
+    DimensionError,
     DomainError,
     EconomyParams,
     InvariantViolation,
@@ -384,7 +385,8 @@ class TestFromAgents:
             Population.from_agents([], 0, [])
         with pytest.raises(ConfigurationError, match="one random stream"):
             Population.from_agents(two, 0, rngs)
-        with pytest.raises(ConfigurationError, match="one sector count"):
+        with pytest.raises(DimensionError,
+                           match=r"sector counts differ: agents\[0\] 2, agents\[2\] 3"):
             Population.from_agents(two + [three], 0, rngs)
         pop = Population.from_agents(two, 4, rngs[:2])
         assert pop.ratio.shape == (2, 2) and pop.step == 4

@@ -1,0 +1,158 @@
+"""Benchmark a change against its parent commit and write BENCH_<pr>.json.
+
+    python3 tools/bench_pair.py PARENT_SHA PR [--pairs N] [--seed N]
+                                [--workload NAME ...] [--description TEXT]
+                                [--output PATH]
+
+Run from anywhere inside the git checkout.  The parent tree is a
+``git archive`` of PARENT_SHA and the change tree a copy of the files that
+``git ls-files`` lists, as they are in the working tree; both go to a fresh
+temporary directory, so neither has a .git directory and both machine lines
+read commit=unknown.  Each tree runs its own, unmodified
+``perfbench/run.py``.
+
+Layout: N pairs per workload, the workloads in turn within a pair; odd
+pairs run the parent first, even pairs the change first.  Then one
+``--trace 1`` pass per side and workload, parent first.  The output has the
+keys description, command, order, machine, medians and runs; ``medians``
+holds each side's median of every end-to-end metric and its total of failed
+ops.  A summary (medians, quartiles and pair wins) goes to standard output.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def git(*args: str, cwd: str) -> bytes:
+    return subprocess.run(("git", *args), cwd=cwd, check=True, capture_output=True).stdout
+
+
+def make_trees(repo: str, parent_sha: str, scratch: str) -> dict[str, str]:
+    """The parent and change trees under ``scratch``, by side."""
+    parent, change = os.path.join(scratch, "parent"), os.path.join(scratch, "change")
+    os.makedirs(parent)
+    archive = git("archive", parent_sha, cwd=repo)
+    subprocess.run(("tar", "-x", "-C", parent), input=archive, check=True)
+    for name in git("ls-files", "-z", cwd=repo).decode().split("\0"):
+        src = os.path.join(repo, name)
+        if name and os.path.isfile(src):  # a tracked file may be deleted
+            dst = os.path.join(change, name)
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst)
+    return {"parent": parent, "change": change}
+
+
+def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, str]:
+    """The last JSON line of one run.py call, and its machine line."""
+    proc = subprocess.run(
+        (sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", str(trace)),
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"run.py {workload} in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    machine = next(line.strip() for line in lines if line.strip().startswith("machine:"))
+    return json.loads(lines[-1]), machine
+
+
+def parse_machine(line: str) -> dict:
+    fields = dict(item.split("=", 1) for item in line.split()[1:])
+    return {"cores": int(fields["cores"]), "python": fields["python"],
+            "numpy": fields["numpy"], "line": line}
+
+
+def summarize(runs: list[dict], workloads, pairs: int) -> dict:
+    """Per workload and side: the median of each end-to-end metric, and the
+    total of failed ops; prints quartiles and pair wins as it goes."""
+    medians = {}
+    for w in workloads:
+        timed = {side: [r for r in runs if r["workload"] == w and r["side"] == side
+                        and r["pass"] != "trace"] for side in ("parent", "change")}
+        medians[w] = {}
+        for side, side_runs in timed.items():
+            values = {name: [r["result"]["metrics"][name]["value"] for r in side_runs]
+                      for name in side_runs[0]["result"]["metrics"]}
+            medians[w][side] = {name: round(statistics.median(v), 4)
+                                for name, v in values.items()}
+            medians[w][side]["failed"] = sum(r["result"]["failed"] for r in side_runs)
+        for name in medians[w]["parent"]:
+            if name == "failed":
+                continue
+            by_side = {side: [r["result"]["metrics"][name]["value"] for r in timed[side]]
+                       for side in timed}
+            quartiles = {side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+                         for side, v in by_side.items()}
+            wins = sum(c < p for p, c in zip(by_side["parent"], by_side["change"]))
+            print(f"{w:<14} {name:<15} parent {medians[w]['parent'][name]:>10.4f} "
+                  f"[{quartiles['parent'][0]:.4f}, {quartiles['parent'][2]:.4f}]  "
+                  f"change {medians[w]['change'][name]:>10.4f} "
+                  f"[{quartiles['change'][0]:.4f}, {quartiles['change'][2]:.4f}]  "
+                  f"change lower in {wins}/{pairs} pairs")
+    return medians
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_sha")
+    parser.add_argument("pr", help="the number in BENCH_<pr>.json")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append",
+                        help="may repeat (default: every workload of BENCHMARK.json)")
+    parser.add_argument("--description", help="what the change is")
+    parser.add_argument("--output", help="default: BENCH_<pr>.json at the checkout's root")
+    args = parser.parse_args(argv)
+
+    repo = git("rev-parse", "--show-toplevel", cwd=os.getcwd()).decode().strip()
+    with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as fh:
+        declared = [w["name"] for w in json.load(fh)["workloads"]]
+    workloads = tuple(args.workload or declared)
+    sha = git("rev-parse", "--short", args.parent_sha, cwd=repo).decode().strip()
+    output = args.output or os.path.join(repo, f"BENCH_{args.pr}.json")
+    runs, machine = [], None
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
+        trees = make_trees(repo, sha, scratch)
+        schedule = [(("parent", "change") if k % 2 else ("change", "parent"), w, k)
+                    for k in range(1, args.pairs + 1) for w in workloads]
+        schedule += [(("parent", "change"), w, "trace") for w in workloads]
+        for sides, w, k in schedule:
+            for side in sides:
+                result, machine = run_once(trees[side], w, args.seed, int(k == "trace"))
+                runs.append({"side": side, "workload": w, "pass": k, "result": result})
+                print(f"{side:<6} {w:<14} pass {k}: correct={result['correct']}",
+                      file=sys.stderr, flush=True)
+
+    doc = {
+        "description": (f"perfbench/run.py results for {args.description or 'the change'}, "
+                        f"against its parent commit {sha}"),
+        "command": f"python3 perfbench/run.py --workload W --trace T --seed {args.seed}",
+        "order": (f"{args.pairs} pairs per workload, workloads in turn "
+                  f"({', '.join(workloads)}); odd pairs run the parent first, even "
+                  "pairs the change first; then one --trace 1 pass per side and "
+                  f"workload, parent first. The parent side ran from a git archive of "
+                  f"{sha} and the change side from a copy of the change's tracked "
+                  "files, neither with a .git directory, so their machine lines read "
+                  "commit=unknown. Written by tools/bench_pair.py"),
+        "machine": parse_machine(machine),
+        "medians": summarize(runs, workloads, args.pairs),
+        "runs": runs,
+    }
+    with open(output, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {output}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
