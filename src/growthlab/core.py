@@ -224,63 +224,60 @@ class EconomyParams:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class AgentState:
-    """One agent's economic state: per-sector capital, income, last growth.
-
-    Steps carry the capital/income ``ratio`` and the ``log_income``; given
-    only capital and income, both are derived from them.  A stepped state's
-    income is exp(log_income), inf past float range.  ``growth`` is the last
-    realized per-step income growth rate, never below ``-deprecation`` while
-    income is positive.  ``absorbed`` flags the absorbing zero-income state:
-    ratio 0, log income -inf, and growth 0.0 rather than NaN.
+    """One agent's state as the step kernel carries it: per-sector
+    capital/income ``ratio``, ``log_income``, last realized per-step income
+    ``growth`` (never below ``-deprecation`` while income is positive) and
+    ``strategy``.  ``income`` (exp(log_income), inf past float range),
+    ``capital`` (ratio * income) and ``absorbed`` are derived.  Zero income
+    is absorbing: ratio 0, log income -inf, and growth 0.0 rather than NaN.
+    The plain constructor checks nothing; ``from_capital`` is the checked path.
     """
 
-    capital: np.ndarray
-    income: float
+    ratio: np.ndarray
+    log_income: float
     growth: float
     strategy: Strategy
-    absorbed: bool = False
-    ratio: np.ndarray | None = None
-    log_income: float | None = None
 
-    def __post_init__(self):
-        if self.ratio is not None:  # carried over from a stepped state
-            return
-        k = _as_vector(self.capital, "capital")
+    @classmethod
+    def from_capital(cls, capital, income, growth, strategy: Strategy) -> "AgentState":
+        """The state of non-negative finite ``capital`` and ``income``, checked."""
+        k = _as_vector(capital, "capital")
         # min/max catch NaN (comparisons fail) and infinities in one pass each
         if not (float(k.min()) >= 0.0 and float(k.max()) < np.inf):
             raise DomainError("capital must be a vector of non-negative reals")
-        if k.size != self.strategy.sectors:
+        if k.size != strategy.sectors:
             raise DimensionError(
-                f"capital dimension {k.size} != strategy sectors {self.strategy.sectors}"
+                f"capital dimension {k.size} != strategy sectors {strategy.sectors}"
             )
-        income = float(self.income)
-        growth = float(self.growth)
+        income, growth = float(income), float(growth)
         if not income >= 0.0 or income == np.inf:
             raise DomainError("income must be a non-negative real")
         if not np.isfinite(growth):
             raise DomainError("growth must be finite")
         absorbed = income == 0.0
-        self.__dict__.update(
-            capital=_freeze(k), income=income, growth=growth, absorbed=absorbed,
-            ratio=_freeze(np.zeros_like(k) if absorbed else k / income),
-            log_income=-math.inf if absorbed else math.log(income),
-        )
+        return cls(ratio=_freeze(np.zeros_like(k) if absorbed else k / income),
+                   log_income=-math.inf if absorbed else math.log(income),
+                   growth=growth, strategy=strategy)
 
-    @classmethod
-    def _stepped(cls, ratio, log_income, growth, strategy, absorbed) -> "AgentState":
-        """The state the step kernel returned; nothing is checked or copied."""
-        income = _income(log_income)
-        # a ratio that underflowed to 0 keeps capital 0, also at inf income
-        capital = np.multiply(ratio, income, out=np.zeros(ratio.shape), where=ratio > 0.0)
-        capital.flags.writeable = ratio.flags.writeable = False
-        return cls(capital, income, float(growth), strategy, bool(absorbed), ratio,
-                   float(log_income))
+    @property
+    def income(self) -> float:
+        return _income(self.log_income)
+
+    @property
+    def capital(self) -> np.ndarray:
+        """ratio * income: 0 where the ratio underflowed to 0, also at inf income."""
+        ratio = self.ratio
+        return np.multiply(ratio, self.income, out=np.zeros(ratio.shape), where=ratio > 0.0)
+
+    @property
+    def absorbed(self) -> bool:
+        return self.log_income == -math.inf
 
     @property
     def sectors(self) -> int:
-        return int(self.capital.size)
+        return int(self.ratio.size)
 
 
 def _income(log_income: float) -> float:

@@ -14,7 +14,8 @@ ratio x = k / y and the log income, so income cannot overflow:
 
 Invested capital is non-malleable: a strategy switch reallocates only new
 investment, never the existing per-sector stock.  Zero income is absorbing:
-log income -inf, ratio 0, and growth 0.0 with the ``absorbed`` flag set.
+log income -inf, ratio 0, and growth 0.0.  An ``AgentState`` stores only
+this state, and derives capital, income and ``absorbed`` from it.
 
 The product is the closed forms' ``core._log_response`` on C-ordered rows
 (F-ordered rows round differently); a zero factor is log 0 = -inf, and the
@@ -91,6 +92,13 @@ class PriceSchedule:
         rows = self._rows
         return rows[step - 1] if step < len(rows) else rows[-1]
 
+    def change_steps(self, steps: int) -> list[int]:
+        """The steps t in [2, steps] whose price row is a different object
+        from the row before: the steps on which prices change."""
+        rows = self._rows
+        return [t for t in range(2, min(len(rows), steps) + 1)
+                if rows[t - 1] is not rows[t - 2]]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PriceSchedule):
             return NotImplemented
@@ -127,37 +135,37 @@ def step_agent(
     """
     p = eq._resolve_prices(state.sectors, coefficients, params,
                            None if prices_at_t is params.prices else prices_at_t)
-    x, log_y, g, absorbed = _advance(
-        state.ratio, state.log_income, state.absorbed,
-        state.strategy.weights / p, params, coefficients,
-    )
-    return AgentState._stepped(x, log_y, g, state.strategy, absorbed)
+    x, log_y, g = _advance(state.ratio, state.log_income, state.strategy.weights / p,
+                           params, coefficients)
+    x.flags.writeable = False
+    return AgentState(ratio=x, log_income=float(log_y), growth=float(g),
+                      strategy=state.strategy)
 
 
-def _advance(x, log_y, absorbed, invest, params, coefficients):
-    """One period of the ratio state; returns the new (x, log_y, growth, absorbed).
+def _advance(x, log_y, invest, params, coefficients):
+    """One period of the ratio state; returns the new (x, log_y, growth).
 
-    ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with scalar
-    log income and flag, or C-ordered (agents, sectors) with (agents,) arrays.
+    ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with a
+    scalar log income, or C-ordered (agents, sectors) with an (agents,) one.
     log(1 + g') is log scaling plus ``_log_response`` of each row, so a
     population row equals the one-agent call bit for bit.  A zero factor (log
-    0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0.
-    Raises DomainError unless each row's log growth is finite or -inf.
+    0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0
+    while its log income stays -inf.  Raises DomainError unless each row's
+    log growth is finite or -inf.
     """
     v = invest + (1.0 - params.deprecation) * x
     log_g = math.log(params.scaling) + _log_response(v, coefficients)
-    log_y = log_y + log_g
+    new_log_y = log_y + log_g
     gross = np.exp(log_g)
     growth = gross - 1.0
     one = v.ndim == 1  # one agent: a 0-d log income, tested with no reduction
     # finite unless some row is absorbed, or broken
-    if not math.isfinite(log_y if one else np.add.reduce(log_y, axis=None)):
-        if not (log_y < np.inf).all():  # NaN or +inf
+    if not math.isfinite(new_log_y if one else np.add.reduce(new_log_y, axis=None)):
+        if not (new_log_y < np.inf).all():  # NaN or +inf
             raise DomainError("growth must be finite")
-        growth = np.where(absorbed, 0.0, growth)
-        absorbed = log_y == -np.inf
-        gross = np.where(absorbed, np.inf, gross)  # so their ratio reads 0
-    return (v / gross if one else (v.T / gross).T), log_y, growth, absorbed
+        growth = np.where(log_y == -np.inf, 0.0, growth)  # absorbed before
+        gross = np.where(new_log_y == -np.inf, np.inf, gross)  # so their ratio reads 0
+    return (v / gross if one else (v.T / gross).T), new_log_y, growth
 
 
 def _check_switch_steps(at_steps: Sequence[int], steps: int) -> None:
@@ -199,7 +207,8 @@ def equilibrium_state(
     """
     p = eq._resolve_prices(strategy.sectors, coefficients, params, prices)
     ratio, g = eq._fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)
-    return AgentState(ratio[0], 1.0, float(g[0]), strategy)
+    ratio.flags.writeable = False
+    return AgentState(ratio=ratio[0], log_income=0.0, growth=float(g[0]), strategy=strategy)
 
 
 def uniform_state(
@@ -213,7 +222,7 @@ def uniform_state(
         raise DomainError("capital_level must be positive")
     capital = np.full(params.sectors, float(capital_level))
     y = production(capital, coefficients, params.scaling)
-    return AgentState(capital, y, 0.0, strategy)
+    return AgentState.from_capital(capital, y, 0.0, strategy)
 
 
 def run_hold(
@@ -271,11 +280,9 @@ def run_switch_experiment(
 
     pending = dict(switches)
     # the steps that change the strategy or the prices; the others only step
-    rows = prices._rows
-    changes = {1, *pending}.union(t for t in range(2, min(len(rows), steps) + 1)
-                                  if rows[t - 1] is not rows[t - 2])
+    changes = {1, *pending, *prices.change_steps(steps)}
     records: list[TraceRecord] = []
-    x, log_y, absorbed = state.ratio, state.log_income, state.absorbed
+    x, log_y = state.ratio, state.log_income
     current = initial
     with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
         for t in range(1, steps + 1):
@@ -285,9 +292,7 @@ def run_switch_experiment(
                 sigma = current.as_tuple()
                 g_star = eq.equilibrium_growth(current, coefficients, params, p)
                 invest = current.weights / p
-            x, log_y, g, absorbed = _advance(
-                x, log_y, absorbed, invest, params, coefficients
-            )
+            x, log_y, g = _advance(x, log_y, invest, params, coefficients)
             g, log_y = float(g), float(log_y)
             records.append(TraceRecord(
                 t, 0, _income(log_y), g, g_star, g - g_star, sigma, log_y

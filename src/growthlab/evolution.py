@@ -13,7 +13,8 @@ depend on the order agents are processed in.  Imitation copies only the
 strategy; the imitator's capital stays where it is (invested capital is
 non-malleable).  Every agent owns a counter-based random stream derived from
 the master seed and its index, so changing the population size never
-reshuffles other agents' randomness.
+reshuffles other agents' randomness.  The population is the step kernel's
+state as arrays; an agent is absorbed where its log income is -inf.
 """
 
 from __future__ import annotations
@@ -89,16 +90,16 @@ class Population:
     """The agents as arrays, row i being agent i, plus the step counter and
     each agent's private random stream.
 
-    ``ratio`` is the (agents, sectors) capital/income ratio; ``log_income``,
-    ``growth`` (the last realized growth) and ``absorbed`` are (agents,).
-    Zero income is absorbing: its row has log income -inf and ratio 0.
-    ``from_agents`` checks its input; the plain constructor checks nothing.
+    ``ratio`` is the (agents, sectors) capital/income ratio; ``log_income``
+    and ``growth`` (the last realized growth) are (agents,).  Zero income is
+    absorbing: its row has log income -inf and ratio 0, and ``absorbed``
+    reads it.  ``from_agents`` checks its input; the plain constructor
+    checks nothing.
     """
 
     ratio: np.ndarray
     log_income: np.ndarray
     growth: np.ndarray
-    absorbed: np.ndarray
     strategies: list[Strategy]
     step: int
     rngs: list[np.random.Generator]
@@ -121,22 +122,24 @@ class Population:
             np.array([a.ratio for a in agents]),
             np.array([a.log_income for a in agents]),
             np.array([a.growth for a in agents]),
-            np.array([a.absorbed for a in agents]),
             [a.strategy for a in agents],
             step,
             list(rngs),
         )
 
     @property
+    def absorbed(self) -> np.ndarray:
+        return self.log_income == -np.inf
+
+    @property
     def agents(self) -> list[AgentState]:
-        """One AgentState per agent, built on each access."""
-        return [
-            AgentState._stepped(x, log_y, g, s, a)
-            for x, log_y, g, s, a in zip(
-                self.ratio, self.log_income.tolist(), self.growth.tolist(),
-                self.strategies, self.absorbed.tolist(),
-            )
-        ]
+        """One AgentState per agent, built on each access; each ratio is a
+        read-only view of its row."""
+        ratio = self.ratio.view()
+        ratio.flags.writeable = False
+        rows = zip(ratio, self.log_income.tolist(), self.growth.tolist(), self.strategies)
+        return [AgentState(ratio=x, log_income=y, growth=g, strategy=s)
+                for x, y, g, s in rows]
 
 
 def agent_stream(master_seed: int, agent_index: int) -> np.random.Generator:
@@ -245,10 +248,8 @@ def evolve_step(
     p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
     invest = np.array([s.weights for s in population.strategies]) / p
     with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
-        stepped = _advance(
-            population.ratio, population.log_income, population.absorbed,
-            invest, params, coefficients,
-        )
+        stepped = _advance(population.ratio, population.log_income, invest, params,
+                           coefficients)
     strategies = list(population.strategies)
     snapshot = Population(
         *stepped, strategies, population.step + 1, population.rngs
@@ -298,7 +299,4 @@ def init_population(
         p = _resolve_prices(n, coefficients, params, prices)
     sigma = np.array([s.weights for s in strategies])
     ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
-    return Population(
-        ratio, np.zeros(n_agents), growth,
-        np.zeros(n_agents, dtype=bool), list(strategies), 0, rngs,
-    )
+    return Population(ratio, np.zeros(n_agents), growth, list(strategies), 0, rngs)

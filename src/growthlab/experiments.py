@@ -203,13 +203,11 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     held: list[Strategy | None] = [None] * evo.population_size
     tails = [""] * evo.population_size
     responses = [0.0] * evo.population_size
-    last_p: np.ndarray | None = None
+    changes = set(cfg.prices.change_steps(cfg.steps))
 
     def snapshot(step: int) -> None:
-        nonlocal last_p
         p = cfg.prices.at(max(step, 1))
-        if p is not last_p:  # the schedule repeats a row's object while prices hold
-            last_p = p
+        if step in changes:
             held[:] = [None] * len(held)
         for i, strategy in enumerate(pop.strategies):
             if strategy is not held[i]:

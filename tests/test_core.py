@@ -175,10 +175,10 @@ class TestDomainTypes:
     def test_agent_state_validation(self):
         sigma = Strategy(np.array([0.5, 0.5]))
         with pytest.raises(DomainError):
-            AgentState(np.array([-1.0, 1.0]), 1.0, 0.0, sigma)
+            AgentState.from_capital(np.array([-1.0, 1.0]), 1.0, 0.0, sigma)
         with pytest.raises(DimensionError):
-            AgentState(np.array([1.0, 1.0, 1.0]), 1.0, 0.0, sigma)
+            AgentState.from_capital(np.array([1.0, 1.0, 1.0]), 1.0, 0.0, sigma)
         with pytest.raises(DomainError):
-            AgentState(np.array([1.0, 1.0]), -0.5, 0.0, sigma)
+            AgentState.from_capital(np.array([1.0, 1.0]), -0.5, 0.0, sigma)
         with pytest.raises(DomainError):
-            AgentState(np.array([1.0, 1.0]), 1.0, np.nan, sigma)
+            AgentState.from_capital(np.array([1.0, 1.0]), 1.0, np.nan, sigma)

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from growthlab.dynamics import (
     uniform_state,
     verify_state_consistency,
 )
+from growthlab.evolution import EvolutionConfig, init_population
 from growthlab.equilibrium import (
     equilibrium_growth,
     equilibrium_ratio,
@@ -66,7 +68,8 @@ class TestPriceSchedule:
         assert s.values.shape == (1, 2)
 
     def test_at_returns_one_object_while_prices_hold(self):
-        # run_switch_experiment and evolve_experiment test only `p is not last_p`
+        # change_steps, which run_switch_experiment and the evolve driver
+        # read, is where this object changes
         s = PriceSchedule([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
         assert s.at(1) is s.at(2)
         assert s.at(3) is not s.at(2)
@@ -75,6 +78,14 @@ class TestPriceSchedule:
         assert s.at(5) is s.at(6) is s.at(10**6)
         c = PriceSchedule.constant([1.0, 2.0])
         assert c.at(1) is c.at(2) is c.at(999)
+
+    def test_change_steps(self):
+        # the steps t in [2, steps] whose row object differs from step t - 1's
+        s = PriceSchedule([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+        assert s.change_steps(10) == [3, 5]
+        assert s.change_steps(10) == [t for t in range(2, 11) if s.at(t) is not s.at(t - 1)]
+        assert (s.change_steps(4), s.change_steps(2), s.change_steps(1)) == ([3], [], [])
+        assert PriceSchedule.constant([1.0, 2.0]).change_steps(999) == []
 
 
 class TestStepAgent:
@@ -86,7 +97,7 @@ class TestStepAgent:
         delta = 1e-9
         params = EconomyParams(1.0, delta, np.array([1.0, 1.0]))
         sigma = Strategy(np.array([0.5, 0.5]))
-        state = AgentState(np.array([1.0, 1.0]), 1.0, 0.0, sigma)
+        state = AgentState.from_capital(np.array([1.0, 1.0]), 1.0, 0.0, sigma)
         out = step_agent(state, params, c, params.prices)
         assert out.capital == pytest.approx([1.5, 1.5], abs=1e-8)
         assert out.income == pytest.approx(1.5, abs=1e-8)
@@ -96,7 +107,7 @@ class TestStepAgent:
         c = ProductionCoefficients(np.array([1.0]))
         params = EconomyParams(0.9, 1.0, np.array([1.0]))
         sigma = Strategy(np.array([1.0]))
-        state = AgentState(np.array([2.0]), 1.8, 0.0, sigma)
+        state = AgentState.from_capital(np.array([2.0]), 1.8, 0.0, sigma)
         out = step_agent(state, params, c, params.prices)
         assert out.capital == pytest.approx([1.8])
         assert out.income == pytest.approx(1.62)
@@ -200,7 +211,7 @@ class TestRunHold:
     def test_inconsistent_state_rejected(self):
         params, c, sched = default_economy()
         sigma = Strategy(np.array([0.5, 0.5]))
-        bad = AgentState(np.array([1.0, 1.0]), 5.0, 0.0, sigma)
+        bad = AgentState.from_capital(np.array([1.0, 1.0]), 5.0, 0.0, sigma)
         with pytest.raises(Exception):
             run_hold(bad, params, c, sched, 10)
 
@@ -408,16 +419,87 @@ class TestStepAgentParity:
         self.assert_parity(state, [(3, b)], params, c, prices, 10)
 
 
+class TestAgentStateContract:
+    """AgentState stores the ratio, log income, growth and strategy only;
+    capital, income and ``absorbed`` are derived, and no route hands out a
+    writeable ratio."""
+
+    def states(self):
+        params, c, _ = default_economy()
+        sigma = Strategy(np.array([0.4, 0.6]))
+        checked = AgentState.from_capital(np.array([1.0, 2.0]), 0.5, 0.01, sigma)
+        population = init_population(
+            params, c, EvolutionConfig(population_size=3, observation_sample=1)
+        )
+        return {
+            "from_capital": checked,
+            "from_capital absorbed": AgentState.from_capital(
+                np.array([1.0, 2.0]), 0.0, 0.0, sigma),
+            "equilibrium_state": equilibrium_state(sigma, c, params),
+            "step_agent": step_agent(checked, params, c, params.prices),
+            "Population.agents": population.agents[1],
+            "past float range": AgentState(
+                ratio=np.array([2.0, 0.0]), log_income=800.0, growth=0.1, strategy=sigma),
+        }
+
+    def test_stored_fields(self):
+        assert [f.name for f in fields(AgentState)] == [
+            "ratio", "log_income", "growth", "strategy"]
+
+    def test_positional_call_is_a_type_error(self):
+        # the capital-first call must not read capital as a ratio
+        sigma = Strategy(np.array([0.5, 0.5]))
+        with pytest.raises(TypeError):
+            AgentState(np.array([1.0, 1.0]), 1.0, 0.0, sigma)
+        with pytest.raises(TypeError):
+            AgentState(ratio=np.ones(2), log_income=0.0, growth=0.0, strategy=sigma,
+                       absorbed=False)
+
+    def test_ratio_is_read_only_on_every_route(self):
+        for route, state in self.states().items():
+            if route != "past float range":
+                assert not state.ratio.flags.writeable, route
+        population = init_population(*default_economy()[:2],
+                                     EvolutionConfig(population_size=2, observation_sample=1))
+        before = population.ratio.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            population.agents[0].ratio[0] = 5.0
+        assert np.array_equal(population.ratio, before)
+        assert population.ratio.flags.writeable  # the population's own array
+
+    def test_derived_fields_agree_with_stored_ones(self):
+        for route, state in self.states().items():
+            absorbed = state.log_income == -np.inf
+            assert state.absorbed == absorbed, route
+            with np.errstate(over="ignore"):  # inf past float range
+                income = float(np.exp(state.log_income))
+            assert state.income == income, route
+            want = [x * income if x > 0.0 else 0.0 for x in state.ratio.tolist()]
+            assert state.capital.tolist() == want, route
+            assert state.sectors == state.ratio.size == 2, route
+
+    def test_from_capital_derives_ratio_and_log_income(self):
+        sigma = Strategy(np.array([0.4, 0.6]))
+        state = AgentState.from_capital([1.0, 2.0], 0.5, 0.01, sigma)
+        assert state.ratio.tolist() == [2.0, 4.0]
+        assert (state.log_income, state.growth) == (math.log(0.5), 0.01)
+        assert state.strategy is sigma
+        assert state.capital.tolist() == [1.0, 2.0]
+        dead = AgentState.from_capital([1.0, 2.0], 0.0, 0.0, sigma)
+        assert dead.ratio.tolist() == [0.0, 0.0] and dead.log_income == -np.inf
+        assert dead.absorbed and dead.income == 0.0
+
+
 class TestAdvance:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_broken_log_income_raises(self, bad):
         # NaN or +inf is a fault, not an absorbed agent (-inf)
         params, c, _ = default_economy()
         with pytest.raises(DomainError, match="growth must be finite"):
-            _advance(np.ones(2), bad, False, np.full(2, 0.5), params, c)
+            _advance(np.ones(2), bad, np.full(2, 0.5), params, c)
         with pytest.raises(DomainError, match="growth must be finite"):
-            _advance(np.ones((3, 2)), np.array([0.0, bad, 0.0]), np.zeros(3, bool),
-                     np.full((3, 2), 0.5), params, c)
+            _advance(np.ones((3, 2)), np.array([0.0, bad, 0.0]), np.full((3, 2), 0.5),
+                     params, c)
 
 
 class TestEntryChecks:
@@ -552,6 +634,6 @@ class TestTrajectoryProperties:
         params, c, _ = default_economy()
         good = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
         verify_state_consistency(good, params, c)
-        bad = AgentState(good.capital, good.income * 1.001, 0.0, good.strategy)
+        bad = AgentState.from_capital(good.capital, good.income * 1.001, 0.0, good.strategy)
         with pytest.raises(Exception):
             verify_state_consistency(bad, params, c)

@@ -74,7 +74,7 @@ def _population_with_growths(growths, params, coefficients):
 
         capital = np.full(n, 1.0)
         income = production(capital, coefficients, params.scaling)
-        agents.append(AgentState(capital, income, g, sigma))
+        agents.append(AgentState.from_capital(capital, income, g, sigma))
     rngs = [agent_stream(0, i) for i in range(len(growths))]
     return Population.from_agents(agents, 0, rngs)
 
@@ -462,7 +462,7 @@ class TestBatchedPhaseOne:
             uniform_state(Strategy(np.array([0.3, 0.3, 0.4])), c, params),
             uniform_state(Strategy(np.array([0.5, 0.0, 0.5])), c, params, 3.0),
             # zero capital in a productive sector: zero income, absorbed
-            AgentState(np.array([0.0, 1.0, 2.0]), 0.0, 0.0, dead, absorbed=True),
+            AgentState.from_capital(np.array([0.0, 1.0, 2.0]), 0.0, 0.0, dead),
             uniform_state(dead, c, params, 0.5),
         ]
         self.run_parity(agents, params, c, [params.prices] * 300)

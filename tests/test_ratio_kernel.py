@@ -65,7 +65,7 @@ def capitals(n: int):
 
 def state_of(capital, coefficients, params, strategy) -> AgentState:
     income = production(capital, coefficients, params.scaling)
-    return AgentState(capital, income, 0.0, strategy)
+    return AgentState.from_capital(capital, income, 0.0, strategy)
 
 
 @settings(max_examples=60, deadline=None)

@@ -101,11 +101,18 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
     return medians
 
 
+def at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_sha")
     parser.add_argument("pr", help="the number in BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=at_least_one, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append",
                         help="may repeat (default: every workload of BENCHMARK.json)")
