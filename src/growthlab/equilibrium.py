@@ -19,10 +19,11 @@ The special case: growth - deprecation is only attainable when every sector
 with a positive production coefficient receives zero investment, in which
 case the response is zero and the growth formula still applies exactly.
 
-Both closed forms come from ``_fixed_point_rows`` over ``core._log_response``,
-one C-ordered row per strategy; the public functions are their one-row case.
-Each function here that can pass a zero (log 0 = -inf) silences numpy's
-divide warning once; the helper does not.
+Both closed forms come from ``_gain_rows``: g* + deprecation computed as
+scaling * exp(``core._log_response``), with no subtraction, one C-ordered row
+per strategy.  The fixed point divides by it, so a tiny positive response
+keeps its ratio.  The public functions are their one-row case.  Each function
+here that can pass a zero (log 0 = -inf) silences numpy's divide warning once.
 """
 
 from __future__ import annotations
@@ -60,29 +61,27 @@ def _resolve_prices(n: int, coefficients, params, prices=None) -> np.ndarray:
 
 
 @np.errstate(divide="ignore")  # log 0 = -inf: response 0, g* = -deprecation
-def _growth_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
-    """Equilibrium growth per row of ``sigma`` at prices already checked."""
-    log_terms = _log_response(sigma, coefficients, prices)
-    return params.scaling * np.exp(log_terms) - params.deprecation
+def _gain_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
+    """g* + deprecation per row of ``sigma`` at prices already checked."""
+    return params.scaling * np.exp(_log_response(sigma, coefficients, prices))
 
 
 def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):
     """(equilibrium ratio, g*) per row of ``sigma`` at prices already checked;
-    InvariantViolation if g* = -deprecation, as every simplex row invests,
+    InvariantViolation if the response is 0, as every simplex row invests,
     and DomainError if a ratio is past float range."""
-    g = _growth_rows(sigma, coefficients, params, prices)
-    denom = g + params.deprecation
-    if not (denom > 0.0).all():
+    gain = _gain_rows(sigma, coefficients, params, prices)
+    if not (gain > 0.0).all():
         raise InvariantViolation(
             "equilibrium growth is -deprecation while some sector still "
             "receives investment; its capital/income ratio diverges"
         )
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        ratio = sigma / (prices * denom[:, np.newaxis])
+        ratio = sigma / (prices * gain[:, np.newaxis])
     if not np.isfinite(ratio).all():
         raise DomainError("the equilibrium capital/income ratio is past float range: "
-                          f"g* + deprecation is {float(denom.min())!r}")
-    return ratio, g
+                          f"g* + deprecation is {float(gain.min())!r}")
+    return ratio, gain - params.deprecation
 
 
 def response(strategy: Strategy, coefficients: ProductionCoefficients) -> float:
@@ -109,7 +108,8 @@ def equilibrium_growth(
     response term is zero.
     """
     p = _resolve_prices(strategy.sectors, coefficients, params, prices)
-    return float(_growth_rows(strategy.weights[np.newaxis], coefficients, params, p)[0])
+    gain = _gain_rows(strategy.weights[np.newaxis], coefficients, params, p)
+    return float(gain[0] - params.deprecation)
 
 
 def equilibrium_ratio(

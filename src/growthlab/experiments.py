@@ -26,7 +26,7 @@ from .config import RunConfig, dump_config
 from .core import ConfigurationError, Strategy, _income, _log_response, _project_rows
 from .core import _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
-from .equilibrium import _growth_rows, _resolve_prices
+from .equilibrium import _gain_rows, _resolve_prices
 from .equilibrium import equilibrium_growth, optimal_strategy, response
 from .evolution import (
     evolve_step,
@@ -257,7 +257,7 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
         for block in np.split(sigma, range(2048, len(sigma), 2048)):
             with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
                 resp = np.exp(_log_response(block, coeffs))
-            g_star = _growth_rows(block, coeffs, cfg.params, p)
+            g_star = _gain_rows(block, coeffs, cfg.params, p) - cfg.params.deprecation
             values = np.column_stack([block, resp, g_star]).tolist()
             yield "\n".join(row % tuple(v) for v in values)
 

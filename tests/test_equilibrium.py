@@ -95,6 +95,18 @@ class TestEquilibriumRatio:
             for rec in records:
                 assert rec.growth == pytest.approx(g_star, abs=1e-10)
 
+    def test_tiny_response_keeps_its_ratio(self):
+        # g* + deprecation is 1.18e-38 and g* rounds to -deprecation: the
+        # fixed point divides by scaling * response, never by g* + deprecation
+        sigma = Strategy(np.array([1.0, 1.18e-38]))
+        c = ProductionCoefficients(np.array([0.0, 1.0]))
+        params = EconomyParams(1.0, 1.0, ONES2)
+        want = pytest.approx([1.0 / 1.18e-38, 1.0], rel=1e-13)  # exp(log r) rounds
+        state = equilibrium_state(sigma, c, params)
+        assert state.ratio.tolist() == want
+        assert (state.log_income, state.growth) == (0.0, -1.0)
+        assert equilibrium_ratio(sigma, c, params).tolist() == want
+
     def test_diverging_ratio_is_flagged(self):
         # response is zero but sector 1 still receives investment
         params = EconomyParams(0.1, 0.03, ONES2)

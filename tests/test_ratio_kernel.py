@@ -170,15 +170,15 @@ def switch_runs(draw):
     drawn in alpha, a and b.  a invests in every sector alpha supports, so
     its response is positive and it has a fixed point to start from.
 
-    Nonzero strategy entries are at least 1e-3 before repair: with a
-    response near 0, a's fixed point divides by g* + deprecation after the
-    two cancel, and the start is off its fixed point by more than the bound.
-    Deprecation starts at 1e-6, far from where the ratio, about 1 / delta,
-    leaves float range.
+    Nonzero strategy entries go down to 1e-300 before repair, so a's
+    response can be tiny: its fixed point must divide by scaling * response,
+    not by g* + deprecation after the two cancel, or the start is off its
+    fixed point by more than the bound.  Deprecation starts at 1e-6, so the
+    ratio, at most about 1 / (delta * 1e-300), stays in float range.
     """
     n = draw(st.integers(2, 6))
     coefficients = ProductionCoefficients(draw(simplex(n)).weights)
-    positive = st.floats(1e-3, 1.0)
+    positive = st.floats(1e-300, 1.0)
     entries = st.one_of(st.just(0.0), positive)
     a = draw(st.tuples(*(positive if x > 0.0 else entries for x in coefficients.alphas)))
     b = draw(st.lists(entries, min_size=n, max_size=n).filter(lambda w: sum(w) > 0.0))
