@@ -8,7 +8,8 @@ repair rules (along the last axis, so one call checks many points), the
 price, deprecation and sector-count rules, ``_log_response`` (the one
 weighted log-sum: the log-domain product of the step kernel, of production
 and of both equilibrium closed forms), and the immutable value types every
-other module passes around.
+other module passes around.  ``AgentState`` stores the step kernel's state,
+and ``AgentState.from_capital`` is its checked capital/income constructor.
 
 All functions here are pure; all types are frozen.  Products of powers are
 evaluated in log-domain so they do not underflow for many sectors; an

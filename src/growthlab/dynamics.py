@@ -14,8 +14,8 @@ ratio x = k / y and the log income, so income cannot overflow:
 
 Invested capital is non-malleable: a strategy switch reallocates only new
 investment, never the existing per-sector stock.  Zero income is absorbing:
-log income -inf, ratio 0, and growth 0.0.  An ``AgentState`` stores only
-this state, and derives capital, income and ``absorbed`` from it.
+log income -inf, ratio 0, and growth 0.0.  An ``AgentState`` stores the
+ratio and the log income, and derives capital, income and ``absorbed``.
 
 The product is the closed forms' ``core._log_response`` on C-ordered rows
 (F-ordered rows round differently); a zero factor is log 0 = -inf, and the
