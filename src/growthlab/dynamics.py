@@ -18,8 +18,8 @@ log income -inf, ratio 0, and growth 0.0.  An ``AgentState`` stores the
 ratio and the log income, and derives capital, income and ``absorbed``.
 
 The product is the closed forms' ``core._log_response`` on C-ordered rows
-(F-ordered rows round differently); a zero factor is log 0 = -inf, and the
-kernel's callers silence numpy's divide warning once, outside their loops.
+(F-ordered rows round differently); a zero factor is log 0 = -inf.  The
+kernel's callers silence numpy's divide and overflow warnings once, outside.
 
 Steps are numbered from 1; a PriceSchedule maps each step to a row of its
 price table, holding the last row past the end.
@@ -151,17 +151,18 @@ def _advance(x, log_y, invest, params, coefficients):
     population row equals the one-agent call bit for bit.  A zero factor (log
     0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0
     while its log income stays -inf.  Raises DomainError unless each row's
-    log growth is finite or -inf.
+    growth is finite and its log income finite or -inf.
     """
     v = invest + (1.0 - params.deprecation) * x
     log_g = math.log(params.scaling) + _log_response(v, coefficients)
     new_log_y = log_y + log_g
     gross = np.exp(log_g)
     growth = gross - 1.0
-    one = v.ndim == 1  # one agent: a 0-d log income, tested with no reduction
+    one = v.ndim == 1  # one agent: 0-d values, tested with no reduction
     # finite unless some row is absorbed, or broken
-    if not math.isfinite(new_log_y if one else np.add.reduce(new_log_y, axis=None)):
-        if not (new_log_y < np.inf).all():  # NaN or +inf
+    if not math.isfinite(new_log_y + gross if one
+                         else np.add.reduce(new_log_y + gross, axis=None)):
+        if not ((new_log_y < np.inf) & (gross < np.inf)).all():  # NaN or +inf
             raise DomainError("growth must be finite")
         growth = np.where(log_y == -np.inf, 0.0, growth)  # absorbed before
         gross = np.where(new_log_y == -np.inf, np.inf, gross)  # so their ratio reads 0
@@ -284,7 +285,7 @@ def run_switch_experiment(
     records: list[TraceRecord] = []
     x, log_y = state.ratio, state.log_income
     current = initial
-    with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
+    with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         for t in range(1, steps + 1):
             if t in changes:
                 p = prices.at(t)

@@ -60,10 +60,13 @@ def _resolve_prices(n: int, coefficients, params, prices=None) -> np.ndarray:
     return _check_prices(_as_vector(prices, "prices"), n)
 
 
-@np.errstate(divide="ignore")  # log 0 = -inf: response 0, g* = -deprecation
+@np.errstate(divide="ignore", over="ignore")  # log 0 = -inf: response 0, g* = -deprecation
 def _gain_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
-    """g* + deprecation per row of ``sigma`` at prices already checked."""
-    return params.scaling * np.exp(_log_response(sigma, coefficients, prices))
+    """g* + deprecation per row of ``sigma`` at checked prices; DomainError if not finite."""
+    gain = params.scaling * np.exp(_log_response(sigma, coefficients, prices))
+    if not np.isfinite(gain).all():
+        raise DomainError("g* + deprecation is past float range")
+    return gain
 
 
 def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):

@@ -247,7 +247,7 @@ def evolve_step(
     """
     p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
     invest = np.array([s.weights for s in population.strategies]) / p
-    with np.errstate(divide="ignore"):  # log 0 = -inf: an absorbed agent
+    with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         stepped = _advance(population.ratio, population.log_income, invest, params,
                            coefficients)
     strategies = list(population.strategies)

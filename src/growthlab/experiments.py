@@ -40,7 +40,7 @@ from .svgchart import emit_svg
 def fmt17(x: float) -> str:
     """Serialize a float with 17 significant digits (round-trip safe).
 
-    The row writers below put the same ``%.17g`` in one template per row.
+    The writers below put the same ``%.17g`` in their templates.
     """
     return "%.17g" % x
 
@@ -55,19 +55,36 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
             fh.write("\n")
 
 
+#: trace fields in CSV order and their formats; g* and sigma: formatted where they change
+_TRACE_COLUMNS = {"step": "%d", "agent_id": "%d", "income": "%.17g", "log_income": "%.17g",
+                  "growth": "%.17g", "equilibrium_growth": None, "excess_growth": "%.17g",
+                  "strategy": None}
+
+
 def trace_header(sectors: int) -> str:
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(sectors))
-    columns = "step,agent_id,income,log_income,growth,equilibrium_growth,excess_growth"
-    return f"{columns},{sigma_cols}"
+    return ",".join([*_TRACE_COLUMNS][:-1] + [f"sigma_{i}" for i in range(sectors)])
 
 
-def write_trace_csv(records: Sequence[TraceRecord], sectors: int, path: str) -> None:
-    row = "%d,%d" + ",%.17g" * (5 + sectors)
-    _write_lines(path, [trace_header(sectors)] + [
-        row % (r.step, r.agent_id, r.income, r.log_income, r.growth,
-               r.equilibrium_growth, r.excess_growth, *r.strategy)
-        for r in records
-    ])
+def write_trace_csv(
+    records: Sequence[TraceRecord], sectors: int, path: str
+) -> dict[str, list[str]]:
+    """Write the trace CSV; returns its formatted columns by field, for the
+    panel CSVs.  g* and sigma are formatted again only where the record's g*
+    or strategy object is not the previous record's."""
+    columns = list(zip(*records)) or [()] * len(TraceRecord._fields)
+    columns = dict(zip(TraceRecord._fields, columns))
+    text = {f: ((spec + ",") * len(records) % columns[f]).split(",")[:-1]
+            for f, spec in _TRACE_COLUMNS.items() if spec}
+    text["equilibrium_growth"], text["strategy"] = g_text, sigma_text = [], []
+    held = (None, None)
+    for g, sigma in zip(columns["equilibrium_growth"], columns["strategy"]):
+        if g is not held[0] or sigma is not held[1]:
+            held, g_str, sigma_str = (g, sigma), fmt17(g), ",".join(map(fmt17, sigma))
+        g_text.append(g_str)
+        sigma_text.append(sigma_str)
+    rows = map(",".join, zip(*(text[f] for f in _TRACE_COLUMNS)))
+    _write_lines(path, ["\n".join([trace_header(sectors), *rows])])
+    return text
 
 
 def write_effective_config(cfg: RunConfig) -> str:
@@ -150,9 +167,9 @@ def switch_experiment(cfg: RunConfig) -> ExperimentResult:
         cfg.prices,
         cfg.steps,
     )
-    write_trace_csv(records, cfg.params.sectors, cfg.output_path)
+    text = write_trace_csv(records, cfg.params.sectors, cfg.output_path)
     extras = [write_effective_config(cfg)]
-    extras.extend(_emit_panels(records, cfg.output_path, svg=cfg.emit_svg))
+    extras.extend(_emit_panels(records, text, cfg.output_path, svg=cfg.emit_svg))
     return ExperimentResult(cfg.output_path, tuple(extras))
 
 
@@ -165,24 +182,20 @@ _PANELS = {
 }
 
 
-def _emit_panels(
-    records: Sequence[TraceRecord], output_path: str, svg: bool
-) -> list[str]:
+def _emit_panels(records: Sequence[TraceRecord], text: dict[str, list[str]],
+                 output_path: str, svg: bool) -> list[str]:
+    """Each panel's CSV, joined from the trace's columns ``text``; with svg its chart."""
     stem, _ = os.path.splitext(output_path)
-    steps = [r.step for r in records]
-    column = {f: [getattr(r, f) for r in records]
-              for _, _, series in _PANELS.values() for _, f in series}
     written = []
     for name, (_, _, series) in _PANELS.items():
-        fields = [f for _, f in series]
-        row = "%d" + ",%.17g" * len(fields)
+        fields = ["step", *(f for _, f in series)]
         written.append(f"{stem}.{name}.csv")
-        _write_lines(written[-1], [",".join(["step", *fields])] + [
-            row % values for values in zip(steps, *(column[f] for f in fields))
-        ])
+        rows = map(",".join, zip(*(text[f] for f in fields)))
+        _write_lines(written[-1], ["\n".join([",".join(fields), *rows])])
+    column = dict(zip(TraceRecord._fields, zip(*records)))
     for name, (title, y_label, series) in _PANELS.items() if svg else ():
         written.append(f"{stem}.{name}.svg")
-        lines = [(label, list(zip(steps, column[f]))) for label, f in series]
+        lines = [(label, list(zip(column["step"], column[f]))) for label, f in series]
         emit_svg(lines, written[-1], title=title, y_label=y_label)
     return written
 
@@ -250,6 +263,7 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
     draws = experiment_stream(cfg.seed).dirichlet(np.ones(n), size=cfg.landscape.samples)
     sigma = _simplex_point(_project_rows(draws), "strategy weights")
     p = _resolve_prices(n, coeffs, cfg.params, cfg.prices.at(1))
+    _gain_rows(coeffs.alphas[np.newaxis], coeffs, cfg.params, p)  # its max: checked first
     row = "%.17g," * n + "%.17g,%.17g"
 
     def lines():  # rows computed and formatted in blocks of 2048

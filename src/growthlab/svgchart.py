@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .core import DomainError
 
 Series = Sequence[tuple[str, Sequence[tuple[float, float]]]]
@@ -43,16 +45,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # a step below float resolution at t: no further tick
+            break
         t += step
     return ticks
-
-
-def _fmt_coord(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _fmt_value(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def emit_svg(
@@ -76,10 +72,9 @@ def emit_svg(
         if not points:
             raise DomainError(f"series {label!r} has no points")
 
-    xs = [float(x) for _, pts in series for x, _ in pts]
-    ys = [float(y) for _, pts in series for _, y in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    arrays = [np.array(points, dtype=float) for _, points in series]
+    xy = np.concatenate(arrays)  # min and max propagate NaN
+    (x_lo, y_lo), (x_hi, y_hi) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = (y_hi - y_lo) * 0.05
@@ -87,14 +82,18 @@ def emit_svg(
         pad = max(abs(y_lo) * 0.1, 1e-6)
     y_lo -= pad
     y_hi += pad
+    # a non-finite point or a span past float range makes a span inf or NaN
+    if not all(np.finfo(float).tiny <= s < np.inf for s in (x_hi - x_lo, y_hi - y_lo)):
+        raise DomainError("chart points must be finite, each axis spanning a normal float")
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    def sx(x: float) -> float:
+    # pixels of a value or an array, with the same IEEE operations either way
+    def sx(x):
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out: list[str] = []
@@ -118,24 +117,24 @@ def emit_svg(
     for t in _nice_ticks(x_lo, x_hi):
         px = sx(t)
         out.append(
-            f'<line x1="{_fmt_coord(px)}" y1="{_MARGIN_TOP + plot_h}" '
-            f'x2="{_fmt_coord(px)}" y2="{_MARGIN_TOP + plot_h + 5}" stroke="#333"/>'
+            f'<line x1="{px:.2f}" y1="{_MARGIN_TOP + plot_h}" '
+            f'x2="{px:.2f}" y2="{_MARGIN_TOP + plot_h + 5}" stroke="#333"/>'
         )
         out.append(
-            f'<text x="{_fmt_coord(px)}" y="{_MARGIN_TOP + plot_h + 18}" '
+            f'<text x="{px:.2f}" y="{_MARGIN_TOP + plot_h + 18}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{_fmt_value(t)}</text>"
+            f"{t:.6g}</text>"
         )
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
         out.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{_fmt_coord(py)}" '
-            f'x2="{_MARGIN_LEFT}" y2="{_fmt_coord(py)}" stroke="#333"/>'
+            f'<line x1="{_MARGIN_LEFT - 5}" y1="{py:.2f}" '
+            f'x2="{_MARGIN_LEFT}" y2="{py:.2f}" stroke="#333"/>'
         )
         out.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt_coord(py + 3.5)}" '
+            f'<text x="{_MARGIN_LEFT - 8}" y="{py + 3.5:.2f}" '
             f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{_fmt_value(t)}</text>"
+            f"{t:.6g}</text>"
         )
     out.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 8}" '
@@ -150,12 +149,10 @@ def emit_svg(
             f'transform="rotate(-90 16 {cy:.0f})">{_escape(y_label)}</text>'
         )
 
-    for idx, (label, points) in enumerate(series):
+    for idx, ((label, _), points) in enumerate(zip(series, arrays)):
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(
-            f"{_fmt_coord(sx(float(x)))},{_fmt_coord(sy(float(y)))}"
-            for x, y in points
-        )
+        pixels = np.column_stack((sx(points[:, 0]), sy(points[:, 1]))).ravel()
+        coords = " ".join(["%.2f,%.2f"] * len(points)) % tuple(pixels.tolist())
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5"/>'

@@ -29,3 +29,27 @@ def test_pairs_below_one_is_a_usage_error(pairs, monkeypatch, capsys):
         bench_pair.main(["8540a69", "12", "--pairs", pairs])
     assert exit_info.value.code == 2
     assert f"--pairs: must be at least 1, got {pairs}" in capsys.readouterr().err
+
+
+def _runs(parent, change):
+    """Timed runs of one workload in bench_pair's layout, one metric."""
+    return [{"side": side, "workload": "w", "pass": k + 1,
+             "result": {"metrics": {"norm_cpu_s": {"value": v}}, "failed": 0}}
+            for side, values in (("parent", parent), ("change", change))
+            for k, v in enumerate(values)]
+
+
+PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartiles 1.175, 1.725
+
+
+@pytest.mark.parametrize("change, holds", [
+    ([v - 1.0 for v in PARENT], True),  # lower in 10/10, gap 1.0
+    ([v - 1.0 for v in PARENT[:8]] + PARENT[8:], False),  # gap 1.0, lower in 8/10
+    ([v - 0.3 for v in PARENT], False),  # lower in 10/10, gap 0.3 < IQR 0.55
+    ([v - 1.0 for v in PARENT[:9]] + [1.9], True),  # a tie counts for neither: 9/10
+], ids=["meets", "eight-of-ten", "inside-iqr", "nine-and-a-tie"])
+def test_summary_states_the_gain_rule(change, holds, capsys):
+    bench_pair = load_bench_pair()
+    medians = bench_pair.summarize(_runs(PARENT, change), ["w"], len(PARENT))
+    assert medians["w"]["gain"] == {"norm_cpu_s": holds}
+    assert ("gain rule holds" if holds else "gain rule does not hold") in capsys.readouterr().out

@@ -321,6 +321,24 @@ class TestExitCodes:
         )
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium", "--sigma", "0.5,0.5"],
+        ["converge", "--svg", "--steps", "5", "--output", "c.csv"],
+        ["evolve", "--svg", "--steps", "5", "--population", "8", "--output", "e.csv"],
+        ["landscape", "--samples", "10", "--output", "l.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_growth_past_float_range(self, argv, capsys, tmp_path, monkeypatch):
+        # scaling 1e10 at prices 1e-300: g* + delta overflows for every strategy
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv, "--alpha", "0.5,0.5",
+                                     "--prices", "1e-300,1e-300", "--s", "1e10")
+        assert caught == []
+        assert (code, out) == (1, "")
+        assert err == "error: g* + deprecation is past float range\n"
+        assert os.listdir(tmp_path) == []
+
 
 #: flag -> (its argument, the run document key it sets, the value written there)
 FLAG_KEYS = {

@@ -501,6 +501,28 @@ class TestAdvance:
             _advance(np.ones((3, 2)), np.array([0.0, bad, 0.0]), np.full((3, 2), 0.5),
                      params, c)
 
+    def test_growth_past_float_range_raises(self):
+        # ratio 1e300 at scaling 1e10: log income 713.8 is finite, growth is not
+        params = EconomyParams(1e10, 0.03, np.ones(2))
+        c = ProductionCoefficients(np.array([0.5, 0.5]))
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="growth must be finite"):
+            _advance(np.full(2, 1e300), 0.0, np.full(2, 0.5), params, c)
+
+    def test_growth_past_float_range_raises_for_one_row_of_many(self):
+        params = EconomyParams(1e10, 0.03, np.ones(2))
+        c = ProductionCoefficients(np.array([0.5, 0.5]))
+        x = np.array([[1.0, 1.0], [1e300, 1e300], [1.0, 1.0]])
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="growth must be finite"):
+            _advance(x, np.zeros(3), np.full((3, 2), 0.5), params, c)
+
+    def test_step_agent_rejects_growth_past_float_range_without_warning(self):
+        params = EconomyParams(1e10, 0.03, np.ones(2))
+        c = ProductionCoefficients(np.array([0.5, 0.5]))
+        state = AgentState(ratio=np.full(2, 1e300), log_income=0.0, growth=0.0,
+                           strategy=Strategy(np.array([0.5, 0.5])))
+        with pytest.raises(DomainError, match="growth must be finite"):
+            step_agent(state, params, c, params.prices)
+
 
 class TestEntryChecks:
     def test_price_schedule_sector_count(self):

@@ -1,15 +1,21 @@
 import json
+import math
 import os
+import re
+import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
-from growthlab.core import Strategy
-from growthlab.dynamics import equilibrium_state, run_hold
+from growthlab.core import DomainError, Strategy
+from growthlab.dynamics import TraceRecord, equilibrium_state, run_hold
 from growthlab.experiments import (
+    _emit_panels,
     switch_experiment,
     fmt17,
     landscape_experiment,
@@ -18,6 +24,7 @@ from growthlab.experiments import (
     trace_header,
     write_trace_csv,
 )
+from growthlab.svgchart import emit_svg
 
 
 def _switch_doc(tmp_path, **overrides):
@@ -266,8 +273,6 @@ class TestConfigClosure:
 
 class TestWriteTraceCsv:
     def test_round_trip_values(self, tmp_path):
-        from growthlab.dynamics import TraceRecord
-
         records = [
             TraceRecord(1, 0, 1.0185, 0.0185, 0.0185, 0.0, (0.5, 0.5), np.log(1.0185)),
             TraceRecord(2, 0, 1 / 3, -0.03, 0.001, -0.031, (0.25, 0.75), np.log(1 / 3)),
@@ -279,3 +284,117 @@ class TestWriteTraceCsv:
         assert float(row[2]) == 1 / 3
         assert float(row[3]) == np.log(1 / 3)
         assert float(row[7]) == 0.25
+
+
+#: floats a trace can hold: income inf past float range or 0 once absorbed,
+#: log income -inf once absorbed, and both signs of zero
+trace_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+)
+
+
+@st.composite
+def trace_records(draw):
+    """(sectors, records) in runs: each run has a g* object of its own, and a
+    new strategy tuple object only where it switches, so a price change
+    moves g* while sigma's tuple object stays the same."""
+    n = draw(st.integers(1, 6))
+    records, sigma = [], None
+    for length, switch in draw(st.lists(st.tuples(st.integers(1, 4), st.booleans()),
+                                        min_size=1, max_size=6)):
+        if sigma is None or switch:
+            sigma = tuple(draw(st.lists(trace_values, min_size=n, max_size=n)))
+        g_star = draw(trace_values)
+        for _ in range(length):
+            income, log_income, growth, excess = (draw(trace_values) for _ in range(4))
+            records.append(TraceRecord(len(records) + 1, 0, income, growth, g_star,
+                                       excess, sigma, log_income))
+    return n, records
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=trace_records())
+def test_trace_and_panel_csvs_match_per_field_formatting(drawn):
+    n, records = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        text = write_trace_csv(records, n, path)
+        _emit_panels(records, text, path, svg=False)
+        trace, growth, excess = (_read(os.path.join(tmp, name)) for name in
+                                 ("trace.csv", "trace.growth.csv", "trace.excess.csv"))
+    want = [trace_header(n)] + [",".join([
+        str(r.step), str(r.agent_id), *map(fmt17, (r.income, r.log_income, r.growth,
+                                                   r.equilibrium_growth, r.excess_growth,
+                                                   *r.strategy))]) for r in records]
+    assert trace == "\n".join(want) + "\n"
+    want = ["step,growth,equilibrium_growth"] + [
+        f"{r.step},{fmt17(r.growth)},{fmt17(r.equilibrium_growth)}" for r in records]
+    assert growth == "\n".join(want) + "\n"
+    want = ["step,excess_growth"] + [f"{r.step},{fmt17(r.excess_growth)}" for r in records]
+    assert excess == "\n".join(want) + "\n"
+
+
+def test_trace_csv_of_no_records_is_its_header(tmp_path):
+    path = str(tmp_path / "t.csv")
+    write_trace_csv([], 2, path)
+    assert _read(path) == trace_header(2) + "\n"
+
+
+def _polylines_by_scalar_formula(series):
+    """Each series' polyline points, as the chart computed them one point
+    at a time: the reference for the array computation.  None where an axis
+    spans less than a normal float, which the chart rejects."""
+    xs = [float(x) for _, pts in series for x, _ in pts]
+    ys = [float(y) for _, pts in series for _, y in pts]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    pad = (y_hi - y_lo) * 0.05
+    if pad == 0.0:
+        pad = max(abs(y_lo) * 0.1, 1e-6)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if min(x_hi - x_lo, y_hi - y_lo) < sys.float_info.min:
+        return None
+    return [" ".join(
+        f"{72 + (float(x) - x_lo) / (x_hi - x_lo) * 672:.2f},"
+        f"{34 + (y_hi - float(y)) / (y_hi - y_lo) * 300:.2f}"
+        for x, y in pts) for _, pts in series]
+
+
+chart_values = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def chart_series(draw):
+    """1-3 series of 1-40 points, some constant in y, x integer or float."""
+    series = []
+    for k in range(draw(st.integers(1, 3))):
+        xs = draw(st.lists(st.one_of(st.integers(-10**6, 10**6), chart_values),
+                           min_size=1, max_size=40))
+        if draw(st.booleans()):
+            ys = [draw(chart_values)] * len(xs)
+        else:
+            ys = draw(st.lists(chart_values, min_size=len(xs), max_size=len(xs)))
+        series.append((f"s{k}", list(zip(xs, ys))))
+    return series
+
+
+@settings(max_examples=80, deadline=None)
+@given(series=chart_series())
+def test_svg_polylines_match_scalar_formula(series):
+    want = _polylines_by_scalar_formula(series)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "chart.svg")
+        if want is None:
+            with pytest.raises(DomainError, match="normal float"):
+                emit_svg(series, path)
+            return
+        emit_svg(series, path)
+        got = re.findall(r'<polyline points="([^"]*)"', _read(path))
+    assert got == want

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from growthlab.core import DomainError
 from growthlab.svgchart import emit_svg
 
 
@@ -67,3 +68,30 @@ def test_axis_labels_present(tmp_path):
 def test_write_failure_raises_runtime_error():
     with pytest.raises(RuntimeError, match="/no/such/dir"):
         emit_svg([("s", [(0, 1.0)])], "/no/such/dir/x.svg")
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 1.0), (1, float("nan"))],
+    [(0, 1.0), (1, float("inf"))],
+    [(0, -float("inf")), (1, 1.0)],
+    [(float("nan"), 1.0), (1, 1.0)],
+    [(0, -1e308), (1, 1e308)],  # finite points, span past float range
+    [(-1e308, 0.0), (1e308, 1.0)],
+    [(0, 1.7e308), (1, 1.7e308)],  # constant: the padding leaves float range
+    [(2.0**53, 1.0)],  # one x: x + 1 is x, so the x axis spans 0
+    [(0.0, 1.0), (5e-324, 2.0)],  # an x span below the normal floats
+], ids=["nan", "inf", "-inf", "nan-x", "y-span", "x-span", "padded", "x-unit-lost",
+        "x-subnormal"])
+def test_points_past_float_range_rejected_before_writing(points, tmp_path):
+    path = tmp_path / "bad.svg"
+    with pytest.raises(DomainError, match="finite"):
+        emit_svg([("bad", points)], str(path))
+    assert not path.exists()
+
+
+def test_span_below_tick_resolution_finishes(tmp_path):
+    # a tick step below half an ulp of the ticks: t + step == t
+    path = tmp_path / "fine.svg"
+    emit_svg([("s", [(0, 1e10), (1, 1e10 + 2e-6)])], str(path))
+    polylines = re.findall(r'<polyline points="([^"]+)"', path.read_text())
+    assert len(polylines[0].split()) == 2

@@ -16,7 +16,10 @@ pairs run the parent first, even pairs the change first.  Then one
 ``--trace 1`` pass per side and workload, parent first.  The output has the
 keys description, command, order, machine, medians and runs; ``medians``
 holds each side's median of every end-to-end metric and its total of failed
-ops.  A summary (medians, quartiles and pair wins) goes to standard output.
+ops, and under "gain" whether each metric meets the gain rule: the change
+lower in at least 9 of 10 pairs, ties counting for neither, and the median
+gap wider than the parent's interquartile distance.  A summary (medians,
+quartiles, pair wins and the rule) goes to standard output.
 """
 
 from __future__ import annotations
@@ -71,9 +74,21 @@ def parse_machine(line: str) -> dict:
             "numpy": fields["numpy"], "line": line}
 
 
+def gain_holds(parent: list[float], change: list[float]) -> bool:
+    """The gain rule for a lower-is-better metric measured in pairs: the
+    change is lower in at least nine tenths of all pairs, ties counting for
+    neither, and its median is lower than the parent's by more than the
+    distance between the parent's quartiles."""
+    wins = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+    gap = statistics.median(parent) - statistics.median(change)
+    return 10 * wins >= 9 * len(parent) and gap > q3 - q1
+
+
 def summarize(runs: list[dict], workloads, pairs: int) -> dict:
     """Per workload and side: the median of each end-to-end metric, and the
-    total of failed ops; prints quartiles and pair wins as it goes."""
+    total of failed ops; per workload under "gain", whether each metric meets
+    the gain rule.  Prints quartiles, pair wins and the rule as it goes."""
     medians = {}
     for w in workloads:
         timed = {side: [r for r in runs if r["workload"] == w and r["side"] == side
@@ -85,6 +100,7 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
             medians[w][side] = {name: round(statistics.median(v), 4)
                                 for name, v in values.items()}
             medians[w][side]["failed"] = sum(r["result"]["failed"] for r in side_runs)
+        medians[w]["gain"] = {}
         for name in medians[w]["parent"]:
             if name == "failed":
                 continue
@@ -93,11 +109,13 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
             quartiles = {side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
                          for side, v in by_side.items()}
             wins = sum(c < p for p, c in zip(by_side["parent"], by_side["change"]))
+            gain = medians[w]["gain"][name] = gain_holds(by_side["parent"], by_side["change"])
             print(f"{w:<14} {name:<15} parent {medians[w]['parent'][name]:>10.4f} "
                   f"[{quartiles['parent'][0]:.4f}, {quartiles['parent'][2]:.4f}]  "
                   f"change {medians[w]['change'][name]:>10.4f} "
                   f"[{quartiles['change'][0]:.4f}, {quartiles['change'][2]:.4f}]  "
-                  f"change lower in {wins}/{pairs} pairs")
+                  f"change lower in {wins}/{pairs} pairs; gain rule "
+                  f"{'holds' if gain else 'does not hold'}")
     return medians
 
 
