@@ -9,12 +9,11 @@ Subcommands:
 
 Global flags: --config PATH (JSON run configuration), --seed N, --output
 PATH, --svg, --steps N.  Every flag is written onto the --config document at
-its key (the flag's dest, which --help shows as its metavar) and the result
-is validated by the config loader, so flags override config values.  The
-GROWTHLAB_SEED environment variable acts as --seed only when neither that
-flag nor the --config document gives a seed, so re-running an effective
-.config.json reproduces its run.  Exit codes: 0 success,
-2 configuration/usage error, 1 runtime error.
+its key (the flag's dest, which --help shows as its metavar) and only the
+config loader judges the result, so flags override config values.  The
+GROWTHLAB_SEED environment variable is the value of an unset ``seed``, so
+re-running an effective .config.json reproduces its run.  Exit codes: 0
+success, 2 configuration/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ _SCALING, _TARGET = "economy.scaling", "target_growth"
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process.  A flag's dest is the run document
-    key it overrides (--help shows it as the metavar); only command, config,
-    seed and sigma are not keys."""
+    key it overrides (--help shows it as the metavar); only command, config
+    and sigma are not keys."""
     parser = argparse.ArgumentParser(
         prog="growthlab",
         description="Growth-economy simulator: equilibrium analysis, "
@@ -138,49 +137,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args, doc: dict) -> int | None:
-    """The --seed flag, else GROWTHLAB_SEED if the document sets no seed."""
-    if args.seed is not None:
-        return args.seed
-    evolution = doc.get("evolution")
-    if doc.get("seed") is not None or (
-        isinstance(evolution, dict) and evolution.get("seed") is not None
-    ):
-        return None
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            )
-    return None
-
-
-def _section(doc: dict, name: str) -> dict:
-    section = doc.setdefault(name, {})
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"{name}: expected dict, got {type(section).__name__}")
-    return section
-
-
 def _overlay(args, doc: dict) -> dict:
     """Write every given flag onto the run document at its key (its dest).
 
-    ``--s`` nulls ``target_growth`` and ``--target`` nulls ``economy.scaling``,
-    so a flag also wins over the key that excludes it; given both, ``--s``
-    wins.
+    ``evolve --seed`` also writes ``evolution.seed``.  ``--s`` nulls
+    ``target_growth`` and ``--target`` nulls ``economy.scaling``, so a flag
+    also wins over the key that excludes it; given both, ``--s`` wins.  A
+    null section is absent, as to the loader, and a section that is not a
+    JSON object is left for the loader to reject.
     """
     values = {key: value for key, value in vars(args).items()
-              if value is not None and key not in ("command", "config", "seed", "sigma")}
+              if value is not None and key not in ("command", "config", "sigma")}
+    if "seed" in values and args.command == "evolve":
+        values["evolution.seed"] = values["seed"]
     if _SCALING in values:
         values[_TARGET] = None
     elif _TARGET in values:
         values[_SCALING] = None
     for key, value in values.items():
-        section, _, leaf = key.rpartition(".")
-        (_section(doc, section) if section else doc)[leaf] = value
+        name, _, leaf = key.rpartition(".")
+        if name and doc.get(name) is None:
+            doc[name] = {}
+        section = doc[name] if name else doc
+        if isinstance(section, dict):
+            section[leaf] = value
     return doc
 
 
@@ -195,11 +175,12 @@ def _experiment_config(args, experiment: str) -> RunConfig:
             f"config is for experiment {found!r}, subcommand needs {experiment!r}"
         )
     _overlay(args, doc)
-    seed = _resolve_seed(args, doc)
-    if seed is not None:
-        doc["seed"] = seed
-        if experiment == "evolve":
-            _section(doc, "evolution")["seed"] = seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if doc.get("seed") is None and env is not None:
+        try:
+            doc["seed"] = int(env)
+        except ValueError:
+            raise ConfigurationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
     return config_from_dict(doc)
 
 

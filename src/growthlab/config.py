@@ -317,13 +317,23 @@ def annual_to_step_rate(annual: float, steps_per_year: float) -> float:
 
     With the default steps_per_year = 1.0 the rates are identical ("percent
     per year" read as "percent per step").  A rate at or below -1 (all income
-    lost) has no per-step root and raises DomainError.
+    lost) has no per-step root, and a per-step rate past float range is no
+    rate: both raise DomainError.
     """
     if annual <= -1.0:
         raise DomainError(f"growth rate must exceed -1 (-100%), got {annual}")
     if steps_per_year == 1.0:
         return annual
-    return float((1.0 + annual) ** (1.0 / steps_per_year) - 1.0)
+    try:
+        rate = (1.0 + annual) ** (1.0 / steps_per_year) - 1.0
+    except OverflowError:
+        rate = np.inf
+    if rate == np.inf:
+        raise DomainError(
+            f"the per-step rate of {annual} at {steps_per_year} steps per year "
+            "is past float range"
+        )
+    return float(rate)
 
 
 def read_document(path: str) -> dict:

@@ -319,17 +319,22 @@ def _project_rows(arr: np.ndarray) -> np.ndarray:
     repaired = _clip_renormalize(arr)
     if repaired is None:
         raise DegenerateInputError(
-            "cannot project: no component is positive after clipping"
+            "cannot project: no component is positive after clipping, "
+            "or their sum is past float range"
         )
     return repaired
 
 
 def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
-    """Clip negatives, divide each point on the last axis of a finite array by
-    its total; None when some point has no positive component left."""
+    """Clip negatives, divide each point on the last axis by its total; None
+    unless every total is positive and finite (some point has no positive
+    component left, or its sum is past float range)."""
     clipped = np.maximum(arr, 0.0)
-    total = clipped.sum(axis=-1)
-    return (clipped.T / total).T if np.count_nonzero(total) == total.size else None
+    with np.errstate(over="ignore"):
+        total = clipped.sum(axis=-1)
+    if not ((total > 0.0) & (total < np.inf)).all():
+        return None
+    return (clipped.T / total).T
 
 
 @np.errstate(divide="ignore")  # log 0 = -inf: a zero base gives 0.0

@@ -150,8 +150,10 @@ def _advance(x, log_y, invest, params, coefficients):
     log(1 + g') is log scaling plus ``_log_response`` of each row, so a
     population row equals the one-agent call bit for bit.  A zero factor (log
     0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0
-    while its log income stays -inf.  Raises DomainError unless each row's
-    growth is finite and its log income finite or -inf.
+    while its log income stays -inf.  Below full deprecation a live row's zero
+    factor is a ratio that underflowed, so it is floored at the smallest
+    positive float instead.  Raises DomainError unless each row's growth is
+    finite and its log income finite or -inf.
     """
     v = invest + (1.0 - params.deprecation) * x
     log_g = math.log(params.scaling) + _log_response(v, coefficients)
@@ -164,6 +166,16 @@ def _advance(x, log_y, invest, params, coefficients):
                          else np.add.reduce(new_log_y + gross, axis=None)):
         if not ((new_log_y < np.inf) & (gross < np.inf)).all():  # NaN or +inf
             raise DomainError("growth must be finite")
+        # while deprecation < 1 a live row's supported capital stays positive,
+        # so its log growth -inf is an underflow: floor its zero factors
+        lost = (log_g == -np.inf) & (log_y > -np.inf)
+        if params.deprecation < 1.0 and lost.any():
+            floored = np.maximum(v, np.finfo(float).smallest_subnormal)
+            v = np.where(np.expand_dims(lost, -1), floored, v)
+            log_g = math.log(params.scaling) + _log_response(v, coefficients)
+            new_log_y = log_y + log_g
+            gross = np.exp(log_g)
+            growth = gross - 1.0
         growth = np.where(log_y == -np.inf, 0.0, growth)  # absorbed before
         gross = np.where(new_log_y == -np.inf, np.inf, gross)  # so their ratio reads 0
     return (v / gross if one else (v.T / gross).T), new_log_y, growth

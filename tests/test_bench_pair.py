@@ -3,6 +3,7 @@ benchmark run."""
 
 import importlib.util
 import os
+import statistics
 
 import pytest
 
@@ -53,3 +54,25 @@ def test_summary_states_the_gain_rule(change, holds, capsys):
     medians = bench_pair.summarize(_runs(PARENT, change), ["w"], len(PARENT))
     assert medians["w"]["gain"] == {"norm_cpu_s": holds}
     assert ("gain rule holds" if holds else "gain rule does not hold") in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parent, split", [
+    # the five pairs the parent ran first all beat the five it ran second
+    ([0.65, 0.79, 0.66, 0.73, 0.65, 0.81, 0.66, 0.78, 0.65, 0.80], True),
+    (PARENT, False),  # odd and even pairs interleave: 1.0, 1.2, ... and 1.1, 1.3, ...
+], ids=["split", "interleaved"])
+def test_summary_states_the_position_medians(parent, split, capsys):
+    bench_pair = load_bench_pair()
+    medians = bench_pair.summarize(_runs(parent, PARENT), ["w"], len(parent))
+    position = medians["w"]["position"]
+    first, second = parent[0::2], parent[1::2]  # odd pairs run the parent first
+    assert position["parent"]["norm_cpu_s"] == {
+        "first": round(statistics.median(first), 4),
+        "second": round(statistics.median(second), 4),
+        "split": split,
+    }
+    # the change ran first in the even pairs
+    assert position["change"]["norm_cpu_s"] == {"first": 1.5, "second": 1.4, "split": False}
+    out = capsys.readouterr().out
+    assert "by position in the pair: parent first " in out
+    assert ("(split)" in out) == split

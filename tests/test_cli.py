@@ -224,6 +224,13 @@ class TestExitCodes:
              "steps_per_year: must be a positive real, got 0.0"),
             (["calibrate", "--delta", "0.03", "--steps-per-year", "-2"],
              "steps_per_year: must be a positive real, got -2.0"),
+            # 1.02 ** 1e300 overflows; 1 / 1e-310 is inf, and 1.02 ** inf too
+            (["calibrate", "--delta", "0.03", "--steps-per-year", "1e-300"],
+             "target_growth: the per-step rate of 0.02 at 1e-300 steps per year "
+             "is past float range"),
+            (["calibrate", "--delta", "0.03", "--steps-per-year", "1e-310"],
+             "target_growth: the per-step rate of 0.02 at 1e-310 steps per year "
+             "is past float range"),
             (["calibrate", "--delta", "0"],
              "economy.deprecation: deprecation must lie in (0, 1]"),
             (["equilibrium", "--sigma", "0.5,0.5", "--delta", "0"],
@@ -231,7 +238,8 @@ class TestExitCodes:
             (["equilibrium", "--sigma", "0.5,0.5", "--s", "0.1", "--delta", "1.5"],
              "economy.deprecation: deprecation must lie in (0, 1]"),
         ],
-        ids=["calibrate-spy-0", "calibrate-spy-neg", "calibrate-delta-0",
+        ids=["calibrate-spy-0", "calibrate-spy-neg", "calibrate-spy-overflow",
+             "calibrate-spy-inf-exponent", "calibrate-delta-0",
              "equilibrium-delta-0", "equilibrium-delta-1.5"],
     )
     def test_bad_economy_value_named(self, capsys, argv, message):
@@ -304,6 +312,20 @@ class TestExitCodes:
             assert err.startswith("error: target_growth: growth rate must exceed -1")
             assert os.listdir(tmp_path) == ["run.json"]
 
+    def test_per_step_rate_past_float_range_in_a_document(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "landscape", "economy": {"alphas": [0.5, 0.5]},
+            "steps_per_year": 1e-300, "output": str(tmp_path / "out.csv"),
+        }))
+        code, out, err = run_cli(capsys, "landscape", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: target_growth: the per-step rate of 0.0185 at 1e-300 steps "
+            "per year is past float range\n"
+        )
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_equilibrium_ratio_past_float_range(self, capsys, tmp_path):
         # g* + delta below ~1e-308: the ratio overflows, a runtime error
         out_csv = tmp_path / "trace.csv"
@@ -342,6 +364,7 @@ class TestExitCodes:
 
 #: flag -> (its argument, the run document key it sets, the value written there)
 FLAG_KEYS = {
+    "--seed": ("5", "seed", 5),
     "--output": ("o.csv", "output", "o.csv"),
     "--svg": (None, "emit_svg", True),
     "--steps": ("7", "steps", 7),
@@ -362,7 +385,7 @@ FLAG_KEYS = {
     "--samples": ("11", "landscape.samples", 11),
 }
 #: flags that set no key, and each subcommand's required flags
-NOT_KEYS = {"-h", "--help", "--config", "--seed", "--sigma"}
+NOT_KEYS = {"-h", "--help", "--config", "--sigma"}
 REQUIRED = {
     "equilibrium": ["--sigma", "0.5,0.5"],
     "calibrate": ["--alpha", "0.3,0.7", "--delta", "0.03", "--target", "0.02"],
@@ -393,6 +416,8 @@ def test_flag_lands_on_its_documented_key(command, flag):
     doc = _overlay(args, {})
     section, _, leaf = key.rpartition(".")
     assert (doc[section] if section else doc)[leaf] == value
+    if flag == "--seed":  # evolve's population seed follows the run seed
+        assert doc.get("evolution") == ({"seed": 5} if command == "evolve" else None)
     if arg:  # --help shows the key as the flag's metavar
         help_text = " ".join(_subparsers()[command].format_help().split())
         assert f"{flag} {key.upper()}" in help_text
@@ -484,6 +509,29 @@ class TestConvergeCommand:
         capsys.readouterr()
         assert open(rerun, "rb").read() == (tmp_path / "a.csv").read_bytes()
 
+    def test_env_seed_ignores_the_unused_evolution_seed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a converge document without seed takes the variable, whatever its
+        # (ignored) evolution section says
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "steps": 40,
+            "economy": {"alphas": [0.5, 0.5]},
+            "evolution": {"seed": 3},
+            "output": str(tmp_path / "env.csv"),
+        }))
+        monkeypatch.setenv("GROWTHLAB_SEED", "7")
+        assert cli_main(["converge", "--config", str(cfg_path)]) == 0
+        monkeypatch.delenv("GROWTHLAB_SEED")
+        flag = str(tmp_path / "flag.csv")
+        assert cli_main(["converge", "--config", str(cfg_path), "--seed", "7",
+                         "--output", flag]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "env.csv").read_bytes() == open(flag, "rb").read()
+        assert json.loads((tmp_path / "env.config.json").read_text())["seed"] == 7
+
     def test_env_seed_must_be_integer(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("GROWTHLAB_SEED", "abc")
         code, out, err = run_cli(
@@ -523,6 +571,67 @@ class TestEvolveCommand:
         assert code == 0
         lines = open(out_path).read().splitlines()
         assert len(lines) == 1 + 4 * 9
+
+
+    def test_overflowing_imitation_draws_finish(self, capsys, tmp_path):
+        # imitation sd 1e308 draws rows whose total is past float range
+        out_path = tmp_path / "pop.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(
+                capsys, "evolve", "--alpha", "0.5,0.5", "--steps", "3",
+                "--population", "3", "--sample", "2", "--imitation-probability", "1",
+                "--imitation-sd", "1e308", "--output", str(out_path),
+            )
+        assert caught == []
+        assert (code, err) == (0, "")
+        assert len(out_path.read_text().splitlines()) == 1 + 4 * 3
+
+    def test_null_section_takes_flags(self, capsys, tmp_path):
+        # a null section is absent, for the flags as for the loader
+        cfg_path = tmp_path / "run.json"
+        out_path = tmp_path / "pop.csv"
+        cfg_path.write_text(json.dumps({
+            "experiment": "evolve", "steps": 3, "seed": 1,
+            "economy": {"alphas": [0.5, 0.5]}, "evolution": None,
+            "output": str(out_path),
+        }))
+        code, _, err = run_cli(capsys, "evolve", "--config", str(cfg_path),
+                               "--population", "4", "--sample", "2")
+        assert (code, err) == (0, "")
+        assert len(out_path.read_text().splitlines()) == 1 + 4 * 4
+
+    def test_env_seed_fills_seed_beside_evolution_seed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # an evolve document that sets only evolution.seed: the population
+        # keeps that seed, and the variable fills the unused top-level seed
+        doc = {
+            "experiment": "evolve", "steps": 4, "emit_svg": True,
+            "economy": {"alphas": [0.5, 0.5]},
+            "evolution": {"seed": 3, "population_size": 5,
+                          "observation_sample": 2, "imitation_probability": 0.5},
+        }
+        files = {}
+        for env in (None, "7"):
+            name = "env" if env else "plain"
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({**doc, "output": str(tmp_path / f"{name}.csv")}))
+            if env:
+                monkeypatch.setenv("GROWTHLAB_SEED", env)
+            else:
+                monkeypatch.delenv("GROWTHLAB_SEED", raising=False)
+            assert cli_main(["evolve", "--config", str(cfg_path)]) == 0
+            files[name] = {
+                p.name.removeprefix(name): p.read_bytes()
+                for p in tmp_path.glob(f"{name}.*") if p.suffix in (".csv", ".svg")
+            }
+            effective = json.loads((tmp_path / f"{name}.config.json").read_text())
+            assert effective["evolution"]["seed"] == 3
+            assert effective["seed"] == (7 if env else 0)
+        capsys.readouterr()
+        assert any(suffix.endswith(".svg") for suffix in files["env"])
+        assert files["env"] == files["plain"]
 
 
 class TestConfigOverlay:

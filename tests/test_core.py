@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,18 @@ class TestProjectToSimplex:
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
             project_to_simplex([-0.5, 0.0, -1.0])
+
+    def test_sum_past_float_range_raises_without_warning(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateInputError, match="past float range"):
+                project_to_simplex([1e308, 1e308])
+        assert caught == []
+
+    def test_large_finite_total_keeps_its_bits(self):
+        for v in ([8e307, 8e307], [1.5e308, -1.0], [1e308, 3e307, 2e307]):
+            clipped = np.maximum(np.array(v), 0.0)
+            assert project_to_simplex(v).as_tuple() == tuple(clipped / clipped.sum())
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)

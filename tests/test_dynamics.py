@@ -523,6 +523,44 @@ class TestAdvance:
         with pytest.raises(DomainError, match="growth must be finite"):
             step_agent(state, params, c, params.prices)
 
+    # alpha_0 tiny, no investment in sector 0 at deprecation 7/8: its ratio
+    # decays by 1/8 a step and underflows, but capital stays positive
+    UNDERFLOW = (EconomyParams(0.875, 0.875, np.ones(2)),
+                 ProductionCoefficients(np.array([2.4916783929421428e-185, 1.0])))
+
+    def test_underflowed_ratio_does_not_absorb(self):
+        params, c = self.UNDERFLOW
+        invest = np.array([0.0, 1.0])
+        with np.errstate(divide="ignore"):
+            # 0.125 * 5e-324 underflows to 0; 0.125 * 4e-323 is 5e-324 exactly
+            x, log_y, g = _advance(np.array([5e-324, 1.0]), -1.0, invest, params, c)
+            want = _advance(np.array([4e-323, 1.0]), -1.0, invest, params, c)
+        assert np.isfinite(log_y) and g > -params.deprecation
+        assert (x.tolist(), log_y, g) == (want[0].tolist(), want[1], want[2])
+
+    def test_underflowed_ratio_does_not_absorb_one_row_of_many(self):
+        params, c = self.UNDERFLOW
+        x = np.array([[5e-324, 1.0], [0.5, 1.0], [0.0, 1.0]])
+        log_y = np.array([-1.0, 2.0, -np.inf])
+        invest = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
+        with np.errstate(divide="ignore"):
+            xs, log_ys, gs = _advance(x, log_y, invest, params, c)
+            rows = [_advance(x[i], log_y[i], invest[i], params, c) for i in range(2)]
+            want = _advance(np.array([4e-323, 1.0]), -1.0, invest[0], params, c)
+        for i, (xi, log_yi, gi) in enumerate(rows):
+            assert (xs[i].tolist(), log_ys[i], gs[i]) == (xi.tolist(), log_yi, gi)
+        assert (xs[0].tolist(), log_ys[0], gs[0]) == (want[0].tolist(), want[1], want[2])
+        assert (log_ys[2], gs[2]) == (-np.inf, 0.0)  # absorbed before stays so
+
+    def test_full_deprecation_still_absorbs(self):
+        # at deprecation 1 an uninvested sector's capital is exactly 0
+        c = self.UNDERFLOW[1]
+        params = EconomyParams(0.875, 1.0, np.ones(2))
+        with np.errstate(divide="ignore"):
+            x, log_y, g = _advance(np.array([0.5, 1.0]), -1.0, np.array([0.0, 1.0]),
+                                   params, c)
+        assert (log_y, g, x.tolist()) == (-np.inf, -1.0, [0.0, 0.0])
+
 
 class TestEntryChecks:
     def test_price_schedule_sector_count(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,15 @@ class TestHillClimb:
         r2 = hill_climb(start, c, rng=np.random.default_rng(77))
         assert r1.strategy == r2.strategy
         assert r1.iterations == r2.iterations
+
+    def test_overflowing_steps_stall_without_warning(self):
+        # step 1e308: candidates past float range count as stalls
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = hill_climb(optimal_strategy(HALF), HALF, step_size=1e308,
+                                max_iters=200, rng=1)
+        assert caught == []
+        assert result.strategy == optimal_strategy(HALF)
 
     def test_bad_step_size(self):
         for step_size in (0.0, float("inf"), float("nan")):

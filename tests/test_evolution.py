@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -55,6 +57,30 @@ class TestMutateStrategy:
             for parent in parents:
                 child = mutate_strategy(parent, 0.05, rng)
                 assert validate_simplex(child.weights, 1e-12)
+
+    def test_overflowing_draws_are_redrawn_without_warning(self):
+        # sd 1e308: a draw is inf, or its clipped total is past float range
+        parent = Strategy(np.array([0.5, 0.5]))
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            children = [mutate_strategy(parent, 1e308, rng) for _ in range(200)]
+        assert caught == []
+        assert all(validate_simplex(child.weights, 1e-12) for child in children)
+
+    def test_parent_after_sixteen_failed_draws(self):
+        class Draws:
+            """Every draw clips to nothing or sums to inf."""
+            calls = 0
+
+            def normal(self, loc, scale, size):
+                self.calls += 1
+                return np.full(size, np.inf if self.calls % 2 else -1.0)
+
+        parent = Strategy(np.array([0.5, 0.5]))
+        draws = Draws()
+        assert mutate_strategy(parent, 0.1, draws) is parent
+        assert draws.calls == 16
 
     def test_negative_sd_rejected(self):
         # and a non-finite sd, which would leave no finite child
@@ -146,6 +172,23 @@ class TestSelectParent:
             counts[select_parent(0, pop, cfg, rng, self.params)] += 1
         # weights are g + delta = [.13, .03, .03], so peer 1 should win ~68%
         assert counts[1] / 20_000 == pytest.approx(0.13 / 0.19, abs=0.02)
+
+    def test_growth_proportional_uniform_when_all_weights_vanish(self):
+        # every peer grows at exactly -delta: a uniform choice of the sorted
+        # sample, drawn after the sample from the same stream
+        d = self.params.deprecation
+        pop = _population_with_growths([-d] * 5, self.params, self.coefficients)
+        cfg = EvolutionConfig(
+            population_size=5, observation_sample=3, selection_rule="growth-proportional"
+        )
+        chosen = set()
+        for seed in range(20):
+            got = select_parent(2, pop, cfg, np.random.default_rng(seed), self.params)
+            rng = np.random.default_rng(seed)
+            raw = rng.choice(4, size=3, replace=False)
+            assert got == int(rng.choice(np.sort(raw + (raw >= 2))))
+            chosen.add(got)
+        assert chosen == {0, 1, 3, 4}
 
     def test_population_of_one_rejected(self):
         pop = _population_with_growths([0.0], self.params, self.coefficients)

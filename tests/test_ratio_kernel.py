@@ -11,7 +11,7 @@ records: only its log income is -inf.
 import warnings
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from growthlab import (
     AgentState,
@@ -192,6 +192,15 @@ def switch_runs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(run=switch_runs())
+# sector 0's ratio decays by 1/8 a step under b and underflows at step 28;
+# exact capital stays positive, so the agent must not be absorbed
+@example(run=(
+    project_to_simplex(np.array([1e-300, 1.0])),
+    project_to_simplex(np.array([0.0, 1.0])),
+    EconomyParams(0.875, 0.875, np.ones(2)),
+    ProductionCoefficients(np.array([2.4916783929421428e-185, 1.0])),
+    np.ones(2),
+))
 def test_every_switch_overshoots_from_above(run):
     a, b, params, coefficients, prices = run
     records = run_switch_experiment(

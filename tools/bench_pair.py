@@ -18,8 +18,13 @@ keys description, command, order, machine, medians and runs; ``medians``
 holds each side's median of every end-to-end metric and its total of failed
 ops, and under "gain" whether each metric meets the gain rule: the change
 lower in at least 9 of 10 pairs, ties counting for neither, and the median
-gap wider than the parent's interquartile distance.  A summary (medians,
-quartiles, pair wins and the rule) goes to standard output.
+gap wider than the parent's interquartile distance.  Under "position" it
+holds each side's medians of each metric over the runs it made first and
+second in its pair, and flags the side as "split" when the two sets of runs
+do not overlap (every run at one position slower than every run at the
+other), since a position effect then widens the quartiles the gain rule
+reads.  A summary (medians, quartiles, pair wins, the rule and the position
+medians) goes to standard output.
 """
 
 from __future__ import annotations
@@ -85,10 +90,27 @@ def gain_holds(parent: list[float], change: list[float]) -> bool:
     return 10 * wins >= 9 * len(parent) and gap > q3 - q1
 
 
+def by_position(side_runs: list[dict], values: list[float]) -> dict:
+    """The medians of ``values`` over the runs made first and second in their
+    pair (None where there are none), and whether the two sets split: every
+    value at one position above every value at the other.  With 5 runs at
+    each position and no position effect, a split has chance 2 in 252."""
+    # odd pairs run the parent first, even pairs the change first
+    led = [(r["pass"] % 2 == 1) == (r["side"] == "parent") for r in side_runs]
+    at = {pos: [v for ran_first, v in zip(led, values) if ran_first == (pos == "first")]
+          for pos in ("first", "second")}
+    first, second = at.values()
+    split = bool(first and second) and (max(first) < min(second) or max(second) < min(first))
+    return {**{pos: round(statistics.median(v), 4) if v else None for pos, v in at.items()},
+            "split": split}
+
+
 def summarize(runs: list[dict], workloads, pairs: int) -> dict:
     """Per workload and side: the median of each end-to-end metric, and the
     total of failed ops; per workload under "gain", whether each metric meets
-    the gain rule.  Prints quartiles, pair wins and the rule as it goes."""
+    the gain rule, and under "position", each side's medians by position in
+    the pair.  Prints quartiles, pair wins, the rule and the position medians
+    as it goes."""
     medians = {}
     for w in workloads:
         timed = {side: [r for r in runs if r["workload"] == w and r["side"] == side
@@ -101,6 +123,7 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
                                 for name, v in values.items()}
             medians[w][side]["failed"] = sum(r["result"]["failed"] for r in side_runs)
         medians[w]["gain"] = {}
+        medians[w]["position"] = {side: {} for side in timed}
         for name in medians[w]["parent"]:
             if name == "failed":
                 continue
@@ -116,6 +139,12 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
                   f"[{quartiles['change'][0]:.4f}, {quartiles['change'][2]:.4f}]  "
                   f"change lower in {wins}/{pairs} pairs; gain rule "
                   f"{'holds' if gain else 'does not hold'}")
+            line = []
+            for side, side_runs in timed.items():
+                pos = medians[w]["position"][side][name] = by_position(side_runs, by_side[side])
+                line.append(f"{side} first {pos['first']} second {pos['second']}"
+                            + (" (split)" if pos["split"] else ""))
+            print(f"{'':<14} {'':<15} by position in the pair: {'; '.join(line)}")
     return medians
 
 
