@@ -28,6 +28,7 @@ import numpy as np
 from .config import (
     RunConfig,
     SwitchSpec,
+    _at,
     config_from_dict,
     economy_from_dict,
     read_document,
@@ -198,7 +199,8 @@ def cli_main(argv=None) -> int:
         if args.command == "equilibrium":
             doc = _overlay(args, {"economy": {}})
             coefficients, params, *_ = economy_from_dict(doc)
-            sigma = Strategy(np.asarray(args.sigma))
+            with _at("sigma"):
+                sigma = Strategy(np.asarray(args.sigma))
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":
@@ -218,7 +220,7 @@ def cli_main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GrowthLabError, OSError, RuntimeError) as exc:
+    except (GrowthLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

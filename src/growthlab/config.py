@@ -233,10 +233,13 @@ def economy_from_dict(
             "mutually exclusive with economy.scaling; give one of the two",
         )
     if scaling is None:
+        # the default target's per-step rate is past float range only by steps_per_year
+        rate_key = "steps_per_year" if target_growth is None else "target_growth"
         if target_growth is None:
             target_growth = DEFAULT_TARGET_GROWTH
-        with _at("target_growth"):
+        with _at(rate_key):
             per_step_target = annual_to_step_rate(target_growth, steps_per_year)
+        with _at("target_growth"):
             scaling = calibrate_scaling(
                 per_step_target, coefficients, deprecation, prices
             )

@@ -130,7 +130,7 @@ def _simplex_point(v: np.ndarray, name: str) -> np.ndarray:
     off = np.abs(sums - 1.0) > SIMPLEX_TOL
     if np.count_nonzero(off):
         raise DomainError(
-            f"{name} must sum to 1 within {SIMPLEX_TOL} (got {sums[off][0]!r})"
+            f"{name} must sum to 1 within {SIMPLEX_TOL} (got {float(sums[off][0])})"
         )
     return _freeze(v)
 
@@ -319,21 +319,26 @@ def _project_rows(arr: np.ndarray) -> np.ndarray:
     repaired = _clip_renormalize(arr)
     if repaired is None:
         raise DegenerateInputError(
-            "cannot project: no component is positive after clipping, "
-            "or their sum is past float range"
-        )
+            "cannot project: no component is positive after clipping")
     return repaired
 
 
 def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
     """Clip negatives, divide each point on the last axis by its total; None
     unless every total is positive and finite (some point has no positive
-    component left, or its sum is past float range)."""
+    component left, or an entry that is not finite).  Only a point of finite
+    entries whose total is past float range is first divided by its largest
+    entry; every other point keeps the bits of the plain division."""
     clipped = np.maximum(arr, 0.0)
     with np.errstate(over="ignore"):
         total = clipped.sum(axis=-1)
     if not ((total > 0.0) & (total < np.inf)).all():
-        return None
+        over = (total == np.inf) & np.isfinite(clipped).all(axis=-1)
+        peak = clipped.max(axis=-1, keepdims=True)
+        np.divide(clipped, peak, out=clipped, where=over[..., np.newaxis])
+        total = clipped.sum(axis=-1)
+        if not ((total > 0.0) & (total < np.inf)).all():
+            return None
     return (clipped.T / total).T
 
 

@@ -1,9 +1,10 @@
 """Experiment drivers and flat-file emission: the reproducibility surface.
 
 Every driver takes a validated RunConfig, runs deterministically from its
-seed, writes CSV (canonical output, floats at 17 significant digits) and
-optionally self-contained SVG charts, and drops an effective-config JSON
-next to the main output so the exact run can be repeated.
+seed and returns its files' text, opening none: the output CSV (floats at 17
+significant digits) and, by suffix, panel CSVs and SVG charts.  The one
+writer, ``run_experiment``, writes them beside an effective-config JSON that
+repeats the run, so a run whose driver raises writes nothing.
 
 CSV columns, sigma_* being sigma_0,...,sigma_{n-1}:
   trace       step,agent_id,income,log_income,growth,equilibrium_growth,
@@ -18,12 +19,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import RunConfig, dump_config
-from .core import ConfigurationError, Strategy, _income, _log_response, _project_rows
+from .core import Strategy, _income, _log_response, _project_rows
 from .core import _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
 from .equilibrium import _gain_rows, _resolve_prices
@@ -40,7 +41,7 @@ from .svgchart import emit_svg
 def fmt17(x: float) -> str:
     """Serialize a float with 17 significant digits (round-trip safe).
 
-    The writers below put the same ``%.17g`` in their templates.
+    The formatters below put the same ``%.17g`` in their templates.
     """
     return "%.17g" % x
 
@@ -65,12 +66,12 @@ def trace_header(sectors: int) -> str:
     return ",".join([*_TRACE_COLUMNS][:-1] + [f"sigma_{i}" for i in range(sectors)])
 
 
-def write_trace_csv(
-    records: Sequence[TraceRecord], sectors: int, path: str
-) -> dict[str, list[str]]:
-    """Write the trace CSV; returns its formatted columns by field, for the
-    panel CSVs.  g* and sigma are formatted again only where the record's g*
-    or strategy object is not the previous record's."""
+def format_trace(
+    records: Sequence[TraceRecord], sectors: int
+) -> tuple[str, dict[str, list[str]]]:
+    """The trace CSV's text, and its formatted columns by field for the panel
+    CSVs.  g* and sigma are formatted again only where the record's g* or
+    strategy object is not the previous record's."""
     columns = list(zip(*records)) or [()] * len(TraceRecord._fields)
     columns = dict(zip(TraceRecord._fields, columns))
     text = {f: ((spec + ",") * len(records) % columns[f]).split(",")[:-1]
@@ -83,30 +84,15 @@ def write_trace_csv(
         g_text.append(g_str)
         sigma_text.append(sigma_str)
     rows = map(",".join, zip(*(text[f] for f in _TRACE_COLUMNS)))
-    _write_lines(path, ["\n".join([trace_header(sectors), *rows])])
-    return text
-
-
-def write_effective_config(cfg: RunConfig) -> str:
-    """Dump the materialized configuration next to the main output file."""
-    path = os.path.splitext(cfg.output_path)[0] + ".config.json"
-    _write_lines(path, [json.dumps(dump_config(cfg), indent=2, sort_keys=True)])
-    return path
+    return "\n".join([trace_header(sectors), *rows]), text
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Paths written by one driver run."""
+    """Paths written by one ``run_experiment`` call, the output first."""
 
     output: str
     extras: tuple[str, ...] = ()
-
-
-def _require(cfg: RunConfig, experiment: str) -> None:
-    if cfg.experiment != experiment:
-        raise ConfigurationError(
-            f"config experiment is {cfg.experiment!r}, driver needs {experiment!r}"
-        )
 
 
 def draw_switch_schedule(
@@ -142,15 +128,14 @@ def draw_switch_schedule(
     return list(zip(steps_at, sigmas))
 
 
-def switch_experiment(cfg: RunConfig) -> ExperimentResult:
+def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """Strategy-switch run: trace CSV plus the two derived chart series.
 
-    Writes the full trace to the configured output path, then two panel CSVs
-    next to it: income growth vs. equilibrium growth, and their difference
-    (the excess growth that spikes right after each switch).  With emit_svg
-    set, both panels are also rendered as SVG line charts.
+    Returns the full trace as the output, and two panel CSVs to go next to
+    it: income growth vs. equilibrium growth, and their difference (the
+    excess growth that spikes right after each switch).  With emit_svg set,
+    both panels are also rendered as SVG line charts.
     """
-    _require(cfg, "switch")
     rng = experiment_stream(cfg.seed)
     sw = cfg.switch
     if sw.initial_sigma is not None:
@@ -167,10 +152,8 @@ def switch_experiment(cfg: RunConfig) -> ExperimentResult:
         cfg.prices,
         cfg.steps,
     )
-    text = write_trace_csv(records, cfg.params.sectors, cfg.output_path)
-    extras = [write_effective_config(cfg)]
-    extras.extend(_emit_panels(records, text, cfg.output_path, svg=cfg.emit_svg))
-    return ExperimentResult(cfg.output_path, tuple(extras))
+    trace, text = format_trace(records, cfg.params.sectors)
+    return [trace], _emit_panels(records, text, svg=cfg.emit_svg)
 
 
 #: panel -> (title, y label, its series as (label, TraceRecord field) pairs)
@@ -183,30 +166,26 @@ _PANELS = {
 
 
 def _emit_panels(records: Sequence[TraceRecord], text: dict[str, list[str]],
-                 output_path: str, svg: bool) -> list[str]:
-    """Each panel's CSV, joined from the trace's columns ``text``; with svg its chart."""
-    stem, _ = os.path.splitext(output_path)
-    written = []
+                 svg: bool) -> dict[str, list[str]]:
+    """Each panel's CSV by suffix, from the trace's columns ``text``; with svg its chart."""
+    files = {}
     for name, (_, _, series) in _PANELS.items():
         fields = ["step", *(f for _, f in series)]
-        written.append(f"{stem}.{name}.csv")
         rows = map(",".join, zip(*(text[f] for f in fields)))
-        _write_lines(written[-1], ["\n".join([",".join(fields), *rows])])
+        files[f".{name}.csv"] = ["\n".join([",".join(fields), *rows])]
     column = dict(zip(TraceRecord._fields, zip(*records)))
     for name, (title, y_label, series) in _PANELS.items() if svg else ():
-        written.append(f"{stem}.{name}.svg")
         lines = [(label, list(zip(column["step"], column[f]))) for label, f in series]
-        emit_svg(lines, written[-1], title=title, y_label=y_label)
-    return written
+        files[f".{name}.svg"] = [emit_svg(lines, title=title, y_label=y_label)]
+    return files
 
 
-def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Population imitation loop; writes the per-step population CSV.
+def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
+    """Population imitation loop; returns the per-step population CSV.
 
     Each agent's g*, response and formatted ``g*,sigma_0,...`` tail are
     computed again only when its strategy or the price row changes.
     """
-    _require(cfg, "evolve")
     evo = cfg.evolution
     pop = init_population(cfg.params, cfg.coefficients, evo, cfg.prices.at(1))
     sigma_cols = ",".join(f"sigma_{i}" for i in range(cfg.params.sectors))
@@ -243,22 +222,20 @@ def evolve_experiment(cfg: RunConfig) -> ExperimentResult:
     for t in range(1, cfg.steps + 1):
         pop = evolve_step(pop, cfg.params, cfg.coefficients, cfg.prices.at(t), evo)
         snapshot(t)
-    _write_lines(cfg.output_path, blocks)
-    extras = [write_effective_config(cfg)]
+    files = {}
     if cfg.emit_svg:
-        path = os.path.splitext(cfg.output_path)[0] + ".response.svg"
         series = [("mean response", mean_response)]
-        emit_svg(series, path, title="Population mean response", y_label="response")
-        extras.append(path)
-    return ExperimentResult(cfg.output_path, tuple(extras))
+        files[".response.svg"] = [
+            emit_svg(series, title="Population mean response", y_label="response")]
+    return blocks, files
 
 
-def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
-    """Sample the strategy simplex; writes response and equilibrium growth rows.
+def landscape_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[str]]]:
+    """Sample the strategy simplex; returns response and equilibrium growth rows.
 
     One batched draw takes the values of one draw per sample from the seed's
-    stream.  Every check runs before the output is opened."""
-    _require(cfg, "landscape")
+    stream.  Every check runs before this returns; the rows are a generator,
+    computed as they are written."""
     n, coeffs = cfg.params.sectors, cfg.coefficients
     draws = experiment_stream(cfg.seed).dirichlet(np.ones(n), size=cfg.landscape.samples)
     sigma = _simplex_point(_project_rows(draws), "strategy weights")
@@ -275,8 +252,7 @@ def landscape_experiment(cfg: RunConfig) -> ExperimentResult:
             values = np.column_stack([block, resp, g_star]).tolist()
             yield "\n".join(row % tuple(v) for v in values)
 
-    _write_lines(cfg.output_path, lines())
-    return ExperimentResult(cfg.output_path, (write_effective_config(cfg),))
+    return lines(), {}
 
 
 DRIVERS = {
@@ -287,4 +263,14 @@ DRIVERS = {
 
 
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
-    return DRIVERS[cfg.experiment](cfg)
+    """Run ``cfg``'s driver and write its files: the output at
+    ``cfg.output_path``, then the effective config at ``<stem>.config.json``
+    and each of the driver's files at ``<stem><suffix>``, in that order."""
+    output, files = DRIVERS[cfg.experiment](cfg)
+    _write_lines(cfg.output_path, output)
+    stem = os.path.splitext(cfg.output_path)[0]
+    config = json.dumps(dump_config(cfg), indent=2, sort_keys=True)
+    files = {".config.json": [config], **files}
+    for suffix, blocks in files.items():
+        _write_lines(stem + suffix, blocks)
+    return ExperimentResult(cfg.output_path, tuple(stem + suffix for suffix in files))

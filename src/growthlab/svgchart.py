@@ -1,7 +1,7 @@
 """Self-contained SVG line charts for time series, with deterministic bytes.
 
 No plotting dependency: charts are assembled as strings with fixed number
-formatting, so identical input always yields byte-identical files.  CSV
+formatting, so identical input always yields byte-identical text.  CSV
 remains the canonical output; these charts exist so a run can be eyeballed
 without further tooling.
 """
@@ -53,13 +53,12 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 def emit_svg(
     series: Series,
-    path: str,
     *,
     title: str = "",
     x_label: str = "time steps",
     y_label: str = "",
-) -> None:
-    """Write a line chart of labeled (x, y) sequences to ``path``.
+) -> str:
+    """The SVG text, no final newline, of a line chart of labeled (x, y) sequences.
 
     Axis ranges cover the union of the series with a small padding; a
     constant series yields a horizontal line with the y-axis spanning the
@@ -169,12 +168,7 @@ def emit_svg(
             f'font-size="11">{_escape(str(label))}</text>'
         )
     out.append("</svg>")
-
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise RuntimeError(f"failed to write SVG to {path}: {exc}") from exc
+    return "\n".join(out)
 
 
 def _escape(text: str) -> str:

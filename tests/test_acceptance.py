@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from growthlab import (
     EconomyParams,
@@ -40,9 +41,10 @@ from growthlab.evolution import (
     evolve_step,
     init_population,
 )
-from growthlab.experiments import switch_experiment
+from growthlab.experiments import run_experiment
 
 from conftest import default_economy, near_optimal, random_instance
+from test_ratio_kernel import VISIBLE_TOL, switch_runs, visibility_slack
 
 
 @contextmanager
@@ -313,7 +315,7 @@ def test_criterion_8_switch_overshoot_replication(tmp_path):
                 "switch": {"mutation_sd": 0.02},
                 "output": str(tmp_path / f"switch_{seed}.csv"),
             }
-            result = switch_experiment(config_from_dict(doc))
+            result = run_experiment(config_from_dict(doc))
             rows = [
                 line.split(",")
                 for line in open(result.output).read().splitlines()[1:]
@@ -384,3 +386,22 @@ def test_criterion_10_evolution_trend():
         print(f"    improved runs = {improved}/{n_runs}, elapsed = {elapsed:.2f}s")
         assert improved / n_runs >= 0.9
         assert elapsed < 30.0
+
+
+def test_criterion_11_switch_visible_at_once():
+    with criterion(11, "a switch from a fixed point shows in that step's growth"):
+        t0 = time.perf_counter()
+        slacks = []
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(run=switch_runs())
+        def switch(run):
+            slacks.append(visibility_slack(run))
+
+        switch()
+        elapsed = time.perf_counter() - t0
+        checked = [s for s in slacks if s < np.inf]
+        print(f"    worst slack = {min(checked):.3e} over {len(checked)} switches "
+              f"with a finite bound, elapsed = {elapsed:.2f}s")
+        assert min(checked) >= -VISIBLE_TOL
+        assert elapsed < 2.0

@@ -1,9 +1,10 @@
-"""Argument checks of tools/bench_pair.py, which run before any git call or
-benchmark run."""
+"""tools/bench_pair.py: its argument checks, which run before any git call
+or benchmark run, its summary, and the two trees it extracts."""
 
 import importlib.util
 import os
 import statistics
+import subprocess
 
 import pytest
 
@@ -76,3 +77,45 @@ def test_summary_states_the_position_medians(parent, split, capsys):
     out = capsys.readouterr().out
     assert "by position in the pair: parent first " in out
     assert ("(split)" in out) == split
+
+
+def _git(repo, *args):
+    return subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@t", *args),
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
+
+
+def test_change_tree_is_the_working_tree(tmp_path):
+    bench_pair = load_bench_pair()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for name in ("kept", "modified", "deleted"):
+        (repo / name).write_text(f"{name}\n")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "modified").write_text("changed\n")
+    (repo / "deleted").unlink()
+    (repo / "untracked").write_text("untracked\n")
+    status = _git(repo, "status", "--porcelain")
+
+    trees = bench_pair.make_trees(str(repo), "HEAD", str(tmp_path / "scratch"))
+    assert sorted(os.listdir(trees["parent"])) == ["deleted", "kept", "modified"]
+    assert (tmp_path / "scratch" / "parent" / "modified").read_text() == "modified\n"
+    assert sorted(os.listdir(trees["change"])) == ["kept", "modified"]
+    assert (tmp_path / "scratch" / "change" / "modified").read_text() == "changed\n"
+    # no ref moved, and the working tree and index read as before
+    assert _git(repo, "stash", "list") == ""
+    assert _git(repo, "status", "--porcelain") == status
+
+
+def test_clean_change_tree_is_head(tmp_path):
+    bench_pair = load_bench_pair()
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "file").write_text("committed\n")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")
+    trees = bench_pair.make_trees(str(repo), "HEAD", str(tmp_path / "scratch"))
+    assert os.listdir(trees["change"]) == ["file"]
+    assert (tmp_path / "scratch" / "change" / "file").read_text() == "committed\n"

@@ -321,10 +321,37 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "landscape", "--config", str(cfg_path))
         assert (code, out) == (2, "")
         assert err == (
-            "error: target_growth: the per-step rate of 0.0185 at 1e-300 steps "
+            "error: steps_per_year: the per-step rate of 0.0185 at 1e-300 steps "
             "per year is past float range\n"
         )
         assert os.listdir(tmp_path) == ["run.json"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["landscape", "--alpha", "0.5,0.4"],
+         "economy.alphas: production coefficients must sum to 1 within 1e-12 (got 0.9)"),
+        (["converge", "--alpha", "0.5,0.5", "--initial-sigma", "0.5,0.6"],
+         "switch.initial_sigma: strategy weights must sum to 1 within 1e-12 (got 1.1)"),
+        (["equilibrium", "--alpha", "0.5,0.5", "--sigma", "0.5,0.6"],
+         "sigma: strategy weights must sum to 1 within 1e-12 (got 1.1)"),
+        (["equilibrium", "--alpha", "0.5,0.5", "--sigma", "nan,1"],
+         "sigma: strategy weights must be finite"),
+    ], ids=["alphas", "initial-sigma", "sigma-sum", "sigma-nan"])
+    def test_strategy_off_the_simplex_named(self, argv, message, capsys, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_output_under_a_regular_file_writes_nothing(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(capsys, "landscape", "--alpha", "0.5,0.5", "--samples",
+                                 "3", "--output", str(tmp_path / "file" / "out.csv"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["file"]
+        assert (tmp_path / "file").read_text() == ""
 
     def test_equilibrium_ratio_past_float_range(self, capsys, tmp_path):
         # g* + delta below ~1e-308: the ratio overflows, a runtime error

@@ -3,7 +3,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -13,16 +12,14 @@ from hypothesis import given, settings, strategies as st
 from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
 from growthlab.core import DomainError, Strategy
+from growthlab import experiments
 from growthlab.dynamics import TraceRecord, equilibrium_state, run_hold
 from growthlab.experiments import (
     _emit_panels,
-    switch_experiment,
     fmt17,
-    landscape_experiment,
-    evolve_experiment,
+    format_trace,
     run_experiment,
     trace_header,
-    write_trace_csv,
 )
 from growthlab.svgchart import emit_svg
 
@@ -48,7 +45,7 @@ class TestCsvFormat:
 
     def test_trace_schema(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path))
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         lines = open(result.output).read().splitlines()
         assert lines[0] == (
             "step,agent_id,income,log_income,growth,equilibrium_growth,"
@@ -66,7 +63,7 @@ class TestCsvFormat:
 class TestSwitchExperiment:
     def test_writes_panels_and_config(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path, emit_svg=True))
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         stem = os.path.splitext(result.output)[0]
         for suffix in (".config.json", ".growth.csv", ".excess.csv",
                        ".growth.svg", ".excess.svg"):
@@ -74,7 +71,7 @@ class TestSwitchExperiment:
 
     def test_panel_contents_match_trace(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path))
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         stem = os.path.splitext(result.output)[0]
         trace = [l.split(",") for l in open(result.output).read().splitlines()[1:]]
         growth_panel = [
@@ -91,7 +88,7 @@ class TestSwitchExperiment:
 
     def test_excess_growth_never_meaningfully_negative(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path, seed=3))
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         rows = [l.split(",") for l in open(result.output).read().splitlines()[1:]]
         excess = np.array([float(r[6]) for r in rows])
         assert excess.min() >= -1e-10
@@ -99,7 +96,7 @@ class TestSwitchExperiment:
     def test_each_switch_overshoots_new_equilibrium(self, tmp_path):
         doc = _switch_doc(tmp_path, seed=19)
         cfg = config_from_dict(doc)
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         rows = [l.split(",") for l in open(result.output).read().splitlines()[1:]]
         sigmas = [(r[7], r[8]) for r in rows]
         for t in range(1, len(rows)):
@@ -110,9 +107,9 @@ class TestSwitchExperiment:
 
     def test_deterministic_given_seed(self, tmp_path):
         doc = _switch_doc(tmp_path, seed=29)
-        out1 = switch_experiment(config_from_dict(dict(doc)))
+        out1 = run_experiment(config_from_dict(dict(doc)))
         bytes1 = open(out1.output, "rb").read()
-        out2 = switch_experiment(config_from_dict(dict(doc)))
+        out2 = run_experiment(config_from_dict(dict(doc)))
         bytes2 = open(out2.output, "rb").read()
         assert bytes1 == bytes2
 
@@ -123,14 +120,25 @@ class TestSwitchExperiment:
             switch={"initial_sigma": sigma, "switch_steps": []},
         )
         cfg = config_from_dict(doc)
-        result = switch_experiment(cfg)
+        result = run_experiment(cfg)
         start = equilibrium_state(
             Strategy(np.asarray(sigma)), cfg.coefficients, cfg.params, cfg.prices.at(1)
         )
         records = run_hold(start, cfg.params, cfg.coefficients, cfg.prices, cfg.steps)
-        hold_path = str(tmp_path / "hold.csv")
-        write_trace_csv(records, cfg.params.sectors, hold_path)
-        assert open(result.output, "rb").read() == open(hold_path, "rb").read()
+        hold = format_trace(records, cfg.params.sectors)[0] + "\n"
+        assert open(result.output, "rb").read() == hold.encode()
+
+    @pytest.mark.parametrize("experiment", ["switch", "evolve"])
+    def test_failed_chart_writes_nothing(self, tmp_path, monkeypatch, experiment):
+        def fail(*args, **kwargs):
+            raise DomainError("chart points must be finite")
+
+        monkeypatch.setattr(experiments, "emit_svg", fail)
+        doc = _switch_doc(tmp_path, experiment=experiment, steps=5, emit_svg=True,
+                          evolution={"population_size": 4, "observation_sample": 2})
+        with pytest.raises(DomainError, match="chart points"):
+            run_experiment(config_from_dict(doc))
+        assert os.listdir(tmp_path) == []
 
 
 class TestEvolveExperiment:
@@ -143,7 +151,7 @@ class TestEvolveExperiment:
             "evolution": {"population_size": 6, "observation_sample": 2},
             "output": str(tmp_path / "pop.csv"),
         }
-        result = evolve_experiment(config_from_dict(doc))
+        result = run_experiment(config_from_dict(doc))
         lines = open(result.output).read().splitlines()
         assert lines[0] == (
             "step,agent_id,income,log_income,growth,equilibrium_growth,sigma_0,sigma_1"
@@ -162,9 +170,9 @@ class TestEvolveExperiment:
                           "imitation_probability": 0.2},
             "output": str(tmp_path / "pop.csv"),
         }
-        r1 = evolve_experiment(config_from_dict(dict(doc)))
+        r1 = run_experiment(config_from_dict(dict(doc)))
         b1 = open(r1.output, "rb").read()
-        r2 = evolve_experiment(config_from_dict(dict(doc)))
+        r2 = run_experiment(config_from_dict(dict(doc)))
         assert open(r2.output, "rb").read() == b1
 
 
@@ -177,7 +185,7 @@ class TestLandscapeExperiment:
             "seed": 5,
             "output": str(tmp_path / "land.csv"),
         }
-        result = landscape_experiment(config_from_dict(doc))
+        result = run_experiment(config_from_dict(doc))
         lines = open(result.output).read().splitlines()
         assert lines[0] == "sigma_0,sigma_1,response,equilibrium_growth"
         assert len(lines) == 26
@@ -272,14 +280,12 @@ class TestConfigClosure:
 
 
 class TestWriteTraceCsv:
-    def test_round_trip_values(self, tmp_path):
+    def test_round_trip_values(self):
         records = [
             TraceRecord(1, 0, 1.0185, 0.0185, 0.0185, 0.0, (0.5, 0.5), np.log(1.0185)),
             TraceRecord(2, 0, 1 / 3, -0.03, 0.001, -0.031, (0.25, 0.75), np.log(1 / 3)),
         ]
-        path = str(tmp_path / "t.csv")
-        write_trace_csv(records, 2, path)
-        lines = open(path).read().splitlines()
+        lines = format_trace(records, 2)[0].splitlines()
         row = lines[2].split(",")
         assert float(row[2]) == 1 / 3
         assert float(row[3]) == np.log(1 / 3)
@@ -313,37 +319,27 @@ def trace_records(draw):
     return n, records
 
 
-def _read(path):
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 @settings(max_examples=60, deadline=None)
 @given(drawn=trace_records())
 def test_trace_and_panel_csvs_match_per_field_formatting(drawn):
     n, records = drawn
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.csv")
-        text = write_trace_csv(records, n, path)
-        _emit_panels(records, text, path, svg=False)
-        trace, growth, excess = (_read(os.path.join(tmp, name)) for name in
-                                 ("trace.csv", "trace.growth.csv", "trace.excess.csv"))
+    trace, text = format_trace(records, n)
+    panels = _emit_panels(records, text, svg=False)
+    [growth], [excess] = panels[".growth.csv"], panels[".excess.csv"]
     want = [trace_header(n)] + [",".join([
         str(r.step), str(r.agent_id), *map(fmt17, (r.income, r.log_income, r.growth,
                                                    r.equilibrium_growth, r.excess_growth,
                                                    *r.strategy))]) for r in records]
-    assert trace == "\n".join(want) + "\n"
+    assert trace == "\n".join(want)
     want = ["step,growth,equilibrium_growth"] + [
         f"{r.step},{fmt17(r.growth)},{fmt17(r.equilibrium_growth)}" for r in records]
-    assert growth == "\n".join(want) + "\n"
+    assert growth == "\n".join(want)
     want = ["step,excess_growth"] + [f"{r.step},{fmt17(r.excess_growth)}" for r in records]
-    assert excess == "\n".join(want) + "\n"
+    assert excess == "\n".join(want)
 
 
-def test_trace_csv_of_no_records_is_its_header(tmp_path):
-    path = str(tmp_path / "t.csv")
-    write_trace_csv([], 2, path)
-    assert _read(path) == trace_header(2) + "\n"
+def test_trace_csv_of_no_records_is_its_header():
+    assert format_trace([], 2)[0] == trace_header(2)
 
 
 def _polylines_by_scalar_formula(series):
@@ -389,12 +385,9 @@ def chart_series(draw):
 @given(series=chart_series())
 def test_svg_polylines_match_scalar_formula(series):
     want = _polylines_by_scalar_formula(series)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "chart.svg")
-        if want is None:
-            with pytest.raises(DomainError, match="normal float"):
-                emit_svg(series, path)
-            return
-        emit_svg(series, path)
-        got = re.findall(r'<polyline points="([^"]*)"', _read(path))
+    if want is None:
+        with pytest.raises(DomainError, match="normal float"):
+            emit_svg(series)
+        return
+    got = re.findall(r'<polyline points="([^"]*)"', emit_svg(series))
     assert got == want

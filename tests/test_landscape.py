@@ -21,7 +21,7 @@ from growthlab import DomainError, equilibrium_growth, project_to_simplex, respo
 from growthlab import experiments
 from growthlab.config import config_from_dict
 from growthlab.evolution import experiment_stream
-from growthlab.experiments import fmt17, landscape_experiment
+from growthlab.experiments import fmt17, run_experiment
 
 
 @st.composite
@@ -49,7 +49,7 @@ def run_landscape(doc: dict) -> list[str]:
     """Rows of the landscape CSV written for ``doc``, header first."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "landscape.csv")
-        landscape_experiment(config_from_dict(dict(doc, output=out)))
+        run_experiment(config_from_dict(dict(doc, output=out)))
         with open(out, encoding="utf-8") as fh:
             return fh.read().splitlines()
 
@@ -117,5 +117,5 @@ def test_failed_check_writes_nothing(tmp_path, monkeypatch):
         "output": str(out),
     }
     with pytest.raises(DomainError, match="projection input must be finite"):
-        landscape_experiment(config_from_dict(doc))
+        run_experiment(config_from_dict(doc))
     assert list(tmp_path.iterdir()) == []

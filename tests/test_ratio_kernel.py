@@ -5,9 +5,12 @@ step of ``run_hold`` and of ``evolve_step``), the capital/income ratio is
 scale-invariant, so scaling the start capital leaves the growth path
 unchanged, strategies stay on the simplex after mutation and after
 imitation, and every switch approaches its new equilibrium from above.  A zero-income agent stays absorbed, and no NaN reaches its
-records: only its log income is -inf.
+records: only its log income is -inf.  A switch away from a fixed point
+shows in the growth of the very step it takes effect (README derives the
+bound).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -29,11 +32,13 @@ from growthlab import (
     step_agent,
     validate_simplex,
 )
+from growthlab.core import _log_response
 from growthlab.evolution import SELECTION_RULES, agent_stream, mutate_strategy
 
 STEPS = 40
 FLOOR_TOL = 1e-12  # the same slack as the trajectory tests in test_dynamics.py
 EXCESS_TOL = 1e-10  # criterion 4's bound on post-switch excess growth
+VISIBLE_TOL = 1e-12  # absolute, on the log-growth bound of a switch
 
 
 def simplex(n: int, low: float = 0.0):
@@ -207,6 +212,36 @@ def test_every_switch_overshoots_from_above(run):
         a, [(2, b)], params, coefficients, PriceSchedule.constant(prices), STEPS
     )
     assert min(r.excess_growth for r in records) >= -EXCESS_TOL
+
+
+def visibility_slack(run) -> float:
+    """log(1+g) - log(1+g*_a) - w (L_b - L_a) for an agent at a's fixed point
+    that switches to b at step 2, g being its growth there; w = (g*_a + delta)
+    / (1 + g*_a) and L = ``_log_response`` at the prices.  Concavity of log
+    makes it at least 0; inf where b leaves a supported sector empty.
+
+    g*_a + delta is s exp(L_a), which does not round to 0, and log(1+g) is
+    the step's log income gain, which does not round g to -1 when 1+g is
+    tiny: the bound is computed from L and log incomes, not from g.
+    """
+    a, b, params, coefficients, prices = run
+    records = run_switch_experiment(
+        a, [(2, b)], params, coefficients, PriceSchedule.constant(prices), 2
+    )
+    with np.errstate(divide="ignore"):  # a zero entry of b: L_b = -inf
+        l_a, l_b = (float(_log_response(s.weights, coefficients, prices)) for s in (a, b))
+    if l_b == -np.inf:
+        return np.inf
+    gain_a = params.scaling * math.exp(l_a)  # g*_a + delta
+    gross_a = 1.0 - params.deprecation + gain_a  # 1 + g*_a
+    log_gross = records[1].log_income - records[0].log_income  # log(1 + g)
+    return log_gross - math.log(gross_a) - gain_a / gross_a * (l_b - l_a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=switch_runs())
+def test_switch_is_visible_in_its_first_step(run):
+    assert visibility_slack(run) >= -VISIBLE_TOL
 
 
 def test_absorbed_agent_reads_no_nan():

@@ -6,10 +6,8 @@ from growthlab.core import DomainError
 from growthlab.svgchart import emit_svg
 
 
-def test_single_constant_series_draws_horizontal_line(tmp_path):
-    path = tmp_path / "flat.svg"
-    emit_svg([("flat", [(0, 2.0), (5, 2.0), (10, 2.0)])], str(path))
-    text = path.read_text()
+def test_single_constant_series_draws_horizontal_line():
+    text = emit_svg([("flat", [(0, 2.0), (5, 2.0), (10, 2.0)])])
     polylines = re.findall(r'<polyline points="([^"]+)"', text)
     assert len(polylines) == 1
     ys = {pt.split(",")[1] for pt in polylines[0].split()}
@@ -18,16 +16,13 @@ def test_single_constant_series_draws_horizontal_line(tmp_path):
     assert "2" in text
 
 
-def test_two_series_get_distinct_styles_and_legend(tmp_path):
-    path = tmp_path / "two.svg"
-    emit_svg(
+def test_two_series_get_distinct_styles_and_legend():
+    text = emit_svg(
         [
             ("alpha", [(0, 1.0), (1, 1.5), (2, 1.2)]),
             ("beta", [(0, 0.8), (1, 0.9), (2, 1.1)]),
         ],
-        str(path),
     )
-    text = path.read_text()
     strokes = re.findall(r'<polyline points="[^"]+" fill="none" stroke="([^"]+)"', text)
     assert len(strokes) == 2
     assert strokes[0] != strokes[1]
@@ -35,39 +30,28 @@ def test_two_series_get_distinct_styles_and_legend(tmp_path):
     assert ">beta</text>" in text
 
 
-def test_byte_identical_for_identical_input(tmp_path):
+def test_byte_identical_for_identical_input():
     series = [("s", [(i, (i * 7919) % 13 / 3.0) for i in range(50)])]
-    p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    emit_svg(series, str(p1))
-    emit_svg(series, str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
+    assert emit_svg(series).encode() == emit_svg(series).encode()
 
 
-def test_empty_series_rejected(tmp_path):
+def test_empty_series_rejected():
     with pytest.raises(Exception):
-        emit_svg([], str(tmp_path / "no.svg"))
+        emit_svg([])
     with pytest.raises(Exception):
-        emit_svg([("empty", [])], str(tmp_path / "no.svg"))
+        emit_svg([("empty", [])])
 
 
-def test_axis_labels_present(tmp_path):
-    path = tmp_path / "labels.svg"
-    emit_svg(
+def test_axis_labels_present():
+    text = emit_svg(
         [("x", [(0, 0.0), (1, 1.0)])],
-        str(path),
         title="T",
         x_label="steps",
         y_label="value",
     )
-    text = path.read_text()
     assert ">steps</text>" in text
     assert ">value</text>" in text
     assert ">T</text>" in text
-
-
-def test_write_failure_raises_runtime_error():
-    with pytest.raises(RuntimeError, match="/no/such/dir"):
-        emit_svg([("s", [(0, 1.0)])], "/no/such/dir/x.svg")
 
 
 @pytest.mark.parametrize("points", [
@@ -82,16 +66,13 @@ def test_write_failure_raises_runtime_error():
     [(0.0, 1.0), (5e-324, 2.0)],  # an x span below the normal floats
 ], ids=["nan", "inf", "-inf", "nan-x", "y-span", "x-span", "padded", "x-unit-lost",
         "x-subnormal"])
-def test_points_past_float_range_rejected_before_writing(points, tmp_path):
-    path = tmp_path / "bad.svg"
+def test_points_past_float_range_rejected_before_writing(points):
     with pytest.raises(DomainError, match="finite"):
-        emit_svg([("bad", points)], str(path))
-    assert not path.exists()
+        emit_svg([("bad", points)])
 
 
-def test_span_below_tick_resolution_finishes(tmp_path):
+def test_span_below_tick_resolution_finishes():
     # a tick step below half an ulp of the ticks: t + step == t
-    path = tmp_path / "fine.svg"
-    emit_svg([("s", [(0, 1e10), (1, 1e10 + 2e-6)])], str(path))
-    polylines = re.findall(r'<polyline points="([^"]+)"', path.read_text())
+    text = emit_svg([("s", [(0, 1e10), (1, 1e10 + 2e-6)])])
+    polylines = re.findall(r'<polyline points="([^"]+)"', text)
     assert len(polylines[0].split()) == 2

@@ -4,12 +4,14 @@
                                 [--workload NAME ...] [--description TEXT]
                                 [--output PATH]
 
-Run from anywhere inside the git checkout.  The parent tree is a
-``git archive`` of PARENT_SHA and the change tree a copy of the files that
-``git ls-files`` lists, as they are in the working tree; both go to a fresh
-temporary directory, so neither has a .git directory and both machine lines
-read commit=unknown.  Each tree runs its own, unmodified
-``perfbench/run.py``.
+Run from anywhere inside the git checkout.  Both trees are extracted the
+same way, by ``git archive`` of a commit object into a fresh temporary
+directory: the parent's is PARENT_SHA, and the change's is a commit of the
+working tree's tracked files made by ``git stash create`` (HEAD when the
+tree is clean), which moves no ref.  Neither tree has a .git directory, so
+both machine lines read commit=unknown.  Each tree runs its own,
+unmodified ``perfbench/run.py``.  Building both sides alike keeps one
+build method; it is not known to cause or cure the position effect below.
 
 Layout: N pairs per workload, the workloads in turn within a pair; odd
 pairs run the parent first, even pairs the change first.  Then one
@@ -32,7 +34,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -45,17 +46,14 @@ def git(*args: str, cwd: str) -> bytes:
 
 def make_trees(repo: str, parent_sha: str, scratch: str) -> dict[str, str]:
     """The parent and change trees under ``scratch``, by side."""
-    parent, change = os.path.join(scratch, "parent"), os.path.join(scratch, "change")
-    os.makedirs(parent)
-    archive = git("archive", parent_sha, cwd=repo)
-    subprocess.run(("tar", "-x", "-C", parent), input=archive, check=True)
-    for name in git("ls-files", "-z", cwd=repo).decode().split("\0"):
-        src = os.path.join(repo, name)
-        if name and os.path.isfile(src):  # a tracked file may be deleted
-            dst = os.path.join(change, name)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            shutil.copy2(src, dst)
-    return {"parent": parent, "change": change}
+    change_sha = git("stash", "create", cwd=repo).decode().strip() or "HEAD"
+    trees = {}
+    for side, sha in (("parent", parent_sha), ("change", change_sha)):
+        trees[side] = os.path.join(scratch, side)
+        os.makedirs(trees[side])
+        archive = git("archive", sha, cwd=repo)
+        subprocess.run(("tar", "-x", "-C", trees[side]), input=archive, check=True)
+    return trees
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, str]:
@@ -193,9 +191,10 @@ def main(argv=None) -> int:
         "order": (f"{args.pairs} pairs per workload, workloads in turn "
                   f"({', '.join(workloads)}); odd pairs run the parent first, even "
                   "pairs the change first; then one --trace 1 pass per side and "
-                  f"workload, parent first. The parent side ran from a git archive of "
-                  f"{sha} and the change side from a copy of the change's tracked "
-                  "files, neither with a .git directory, so their machine lines read "
+                  f"workload, parent first. Both sides ran from a git archive of a "
+                  f"commit: the parent side of {sha}, the change side of a commit of "
+                  "the working tree's tracked files (git stash create, or HEAD when "
+                  "clean); neither has a .git directory, so their machine lines read "
                   "commit=unknown. Written by tools/bench_pair.py"),
         "machine": parse_machine(machine),
         "medians": summarize(runs, workloads, args.pairs),
