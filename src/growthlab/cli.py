@@ -33,7 +33,7 @@ from .config import (
     economy_from_dict,
     read_document,
 )
-from .core import ConfigurationError, GrowthLabError, Strategy
+from .core import ConfigurationError, GrowthLabError, Strategy, _check_sectors
 from .equilibrium import equilibrium_growth
 from .experiments import run_experiment
 
@@ -201,6 +201,8 @@ def cli_main(argv=None) -> int:
             coefficients, params, *_ = economy_from_dict(doc)
             with _at("sigma"):
                 sigma = Strategy(np.asarray(args.sigma))
+                _check_sectors(strategy=sigma.sectors, params=params.sectors,
+                               coefficients=coefficients.sectors)
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":

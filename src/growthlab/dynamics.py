@@ -58,14 +58,13 @@ class PriceSchedule:
     is one row.
 
     The model itself prescribes no law for dynamic prices; this type makes
-    whatever choice the caller made explicit.  A row equal to the one before
-    it is that row's array, so ``at`` returns the same object while prices
-    hold, and a loop over the steps recomputes only where the row object
-    changes.
+    whatever choice the caller made explicit.  The steps on which prices
+    change, those t >= 2 whose row differs in value from row t - 1, are found
+    once, here, so a loop over the steps recomputes only on them.
     """
 
     values: np.ndarray
-    _rows: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _changes: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -75,11 +74,9 @@ class PriceSchedule:
         if arr.ndim != 2 or arr.size == 0:
             raise DimensionError("a price schedule needs a non-empty (steps, sectors) table")
         values = _freeze(_check_prices(arr, arr.shape[1]))
-        rows = [values[0]]
-        for row in values[1:]:
-            rows.append(rows[-1] if np.array_equal(row, rows[-1]) else row)
+        changed = (values[1:] != values[:-1]).any(axis=1)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_changes", tuple((np.flatnonzero(changed) + 2).tolist()))
 
     @classmethod
     def constant(cls, prices) -> "PriceSchedule":
@@ -89,15 +86,12 @@ class PriceSchedule:
         """Price vector for simulation step ``step`` (1-based)."""
         if step < 1:
             raise ConfigurationError(f"step must be >= 1, got {step}")
-        rows = self._rows
-        return rows[step - 1] if step < len(rows) else rows[-1]
+        return self.values[min(step, len(self.values)) - 1]
 
     def change_steps(self, steps: int) -> list[int]:
-        """The steps t in [2, steps] whose price row is a different object
-        from the row before: the steps on which prices change."""
-        rows = self._rows
-        return [t for t in range(2, min(len(rows), steps) + 1)
-                if rows[t - 1] is not rows[t - 2]]
+        """The steps t in [2, steps] whose price row differs from the row
+        before: the steps on which prices change."""
+        return [t for t in self._changes if t <= steps]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PriceSchedule):

@@ -183,45 +183,35 @@ def _emit_panels(records: Sequence[TraceRecord], text: dict[str, list[str]],
 def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """Population imitation loop; returns the per-step population CSV.
 
-    Each agent's g*, response and formatted ``g*,sigma_0,...`` tail are
-    computed again only when its strategy or the price row changes.
+    Steps 0 (the initial population) to T in one loop.  Per agent it holds
+    (strategy, ``g*,sigma_0,...`` tail, response), recomputed only for a new
+    strategy object, which the entry keeps alive so its id is not reused,
+    and on the steps whose prices change.
     """
-    evo = cfg.evolution
-    pop = init_population(cfg.params, cfg.coefficients, evo, cfg.prices.at(1))
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(cfg.params.sectors))
-    header = f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"
-    blocks = [header]  # one block of rows per step
+    evo, params, coeffs = cfg.evolution, cfg.params, cfg.coefficients
+    pop = init_population(params, coeffs, evo, cfg.prices.at(1))
+    sigma_cols = ",".join(f"sigma_{i}" for i in range(params.sectors))
+    blocks = [f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"]
     mean_response: list[tuple[int, float]] = []
-    held: list[Strategy | None] = [None] * evo.population_size
-    tails = [""] * evo.population_size
-    responses = [0.0] * evo.population_size
+    held = [(None, "", 0.0)] * evo.population_size  # (strategy, tail, response)
     changes = set(cfg.prices.change_steps(cfg.steps))
-
-    def snapshot(step: int) -> None:
-        p = cfg.prices.at(max(step, 1))
-        if step in changes:
-            held[:] = [None] * len(held)
+    for t in range(cfg.steps + 1):
+        p = cfg.prices.at(max(t, 1))
+        if t >= 1:
+            pop = evolve_step(pop, params, coeffs, p, evo)
         for i, strategy in enumerate(pop.strategies):
-            if strategy is not held[i]:
-                held[i] = strategy
-                g_star = equilibrium_growth(strategy, cfg.coefficients, cfg.params, p)
-                sigma = ",".join(fmt17(s) for s in strategy.weights)
-                tails[i] = f"{fmt17(g_star)},{sigma}"
-                if cfg.emit_svg:
-                    responses[i] = response(strategy, cfg.coefficients)
+            if t in changes or strategy is not held[i][0]:
+                g_star = equilibrium_growth(strategy, coeffs, params, p)
+                tail = ",".join(map(fmt17, [g_star, *strategy.weights]))
+                held[i] = (strategy, tail, response(strategy, coeffs) if cfg.emit_svg else 0.0)
         if cfg.emit_svg:
-            mean_response.append((step, float(np.mean(responses))))
+            mean_response.append((t, float(np.mean([r for _, _, r in held]))))
         blocks.append("\n".join(
-            "%d,%d,%.17g,%.17g,%.17g,%s" % (step, i, _income(log_y), log_y, g, tail)
-            for i, (log_y, g, tail) in enumerate(
-                zip(pop.log_income.tolist(), pop.growth.tolist(), tails)
+            "%d,%d,%.17g,%.17g,%.17g,%s" % (t, i, _income(log_y), log_y, g, tail)
+            for i, (log_y, g, (_, tail, _)) in enumerate(
+                zip(pop.log_income.tolist(), pop.growth.tolist(), held)
             )
         ))
-
-    snapshot(0)
-    for t in range(1, cfg.steps + 1):
-        pop = evolve_step(pop, cfg.params, cfg.coefficients, cfg.prices.at(t), evo)
-        snapshot(t)
     files = {}
     if cfg.emit_svg:
         series = [("mean response", mean_response)]

@@ -394,14 +394,52 @@ def test_criterion_11_switch_visible_at_once():
         slacks = []
 
         @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-        @given(run=switch_runs())
+        @given(run=switch_runs(b_like_a=True))
         def switch(run):
             slacks.append(visibility_slack(run))
 
         switch()
         elapsed = time.perf_counter() - t0
-        checked = [s for s in slacks if s < np.inf]
-        print(f"    worst slack = {min(checked):.3e} over {len(checked)} switches "
-              f"with a finite bound, elapsed = {elapsed:.2f}s")
-        assert min(checked) >= -VISIBLE_TOL
+        finite = sum(s < np.inf for s in slacks)
+        print(f"    worst slack = {min(slacks):.3e} over {len(slacks)} switches, "
+              f"{finite} with a finite bound, elapsed = {elapsed:.2f}s")
+        assert finite == len(slacks) == 120
+        assert min(slacks) >= -VISIBLE_TOL
         assert elapsed < 2.0
+
+
+def test_criterion_12_quick_adaptation():
+    with criterion(12, "a population at a poor common strategy adapts quickly"):
+        t0 = time.perf_counter()
+        params, coefficients, _ = default_economy()
+        prices = params.prices
+        start = Strategy(np.array([0.9, 0.1]))  # response 0.3 of the maximum 0.5
+
+        def population(config):
+            return init_population(params, coefficients, config, prices,
+                                   strategies=[start] * config.population_size)
+
+        steps = []
+        for seed in range(6):
+            config = EvolutionConfig(seed=seed)
+            pop = population(config)
+            for t in range(1, 601):
+                pop = evolve_step(pop, params, coefficients, prices, config)
+                if np.mean([response(s, coefficients) for s in pop.strategies]) >= 0.495:
+                    break
+            else:
+                t = None  # not within 600 steps
+            steps.append(t)
+        # every peer of a homogeneous start grows as the observer does, so
+        # pairwise-better never imitates and variation never enters
+        config = EvolutionConfig(seed=0, selection_rule="pairwise-better")
+        pop = population(config)
+        for _ in range(500):
+            pop = evolve_step(pop, params, coefficients, prices, config)
+        held = all(s is start for s in pop.strategies)
+        elapsed = time.perf_counter() - t0
+        print(f"    steps to 99% of the maximum response, seeds 0-5 = {steps}; "
+              f"pairwise-better held its start = {held}, elapsed = {elapsed:.2f}s")
+        assert None not in steps
+        assert held
+        assert elapsed < 10.0

@@ -335,7 +335,9 @@ class TestExitCodes:
          "sigma: strategy weights must sum to 1 within 1e-12 (got 1.1)"),
         (["equilibrium", "--alpha", "0.5,0.5", "--sigma", "nan,1"],
          "sigma: strategy weights must be finite"),
-    ], ids=["alphas", "initial-sigma", "sigma-sum", "sigma-nan"])
+        (["equilibrium", "--alpha", "0.5,0.5", "--sigma", "0.2,0.3,0.5"],
+         "sigma: sector counts differ: strategy 3, params 2, coefficients 2"),
+    ], ids=["alphas", "initial-sigma", "sigma-sum", "sigma-nan", "sigma-sectors"])
     def test_strategy_off_the_simplex_named(self, argv, message, capsys, tmp_path,
                                             monkeypatch):
         monkeypatch.chdir(tmp_path)

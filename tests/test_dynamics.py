@@ -69,21 +69,22 @@ class TestPriceSchedule:
 
     def test_at_returns_one_object_while_prices_hold(self):
         # change_steps, which run_switch_experiment and the evolve driver
-        # read, is where this object changes
+        # read, is where this value changes
         s = PriceSchedule([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
-        assert s.at(1) is s.at(2)
-        assert s.at(3) is not s.at(2)
-        assert s.at(3) is s.at(4)
-        assert s.at(5) is not s.at(4)
-        assert s.at(5) is s.at(6) is s.at(10**6)
+        assert np.array_equal(s.at(1), s.at(2))
+        assert not np.array_equal(s.at(3), s.at(2))
+        assert np.array_equal(s.at(3), s.at(4))
+        assert not np.array_equal(s.at(5), s.at(4))
+        assert np.array_equal(s.at(5), s.at(6)) and np.array_equal(s.at(6), s.at(10**6))
         c = PriceSchedule.constant([1.0, 2.0])
-        assert c.at(1) is c.at(2) is c.at(999)
+        assert np.array_equal(c.at(1), c.at(2)) and np.array_equal(c.at(2), c.at(999))
 
     def test_change_steps(self):
-        # the steps t in [2, steps] whose row object differs from step t - 1's
+        # the steps t in [2, steps] whose row value differs from step t - 1's
         s = PriceSchedule([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
         assert s.change_steps(10) == [3, 5]
-        assert s.change_steps(10) == [t for t in range(2, 11) if s.at(t) is not s.at(t - 1)]
+        assert s.change_steps(10) == [
+            t for t in range(2, 11) if not np.array_equal(s.at(t), s.at(t - 1))]
         assert (s.change_steps(4), s.change_steps(2), s.change_steps(1)) == ([3], [], [])
         assert PriceSchedule.constant([1.0, 2.0]).change_steps(999) == []
 
@@ -410,10 +411,10 @@ class TestStepAgentParity:
         self.assert_parity(state, [(7, b)], params, c, PriceSchedule(rows), 7)
 
     def test_rows_that_return_to_an_earlier_value(self):
-        # A, B, A: three distinct row objects, the first and last equal
+        # A, B, A: the first and last rows equal, and each a change step
         inst, state, (p, q), b = self.parity_case(233)
         prices = PriceSchedule([p, q, p])
-        assert prices.at(3) is not prices.at(1) and prices.at(4) is prices.at(3)
+        assert np.array_equal(prices.at(3), prices.at(1)) and prices.change_steps(10) == [2, 3]
         c, params = inst.coefficients, inst.params
         self.assert_parity(state, [], params, c, prices, 10)
         self.assert_parity(state, [(3, b)], params, c, prices, 10)
