@@ -101,9 +101,11 @@ def _log_response(values: np.ndarray, coefficients, prices=None) -> np.ndarray:
     alpha_i * (log v_i - log p_i) over the support (p = 1 without prices);
     -inf, under the caller's errstate, if a supported entry is 0.
 
-    np.vecdot gives each row the bits of its own np.dot, the same as a
-    (sectors,) vector, but only on C-ordered rows: F-ordered rows of 4 or
-    more sectors round some sums differently, and the pins hold the bits.
+    A (sectors,) vector is one ``ndarray.dot``, the cheapest call for one
+    agent's step.  Rows take np.vecdot, which gives each row the bits of its
+    own dot, but only on C-ordered rows: F-ordered rows of 4 or more sectors
+    round some sums differently, and a 2-d ``.dot`` (a gemv) rounds some rows
+    differently too; the pins hold the bits.
     """
     sup, alph = coefficients.support, coefficients.alphas
     if sup.size < alph.size:  # zero-alpha sectors are inert; take keeps C order
@@ -111,7 +113,7 @@ def _log_response(values: np.ndarray, coefficients, prices=None) -> np.ndarray:
     logs = np.log(values)
     if prices is not None:
         logs -= np.log(prices[sup])
-    return np.vecdot(logs, alph)
+    return logs.dot(alph) if logs.ndim == 1 else np.vecdot(logs, alph)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -196,11 +198,15 @@ class EconomyParams:
     ``scaling`` bounds the maximum possible income growth rate; ``deprecation``
     is the per-step proportional capital decay, uniform across sectors; the
     ``prices`` vector is the default (constant) capital price per sector.
+    The step kernel's ``retention`` (a frozen (sectors,) vector of
+    1 - deprecation) and ``log_scaling`` (log scaling) are derived once.
     """
 
     scaling: float
     deprecation: float
     prices: np.ndarray
+    retention: np.ndarray = field(init=False, repr=False)
+    log_scaling: float = field(init=False, repr=False)
 
     def __post_init__(self):
         p = _as_vector(self.prices, "prices")
@@ -210,6 +216,9 @@ class EconomyParams:
         object.__setattr__(self, "scaling", float(self.scaling))
         object.__setattr__(self, "deprecation", _check_deprecation(self.deprecation))
         object.__setattr__(self, "prices", _freeze(p))
+        retention = np.full(p.size, 1.0 - self.deprecation)
+        object.__setattr__(self, "retention", _freeze(retention))
+        object.__setattr__(self, "log_scaling", math.log(self.scaling))
 
     @property
     def sectors(self) -> int:

@@ -141,16 +141,19 @@ def _advance(x, log_y, invest, params, coefficients):
 
     ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with a
     scalar log income, or C-ordered (agents, sectors) with an (agents,) one.
-    log(1 + g') is log scaling plus ``_log_response`` of each row, so a
-    population row equals the one-agent call bit for bit.  A zero factor (log
-    0; callers silence numpy's warning) absorbs the row: growth -1, then 0.0
-    while its log income stays -inf.  Below full deprecation a live row's zero
-    factor is a ratio that underflowed, so it is floored at the smallest
-    positive float instead.  Raises DomainError unless each row's growth is
-    finite and its log income finite or -inf.
+    The capital carried over is ``params.retention`` (1 - deprecation, per
+    sector, so it broadcasts over rows) times x, and log(1 + g') is
+    ``params.log_scaling`` plus ``_log_response`` of each row: one ``dot`` for
+    one agent, np.vecdot for rows, with the same bits, so a population row
+    equals the one-agent call bit for bit.  A zero factor (log 0; callers
+    silence numpy's warning) absorbs the row: growth -1, then 0.0 while its
+    log income stays -inf.  Below full deprecation a live row's zero factor
+    is a ratio that underflowed, so it is floored at the smallest positive
+    float instead.  Raises DomainError unless each row's growth is finite and
+    its log income finite or -inf.
     """
-    v = invest + (1.0 - params.deprecation) * x
-    log_g = math.log(params.scaling) + _log_response(v, coefficients)
+    v = invest + params.retention * x
+    log_g = params.log_scaling + _log_response(v, coefficients)
     new_log_y = log_y + log_g
     gross = np.exp(log_g)
     growth = gross - 1.0
@@ -166,7 +169,7 @@ def _advance(x, log_y, invest, params, coefficients):
         if params.deprecation < 1.0 and lost.any():
             floored = np.maximum(v, np.finfo(float).smallest_subnormal)
             v = np.where(np.expand_dims(lost, -1), floored, v)
-            log_g = math.log(params.scaling) + _log_response(v, coefficients)
+            log_g = params.log_scaling + _log_response(v, coefficients)
             new_log_y = log_y + log_g
             gross = np.exp(log_g)
             growth = gross - 1.0

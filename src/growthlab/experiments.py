@@ -4,7 +4,8 @@ Every driver takes a validated RunConfig, runs deterministically from its
 seed and returns its files' text, opening none: the output CSV (floats at 17
 significant digits) and, by suffix, panel CSVs and SVG charts.  The one
 writer, ``run_experiment``, writes them beside an effective-config JSON that
-repeats the run, so a run whose driver raises writes nothing.
+repeats the run; it opens every file before it writes any and removes them
+if an open or a write fails, so a failed run leaves none of its files.
 
 CSV columns, sigma_* being sigma_0,...,sigma_{n-1}:
   trace       step,agent_id,income,log_income,growth,equilibrium_growth,
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,16 +45,6 @@ def fmt17(x: float) -> str:
     The formatters below put the same ``%.17g`` in their templates.
     """
     return "%.17g" % x
-
-
-def _write_lines(path: str, lines: Iterable[str]) -> None:
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
 
 
 #: trace fields in CSV order and their formats; g* and sigma: formatted where they change
@@ -255,12 +246,30 @@ DRIVERS = {
 def run_experiment(cfg: RunConfig) -> ExperimentResult:
     """Run ``cfg``'s driver and write its files: the output at
     ``cfg.output_path``, then the effective config at ``<stem>.config.json``
-    and each of the driver's files at ``<stem><suffix>``, in that order."""
+    and each of the driver's files at ``<stem><suffix>``, in that order.
+
+    Every file is opened before any is written.  If an open or a write fails
+    (also in landscape's lazy rows), the files opened are closed and removed
+    and the error is raised again, so a failed run leaves none of its files.
+    """
     output, files = DRIVERS[cfg.experiment](cfg)
-    _write_lines(cfg.output_path, output)
     stem = os.path.splitext(cfg.output_path)[0]
     config = json.dumps(dump_config(cfg), indent=2, sort_keys=True)
     files = {".config.json": [config], **files}
-    for suffix, blocks in files.items():
-        _write_lines(stem + suffix, blocks)
-    return ExperimentResult(cfg.output_path, tuple(stem + suffix for suffix in files))
+    paths = [cfg.output_path, *(stem + suffix for suffix in files)]
+    opened = []
+    try:
+        for path in paths:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            opened.append(open(path, "w", encoding="utf-8", newline="\n"))
+        for fh, lines in zip(opened, [output, *files.values()]):
+            with fh:
+                for line in lines:
+                    fh.write(line)
+                    fh.write("\n")
+    except BaseException:
+        for fh in opened:  # the unwritten ones have nothing to flush
+            fh.close()
+            os.remove(fh.name)
+        raise
+    return ExperimentResult(cfg.output_path, tuple(paths[1:]))

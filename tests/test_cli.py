@@ -355,6 +355,16 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["file"]
         assert (tmp_path / "file").read_text() == ""
 
+    def test_unwritable_extra_file_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # the output opens, the config beside it cannot: the output is removed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.config.json").mkdir()
+        code, out, err = run_cli(capsys, "landscape", "--alpha", "0.5,0.5",
+                                 "--samples", "3", "--output", "x.csv")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert os.listdir(tmp_path) == ["x.config.json"]
+
     def test_equilibrium_ratio_past_float_range(self, capsys, tmp_path):
         # g* + delta below ~1e-308: the ratio overflows, a runtime error
         out_csv = tmp_path / "trace.csv"

@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from growthlab import (
     AgentState,
@@ -15,6 +17,7 @@ from growthlab import (
     validate_simplex,
     weighted_geometric_mean,
 )
+from growthlab.core import _log_response
 
 
 class TestValidateSimplex:
@@ -145,6 +148,36 @@ class TestWeightedGeometricMean:
             assert blend >= floor - 1e-12
 
 
+@st.composite
+def log_response_rows(draw):
+    """(rows, coefficients, prices or None): 1-8 sectors, zero alphas allowed,
+    entries that include 0 and subnormals."""
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.7]), min_size=n,
+                            max_size=n).filter(any))
+    alphas = np.array(weights) / sum(weights)
+    entry = st.one_of(st.sampled_from([0.0, 5e-324, 2.2e-308]),
+                      st.floats(1e-300, 1e300, allow_subnormal=False),
+                      st.floats(0.0, 1e-307, allow_subnormal=True))
+    rows = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                  min_size=1, max_size=6)))
+    prices = draw(st.none() | st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    return rows, ProductionCoefficients(alphas), None if prices is None else np.array(prices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=log_response_rows())
+def test_one_row_log_response_matches_its_row_of_many(case):
+    # one row is an ndarray.dot and rows are np.vecdot: the same bits per row
+    rows, coefficients, prices = case
+    with np.errstate(divide="ignore"):
+        many = _log_response(np.ascontiguousarray(rows), coefficients, prices)
+        for i, row in enumerate(rows):
+            one = _log_response(row.copy(), coefficients, prices)
+            assert np.asarray(one).shape == ()
+            assert np.asarray(one).tobytes() == many[i].tobytes()
+
+
 class TestDomainTypes:
     def test_strategy_requires_unit_sum(self):
         with pytest.raises(DomainError):
@@ -185,6 +218,15 @@ class TestDomainTypes:
         p = EconomyParams(1.0, 1.0, np.array([1.0, 1.0]))
         assert p.deprecation == 1.0
         assert p.sectors == 2
+        assert not p.retention.flags.writeable
+        assert p.retention.tolist() == [0.0, 0.0]
+        assert p.log_scaling == math.log(p.scaling)
+
+    def test_params_derived_fields(self):
+        p = EconomyParams(0.097, 0.03, np.array([1.0, 2.0, 0.5]))
+        assert not p.retention.flags.writeable
+        assert p.retention.tolist() == [1.0 - 0.03] * 3
+        assert p.log_scaling == math.log(0.097)
 
     def test_agent_state_validation(self):
         sigma = Strategy(np.array([0.5, 0.5]))

@@ -140,6 +140,18 @@ class TestSwitchExperiment:
             run_experiment(config_from_dict(doc))
         assert os.listdir(tmp_path) == []
 
+    def test_failed_lazy_row_removes_every_file(self, tmp_path, monkeypatch):
+        # landscape's rows fail after its header is written and every file is open
+        def fail(*args, **kwargs):
+            raise DomainError("row failed")
+
+        monkeypatch.setattr(experiments, "_log_response", fail)
+        doc = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]},
+               "landscape": {"samples": 3}, "output": str(tmp_path / "l.csv")}
+        with pytest.raises(DomainError, match="row failed"):
+            run_experiment(config_from_dict(doc))
+        assert os.listdir(tmp_path) == []
+
 
 class TestEvolveExperiment:
     def test_population_csv_schema(self, tmp_path):
