@@ -35,7 +35,7 @@ from .core import (
     _check_prices,
     _check_sectors,
 )
-from .dynamics import PriceSchedule, _check_switch_steps
+from .dynamics import PriceSchedule, _check_switch_steps, equilibrium_state
 from .equilibrium import calibrate_scaling
 from .evolution import EvolutionConfig
 
@@ -287,6 +287,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     section = _load_section(doc, name, spec, inherited)
     if spec is SwitchSpec:
         _check_strategy(section.initial_sigma, n, "switch.initial_sigma")
+        if section.initial_sigma is not None:  # the run starts at its fixed point
+            with _at("switch.initial_sigma"):
+                equilibrium_state(Strategy(np.asarray(section.initial_sigma)), coefficients,
+                                  params, prices.at(1))
         try:
             _check_switch_steps(section.switch_steps or (), steps)
         except ConfigurationError as exc:

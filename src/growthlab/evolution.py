@@ -93,8 +93,8 @@ class Population:
     ``ratio`` is the (agents, sectors) capital/income ratio; ``log_income``
     and ``growth`` (the last realized growth) are (agents,).  Zero income is
     absorbing: its row has log income -inf and ratio 0, and ``absorbed``
-    reads it.  ``from_agents`` checks its input; the plain constructor
-    checks nothing.
+    reads it.  ``parents[i]`` is the agent that agent i copied in the step
+    that made this population, or -1.  Only ``from_agents`` checks its input.
     """
 
     ratio: np.ndarray
@@ -103,6 +103,7 @@ class Population:
     strategies: list[Strategy]
     step: int
     rngs: list[np.random.Generator]
+    parents: np.ndarray
 
     @classmethod
     def from_agents(
@@ -125,6 +126,7 @@ class Population:
             [a.strategy for a in agents],
             step,
             list(rngs),
+            np.full(len(agents), -1),
         )
 
     @property
@@ -235,41 +237,39 @@ def evolve_step(
     coefficients: ProductionCoefficients,
     prices_at_t,
     config: EvolutionConfig,
-    _order: Sequence[int] | None = None,
 ) -> Population:
     """One synchronous two-phase update of the whole population.
 
     Phase 1 steps every agent at once on the population's arrays, with the
-    kernel and the checks of ``step_agent``.  ``_order`` only permutes the
-    phase-2 processing order; because every agent draws from its own stream
-    and reads the shared phase-1 snapshot, the result is the same for any
-    order (exposed for tests).
+    kernel and the checks of ``step_agent``.  Phase 2 decides, then copies:
+    each agent's coin and ``select_parent`` read the phase-1 snapshot and
+    fill ``parents``, then each imitator takes a noisy copy of its parent's
+    phase-1 strategy.  Each agent draws on its own stream, which the step
+    advances in place: stepping one population twice draws anew.
     """
     p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
-    invest = np.array([s.weights for s in population.strategies]) / p
+    strategies, rngs = population.strategies, population.rngs
+    invest = np.array([s.weights for s in strategies]) / p
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         stepped = _advance(population.ratio, population.log_income, invest, params,
                            coefficients)
-    strategies = list(population.strategies)
-    snapshot = Population(
-        *stepped, strategies, population.step + 1, population.rngs
-    )
+    snapshot = Population(*stepped, strategies, population.step + 1, rngs,
+                          np.full(len(strategies), -1))
     if config.imitation_probability <= 0.0:
         return snapshot
-
-    indices = range(len(strategies)) if _order is None else _order
-    for i in indices:
-        rng = population.rngs[i]
-        if rng.random() >= config.imitation_probability:
-            continue
-        parent = select_parent(i, snapshot, config, rng, params)
-        if parent == i:
-            continue
-        # the parent's phase-1 strategy, even if it has imitated already
-        strategies[i] = mutate_strategy(
-            population.strategies[parent], config.imitation_error_sd, rng
-        )
-    return snapshot
+    chosen = {}  # imitator -> parent
+    for i, rng in enumerate(rngs):
+        if rng.random() < config.imitation_probability:
+            parent = select_parent(i, snapshot, config, rng, params)
+            if parent != i:
+                chosen[i] = parent
+    if not chosen:
+        return snapshot
+    copies, parents = list(strategies), snapshot.parents.copy()
+    for i, j in chosen.items():
+        copies[i] = mutate_strategy(strategies[j], config.imitation_error_sd, rngs[i])
+        parents[i] = j
+    return Population(*stepped, copies, snapshot.step, rngs, parents)
 
 
 def init_population(
@@ -299,4 +299,5 @@ def init_population(
         p = _resolve_prices(n, coefficients, params, prices)
     sigma = np.array([s.weights for s in strategies])
     ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
-    return Population(ratio, np.zeros(n_agents), growth, list(strategies), 0, rngs)
+    return Population(ratio, np.zeros(n_agents), growth, list(strategies), 0, rngs,
+                      np.full(n_agents, -1))

@@ -131,9 +131,10 @@ def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     sw = cfg.switch
     if sw.initial_sigma is not None:
         initial = Strategy(np.asarray(sw.initial_sigma))
-    else:
+    else:  # the first of 16 noisy copies of alpha with a positive response, else alpha
         alpha = optimal_strategy(cfg.coefficients)
-        initial = mutate_strategy(alpha, sw.mutation_sd, rng)
+        draws = (mutate_strategy(alpha, sw.mutation_sd, rng) for _ in range(16))
+        initial = next((s for s in draws if response(s, cfg.coefficients) > 0.0), alpha)
     switches = draw_switch_schedule(cfg, rng)
     records = run_switch_experiment(
         initial,
@@ -175,34 +176,32 @@ def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """Population imitation loop; returns the per-step population CSV.
 
     Steps 0 (the initial population) to T in one loop.  Per agent it holds
-    (strategy, ``g*,sigma_0,...`` tail, response), recomputed only for a new
-    strategy object, which the entry keeps alive so its id is not reused,
-    and on the steps whose prices change.
+    the ``g*,sigma_0,...`` tail and the response, computed for every agent
+    on step 0 and on the steps whose prices change, and otherwise only for
+    the agents that imitated on the step (``parents`` >= 0).
     """
     evo, params, coeffs = cfg.evolution, cfg.params, cfg.coefficients
     pop = init_population(params, coeffs, evo, cfg.prices.at(1))
     sigma_cols = ",".join(f"sigma_{i}" for i in range(params.sectors))
     blocks = [f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"]
     mean_response: list[tuple[int, float]] = []
-    held = [(None, "", 0.0)] * evo.population_size  # (strategy, tail, response)
-    changes = set(cfg.prices.change_steps(cfg.steps))
+    n = evo.population_size
+    tails, responses = [""] * n, [0.0] * n
+    changes = {0, *cfg.prices.change_steps(cfg.steps)}
     for t in range(cfg.steps + 1):
         p = cfg.prices.at(max(t, 1))
         if t >= 1:
             pop = evolve_step(pop, params, coeffs, p, evo)
-        for i, strategy in enumerate(pop.strategies):
-            if t in changes or strategy is not held[i][0]:
-                g_star = equilibrium_growth(strategy, coeffs, params, p)
-                tail = ",".join(map(fmt17, [g_star, *strategy.weights]))
-                held[i] = (strategy, tail, response(strategy, coeffs) if cfg.emit_svg else 0.0)
+        for i in range(n) if t in changes else np.flatnonzero(pop.parents >= 0).tolist():
+            strategy = pop.strategies[i]
+            g_star = equilibrium_growth(strategy, coeffs, params, p)
+            tails[i] = ",".join(map(fmt17, [g_star, *strategy.weights]))
+            responses[i] = response(strategy, coeffs) if cfg.emit_svg else 0.0
         if cfg.emit_svg:
-            mean_response.append((t, float(np.mean([r for _, _, r in held]))))
-        blocks.append("\n".join(
-            "%d,%d,%.17g,%.17g,%.17g,%s" % (t, i, _income(log_y), log_y, g, tail)
-            for i, (log_y, g, (_, tail, _)) in enumerate(
-                zip(pop.log_income.tolist(), pop.growth.tolist(), held)
-            )
-        ))
+            mean_response.append((t, float(np.mean(responses))))
+        rows = enumerate(zip(pop.log_income.tolist(), pop.growth.tolist(), tails))
+        blocks.append("\n".join("%d,%d,%.17g,%.17g,%.17g,%s" % (t, i, _income(y), y, g, tail)
+                                for i, (y, g, tail) in rows))
     files = {}
     if cfg.emit_svg:
         series = [("mean response", mean_response)]

@@ -443,3 +443,38 @@ def test_criterion_12_quick_adaptation():
         assert None not in steps
         assert held
         assert elapsed < 10.0
+
+
+def test_criterion_13_imitators_copy_excess_growth():
+    with criterion(13, "chosen parents grow past their g* more than the population does"):
+        t0 = time.perf_counter()
+        params, coefficients, _ = default_economy()
+        prices = params.prices
+        means, shares = [], []
+        for seed in range(6):
+            config = EvolutionConfig(seed=seed)  # imitate-best-observed, 50 agents
+            pop = init_population(params, coefficients, config, prices)
+            g_star = np.array([equilibrium_growth(s, coefficients, params, prices)
+                               for s in pop.strategies])
+            total, copied, below = 0.0, [], 0
+            for _ in range(500):
+                pop = evolve_step(pop, params, coefficients, prices, config)
+                # phase-1 growth minus the g* of the strategy held during the step
+                excess = pop.growth - g_star
+                total += float(excess.sum())
+                imitators = np.flatnonzero(pop.parents >= 0)
+                parents = pop.parents[imitators]
+                copied += excess[parents].tolist()
+                below += int((g_star[parents] < g_star[imitators]).sum())
+                for i in imitators.tolist():
+                    g_star[i] = equilibrium_growth(pop.strategies[i], coefficients, params,
+                                                   prices)
+            means.append((float(np.mean(copied)), total / (500 * config.population_size)))
+            shares.append(below / len(copied))
+        elapsed = time.perf_counter() - t0
+        print("    mean excess growth (parents, population), seeds 0-5 = "
+              + ", ".join(f"({p:.2e}, {q:.2e})" for p, q in means)
+              + f"; copies of a parent with lower g* = {min(shares):.0%}-{max(shares):.0%}, "
+              f"elapsed = {elapsed:.2f}s")
+        assert all(p > q for p, q in means)
+        assert elapsed < 10.0

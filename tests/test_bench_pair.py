@@ -119,3 +119,25 @@ def test_clean_change_tree_is_head(tmp_path):
     trees = bench_pair.make_trees(str(repo), "HEAD", str(tmp_path / "scratch"))
     assert os.listdir(trees["change"]) == ["file"]
     assert (tmp_path / "scratch" / "change" / "file").read_text() == "committed\n"
+
+
+def test_layers_flag_the_metrics_that_moved_the_wrong_way(capsys):
+    bench_pair = load_bench_pair()
+    better = {"a.s": "lower", "b.count": "higher", "c.s": "lower", "d.s": "lower",
+              "trace.overhead_s": "lower", "e.count": "higher", "f.s": "lower"}
+    parent = {"a.s": 1.0, "b.count": 100, "c.s": 1.0, "d.s": 0.0, "trace.overhead_s": -0.1,
+              "e.count": 10, "f.s": 2.0, "undeclared": 1.0}
+    change = {"a.s": 1.2, "b.count": 80, "c.s": 1.05, "d.s": 0.5, "trace.overhead_s": 0.3,
+              "e.count": 20, "f.s": 1.0, "undeclared": 5.0}
+    timed = _runs([9.0], [1.0])  # not a trace pass: ignored
+    trace = [{"side": side, "workload": "w", "pass": "trace",
+              "result": {"metrics": {n: {"value": v} for n, v in values.items()}, "failed": 0}}
+             for side, values in (("parent", parent), ("change", change))]
+    got = bench_pair.layers(timed + trace, ["w"], better)
+    assert got["w"]["metrics"]["a.s"] == {"parent": 1.0, "change": 1.2}
+    assert got["w"]["metrics"]["undeclared"] == {"parent": 1.0, "change": 5.0}
+    # a.s +20% and b.count -20%; c.s +5% is within 10%, d.s and trace.overhead_s
+    # have no positive parent value, e.count and f.s moved the right way
+    assert got["w"]["flagged"] == ["a.s", "b.count"]
+    out = capsys.readouterr().out
+    assert "a.s" in out and "b.count" in out and "c.s" not in out

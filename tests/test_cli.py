@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import warnings
@@ -346,6 +347,17 @@ class TestExitCodes:
         assert err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    def test_start_without_a_fixed_point_named(self, capsys, tmp_path, monkeypatch):
+        # sector 1 is productive but receives nothing: response 0, no fixed point
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "converge", "--alpha", "0.5,0.5",
+                                 "--initial-sigma", "1,0", "--steps", "20")
+        assert (code, out) == (2, "")
+        assert err == ("error: switch.initial_sigma: equilibrium growth is -deprecation "
+                       "while some sector still receives investment; its capital/income "
+                       "ratio diverges\n")
+        assert os.listdir(tmp_path) == []
+
     def test_output_under_a_regular_file_writes_nothing(self, capsys, tmp_path):
         (tmp_path / "file").write_text("")
         code, out, err = run_cli(capsys, "landscape", "--alpha", "0.5,0.5", "--samples",
@@ -491,6 +503,17 @@ class TestConvergeCommand:
         assert (code, err) == (0, "")
         lines = out_path.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("1,0,")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_drawn_start_has_a_fixed_point(self, seed, capsys, tmp_path):
+        # the noise clips alpha's 0.001 sector to 0 in most first draws
+        out_path = tmp_path / "trace.csv"
+        code, _, err = run_cli(capsys, "converge", "--alpha", "0.001,0.999", "--steps",
+                               "50", "--seed", str(seed), "--output", str(out_path))
+        assert (code, err) == (0, "")
+        first = next(csv.DictReader(out_path.read_text().splitlines()))
+        g, g_star = float(first["growth"]), float(first["equilibrium_growth"])
+        assert abs(g - g_star) <= 1e-12
 
     def test_config_file_plus_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"

@@ -1,3 +1,4 @@
+import copy
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from growthlab.cli import cli_main
 from growthlab.dynamics import equilibrium_state, run_hold, step_agent, uniform_state
 from growthlab.equilibrium import equilibrium_growth
 from growthlab.evolution import (
+    SELECTION_RULES,
     EvolutionConfig,
     Population,
     agent_stream,
@@ -273,23 +275,42 @@ class TestEvolveStep:
             assert a.growth == b.growth
             assert a.strategy == b.strategy
 
-    def test_phase_two_order_independence(self):
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_phase_two_matches_a_replay_of_each_agent(self, rule):
+        # each agent alone, in reverse order, from a copy of its own stream
+        # taken before the step: coin, select_parent, then mutate_strategy
+        inst = random_instance(np.random.default_rng(3), n=3)
+        params, coefficients, prices = inst.params, inst.coefficients, inst.params.prices
         cfg = EvolutionConfig(population_size=10, observation_sample=4, seed=29,
-                              imitation_probability=0.5)
-        rng = np.random.default_rng(3)
-        order = list(rng.permutation(10))
-        pops = []
-        for processing_order in (None, order):
-            pop = init_population(self.params, self.coefficients, cfg, self.prices)
-            for _ in range(30):
-                pop = evolve_step(
-                    pop, self.params, self.coefficients, self.prices, cfg,
-                    _order=processing_order,
-                )
-            pops.append(pop)
-        for a, b in zip(pops[0].agents, pops[1].agents):
-            assert a.strategy == b.strategy
-            assert a.income == b.income
+                              imitation_probability=0.5, selection_rule=rule)
+        pop = init_population(params, coefficients, cfg, prices)
+        imitations = 0
+        for _ in range(30):
+            streams = copy.deepcopy(pop.rngs)
+            out = evolve_step(pop, params, coefficients, prices, cfg)
+            for i in reversed(range(cfg.population_size)):
+                rng, parent, strategy = streams[i], -1, pop.strategies[i]
+                if rng.random() < cfg.imitation_probability:
+                    chosen = select_parent(i, out, cfg, rng, params)
+                    if chosen != i:
+                        parent = chosen
+                        strategy = mutate_strategy(pop.strategies[chosen],
+                                                   cfg.imitation_error_sd, rng)
+                assert out.parents[i] == parent
+                assert out.strategies[i] == strategy
+            imitations += int((out.parents >= 0).sum())
+            pop = out
+        assert imitations > 0
+
+    def test_parents_of_a_population_that_copied_nobody(self):
+        cfg = EvolutionConfig(population_size=4, observation_sample=1, seed=5,
+                              imitation_probability=0.0)
+        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        assert pop.parents.tolist() == [-1] * 4
+        out = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+        assert out.parents.tolist() == [-1] * 4
+        again = Population.from_agents(out.agents, out.step, out.rngs)
+        assert again.parents.tolist() == [-1] * 4
 
     def test_imitation_copies_phase_one_snapshot(self):
         # when two agents imitate in the same step, the parent's strategy read

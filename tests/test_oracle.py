@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from growthlab import (EconomyParams, EvolutionConfig, PriceSchedule, ProductionCoefficients,
                        calibrate_scaling, evolve_step, init_population, project_to_simplex,
                        run_switch_experiment)
+from growthlab.evolution import SELECTION_RULES
 
 STEPS = 60
 TOL = 1e-12  # relative to max(1, |value|): absolute for growth and log income up to 1
@@ -168,3 +169,30 @@ def test_population_phase_1_matches_the_oracle(economy, data):
     for i, sigma in enumerate(sigmas):
         assert_matches([g[i] for g, _ in steps], [y[i] for _, y in steps],
                        run_oracle(coefficients, params, rows, [sigma.weights] * STEPS))
+
+
+@settings(max_examples=10, deadline=None)
+@given(economy=economies(), data=st.data())
+def test_population_phase_2_matches_the_oracle(economy, data):
+    """A population that imitates without error.  Each agent's strategies
+    are rebuilt from ``parents`` alone, and each agent's rows match the
+    oracle on that schedule: imitation moves no capital."""
+    coefficients, params, rows = economy
+    held = [data.draw(strategies(coefficients.alphas, True)) for _ in range(4)]
+    config = EvolutionConfig(population_size=4, observation_sample=2, imitation_probability=0.5,
+                             imitation_error_sd=0.0, seed=data.draw(st.integers(0, 2**32)),
+                             selection_rule=data.draw(st.sampled_from(SELECTION_RULES)))
+    prices = PriceSchedule(rows)
+    pop = init_population(params, coefficients, config, prices.at(1), strategies=held)
+    schedules, steps = [[] for _ in held], []
+    for t in range(1, STEPS + 1):
+        for schedule, sigma in zip(schedules, held):  # step t invests the strategy held
+            schedule.append(sigma.weights)
+        pop = evolve_step(pop, params, coefficients, prices.at(t), config)
+        held = [sigma if j < 0 else held[j] for sigma, j in zip(held, pop.parents.tolist())]
+        assert pop.strategies == held
+        steps.append((pop.growth.tolist(), pop.log_income.tolist()))
+    for i, schedule in enumerate(schedules):
+        exact = run_oracle(coefficients, params, rows, schedule)
+        assume(min(r for *_, r in exact) >= sys.float_info.min)
+        assert_matches([g[i] for g, _ in steps], [y[i] for _, y in steps], exact)

@@ -16,9 +16,9 @@ build method; it is not known to cause or cure the position effect below.
 Layout: N pairs per workload, the workloads in turn within a pair; odd
 pairs run the parent first, even pairs the change first.  Then one
 ``--trace 1`` pass per side and workload, parent first.  The output has the
-keys description, command, order, machine, medians and runs; ``medians``
-holds each side's median of every end-to-end metric and its total of failed
-ops, and under "gain" whether each metric meets the gain rule: the change
+keys description, command, order, machine, medians, layers and runs;
+``medians`` holds each side's median of every end-to-end metric and its
+total of failed ops, and under "gain" whether each metric meets the gain rule: the change
 lower in at least 9 of 10 pairs, ties counting for neither, and the median
 gap wider than the parent's interquartile distance.  Under "position" it
 holds each side's medians of each metric over the runs it made first and
@@ -26,7 +26,11 @@ second in its pair, and flags the side as "split" when the two sets of runs
 do not overlap (every run at one position slower than every run at the
 other), since a position effect then widens the quartiles the gain rule
 reads.  A summary (medians, quartiles, pair wins, the rule and the position
-medians) goes to standard output.
+medians) goes to standard output.  ``layers`` holds, per workload, each
+trace-pass metric's parent and change values, and under "flagged" the
+metrics that moved the wrong way (by the ``better`` of BENCHMARK.json's
+``per_layer``) by more than 10% of a positive parent value; they are
+printed too.
 """
 
 from __future__ import annotations
@@ -146,6 +150,29 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
     return medians
 
 
+def layers(runs: list[dict], workloads, better: dict[str, str]) -> dict:
+    """Per workload, each trace-pass metric's parent and change values, and
+    the names whose change moved the wrong way by more than 10% of the
+    parent's value; a parent value <= 0 (``trace.overhead_s`` can be
+    negative) flags nothing.  Prints the flagged names."""
+    out = {}
+    for w in workloads:
+        trace = {r["side"]: r["result"]["metrics"] for r in runs
+                 if r["workload"] == w and r["pass"] == "trace"}
+        values = {name: {side: trace[side][name]["value"] for side in ("parent", "change")}
+                  for name in trace["parent"]}
+        flagged = []
+        for name, v in values.items():
+            if name in better and v["parent"] > 0:
+                moved = (v["change"] - v["parent"]) / v["parent"]
+                if (moved > 0.1) if better[name] == "lower" else (moved < -0.1):
+                    flagged.append(name)
+                    print(f"{w:<14} {name:<36} parent {v['parent']:.6g}  change "
+                          f"{v['change']:.6g}  {moved:+.1%}, {better[name]} is better")
+        out[w] = {"metrics": values, "flagged": flagged}
+    return out
+
+
 def at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -167,7 +194,9 @@ def main(argv=None) -> int:
 
     repo = git("rev-parse", "--show-toplevel", cwd=os.getcwd()).decode().strip()
     with open(os.path.join(repo, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = [w["name"] for w in json.load(fh)["workloads"]]
+        benchmark = json.load(fh)
+    declared = [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["per_layer"]}
     workloads = tuple(args.workload or declared)
     sha = git("rev-parse", "--short", args.parent_sha, cwd=repo).decode().strip()
     output = args.output or os.path.join(repo, f"BENCH_{args.pr}.json")
@@ -198,6 +227,7 @@ def main(argv=None) -> int:
                   "commit=unknown. Written by tools/bench_pair.py"),
         "machine": parse_machine(machine),
         "medians": summarize(runs, workloads, args.pairs),
+        "layers": layers(runs, workloads, better),
         "runs": runs,
     }
     with open(output, "w", encoding="utf-8") as fh:
