@@ -23,17 +23,15 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from .config import (
     RunConfig,
     SwitchSpec,
-    _at,
+    _strategy,
     config_from_dict,
     economy_from_dict,
     read_document,
 )
-from .core import ConfigurationError, GrowthLabError, Strategy, _check_sectors
+from .core import ConfigurationError, GrowthLabError
 from .equilibrium import equilibrium_growth
 from .experiments import run_experiment
 
@@ -199,10 +197,7 @@ def cli_main(argv=None) -> int:
         if args.command == "equilibrium":
             doc = _overlay(args, {"economy": {}})
             coefficients, params, *_ = economy_from_dict(doc)
-            with _at("sigma"):
-                sigma = Strategy(np.asarray(args.sigma))
-                _check_sectors(strategy=sigma.sectors, params=params.sectors,
-                               coefficients=coefficients.sectors)
+            sigma = _strategy(args.sigma, "sigma", params, coefficients)
             _print_number(equilibrium_growth(sigma, coefficients, params))
             return 0
         if args.command == "calibrate":

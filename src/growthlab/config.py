@@ -17,10 +17,11 @@ written down once.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from types import UnionType
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -265,9 +266,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     if seed < 0:
         raise _fail("seed", f"must be >= 0, got {seed}")
     output_path = _get(doc, "output", "", str, "growthlab_out.csv")
+    if os.path.basename(output_path) in ("", ".", ".."):
+        raise _fail("output", f"must name a file, got {output_path!r}")
     emit_svg = _get(doc, "emit_svg", "", bool, False)
     coefficients, params, target_growth, steps_per_year = economy_from_dict(doc)
-    n = params.sectors
 
     schedule_rows = doc.get("price_schedule")
     if schedule_rows is None:
@@ -278,7 +280,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             raise _fail("price_schedule", "expected a non-empty list of price vectors")
         for i, row in enumerate(rows):
             with _at(f"price_schedule[{i}]"):
-                _check_prices(row, n)
+                _check_prices(row, params.sectors)
         prices = PriceSchedule(rows)
 
     name, spec = _SECTIONS[experiment]
@@ -286,17 +288,17 @@ def config_from_dict(doc: dict) -> RunConfig:
     inherited = {"seed": seed} if spec is EvolutionConfig else {}
     section = _load_section(doc, name, spec, inherited)
     if spec is SwitchSpec:
-        _check_strategy(section.initial_sigma, n, "switch.initial_sigma")
         if section.initial_sigma is not None:  # the run starts at its fixed point
-            with _at("switch.initial_sigma"):
-                equilibrium_state(Strategy(np.asarray(section.initial_sigma)), coefficients,
-                                  params, prices.at(1))
+            path = "switch.initial_sigma"
+            initial = _strategy(section.initial_sigma, path, params, coefficients)
+            with _at(path):
+                equilibrium_state(initial, coefficients, params, prices.at(1))
         try:
             _check_switch_steps(section.switch_steps or (), steps)
         except ConfigurationError as exc:
             raise ConfigurationError(f"switch.{exc}") from exc
         for i, vec in enumerate(section.switch_sigmas or ()):
-            _check_strategy(vec, n, f"switch.switch_sigmas[{i}]")
+            _strategy(vec, f"switch.switch_sigmas[{i}]", params, coefficients)
 
     return RunConfig(
         experiment=experiment,
@@ -313,10 +315,16 @@ def config_from_dict(doc: dict) -> RunConfig:
     )
 
 
-def _check_strategy(vec: tuple[float, ...] | None, sectors: int, path: str) -> None:
-    if vec is not None:
-        with _at(path):
-            _check_sectors(strategy=Strategy(np.asarray(vec)).sectors, economy=sectors)
+def _strategy(vec: Sequence[float], path: str, params: EconomyParams,
+              coefficients: ProductionCoefficients) -> Strategy:
+    """The strategy of the weights ``vec`` given at ``path`` (a document key
+    or a flag), checked on the simplex and against the economy's sector
+    counts; an error is reported at ``path``."""
+    with _at(path):
+        strategy = Strategy(np.asarray(vec))
+        _check_sectors(strategy=strategy.sectors, params=params.sectors,
+                       coefficients=coefficients.sectors)
+    return strategy
 
 
 def annual_to_step_rate(annual: float, steps_per_year: float) -> float:

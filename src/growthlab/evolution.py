@@ -11,9 +11,9 @@ two-phase update:
 All phase-2 decisions read the same phase-1 snapshot, so the result does not
 depend on the order agents are processed in.  Imitation copies only the
 strategy; the imitator's capital stays where it is (invested capital is
-non-malleable).  Every agent owns a counter-based random stream derived from
-the master seed and its index, so changing the population size never
-reshuffles other agents' randomness.  The population is the step kernel's
+non-malleable).  Every agent owns a PCG64 stream seeded from the master
+seed and its index, so changing the population size never reshuffles
+other agents' randomness.  The population is the step kernel's
 state as arrays; an agent is absorbed where its log income is -inf.
 """
 

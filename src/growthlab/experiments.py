@@ -86,41 +86,13 @@ class ExperimentResult:
     extras: tuple[str, ...] = ()
 
 
-def draw_switch_schedule(
-    cfg: RunConfig, rng: np.random.Generator
-) -> list[tuple[int, Strategy]]:
-    """Materialize the switch schedule, drawing unset parts from the seed.
-
-    Switch strategies are noisy copies of the optimal strategy (imitations
-    with Gaussian error of the configured sd), matching a population member
-    repeatedly imitating a near-optimal peer.
-    """
-    sw = cfg.switch
-    if sw.switch_steps is not None:
-        steps_at = list(sw.switch_steps)
-    else:
-        lo = min(20, max(2, cfg.steps // 10))
-        # switches fall in [lo, hi), and never after the last step
-        hi = min(max(lo + 1, cfg.steps - max(2, cfg.steps // 25)), cfg.steps + 1)
-        n_max = sw.max_switches
-        count = int(rng.integers(sw.min_switches, n_max + 1)) if n_max > 0 else 0
-        count = min(count, hi - lo)
-        if count <= 0:
-            steps_at = []
-        else:
-            steps_at = sorted(
-                int(s) for s in rng.choice(np.arange(lo, hi), count, replace=False)
-            )
-    if sw.switch_sigmas is not None:
-        sigmas = [Strategy(np.asarray(v)) for v in sw.switch_sigmas]
-    else:
-        alpha = optimal_strategy(cfg.coefficients)
-        sigmas = [mutate_strategy(alpha, sw.mutation_sd, rng) for _ in steps_at]
-    return list(zip(steps_at, sigmas))
-
-
 def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """Strategy-switch run: trace CSV plus the two derived chart series.
+
+    A given strategy is used as given.  A null one is drawn from the seed's
+    stream (the start, then the switch steps, then each switch in step
+    order) as the first of 16 noisy copies of alpha, a near-optimal peer's
+    imitations, with a positive response, else alpha.
 
     Returns the full trace as the output, and two panel CSVs to go next to
     it: income growth vs. equilibrium growth, and their difference (the
@@ -129,13 +101,27 @@ def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """
     rng = experiment_stream(cfg.seed)
     sw = cfg.switch
-    if sw.initial_sigma is not None:
-        initial = Strategy(np.asarray(sw.initial_sigma))
-    else:  # the first of 16 noisy copies of alpha with a positive response, else alpha
-        alpha = optimal_strategy(cfg.coefficients)
+    alpha = optimal_strategy(cfg.coefficients)
+
+    def strategy(given: Sequence[float] | None) -> Strategy:
+        if given is not None:
+            return Strategy(np.asarray(given))
         draws = (mutate_strategy(alpha, sw.mutation_sd, rng) for _ in range(16))
-        initial = next((s for s in draws if response(s, cfg.coefficients) > 0.0), alpha)
-    switches = draw_switch_schedule(cfg, rng)
+        return next((s for s in draws if response(s, cfg.coefficients) > 0.0), alpha)
+
+    initial = strategy(sw.initial_sigma)
+    steps_at = sw.switch_steps
+    if steps_at is None:
+        lo = min(20, max(2, cfg.steps // 10))
+        # switches fall in [lo, hi), and never after the last step
+        hi = min(max(lo + 1, cfg.steps - max(2, cfg.steps // 25)), cfg.steps + 1)
+        n_max = sw.max_switches
+        count = int(rng.integers(sw.min_switches, n_max + 1)) if n_max > 0 else 0
+        count = min(count, hi - lo)
+        picks = rng.choice(np.arange(lo, hi), count, replace=False) if count > 0 else []
+        steps_at = sorted(map(int, picks))
+    given = sw.switch_sigmas or [None] * len(steps_at)
+    switches = [(t, strategy(v)) for t, v in zip(steps_at, given)]
     records = run_switch_experiment(
         initial,
         switches,

@@ -377,6 +377,45 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert os.listdir(tmp_path) == ["x.config.json"]
 
+    @pytest.mark.parametrize("output, in_document", [
+        ("", False), (".", False), ("..", False), ("new/deeper/", False), ("", True),
+    ], ids=["empty", "dot", "dot-dot", "directory", "empty-in-document"])
+    def test_output_naming_no_file_writes_nothing(self, output, in_document, capsys,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["landscape", "--alpha", "0.5,0.5", "--samples", "3"]
+        if in_document:
+            (tmp_path / "run.json").write_text(json.dumps({
+                "experiment": "landscape", "economy": {"alphas": [0.5, 0.5]},
+                "output": output}))
+            argv += ["--config", "run.json"]
+        else:
+            argv += ["--output", output]
+        before = os.listdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: output: must name a file, got {output!r}\n"
+        assert os.listdir(tmp_path) == before
+
+    @pytest.mark.parametrize("key, value", [
+        ("initial_sigma", [0.2, 0.3, 0.5]),
+        ("switch_sigmas", [[0.2, 0.3, 0.5]]),
+    ], ids=["initial-sigma", "switch-sigmas"])
+    def test_switch_strategy_sector_count_named(self, key, value, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "economy": {"alphas": [0.5, 0.5]},
+            "switch": {"switch_steps": [5], key: value},
+            "output": str(tmp_path / "trace.csv"),
+        }))
+        code, out, err = run_cli(capsys, "converge", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        path = "switch.initial_sigma" if key == "initial_sigma" else "switch.switch_sigmas[0]"
+        assert err == (f"error: {path}: sector counts differ: "
+                       "strategy 3, params 2, coefficients 2\n")
+        assert os.listdir(tmp_path) == ["run.json"]
+
     def test_equilibrium_ratio_past_float_range(self, capsys, tmp_path):
         # g* + delta below ~1e-308: the ratio overflows, a runtime error
         out_csv = tmp_path / "trace.csv"
@@ -514,6 +553,36 @@ class TestConvergeCommand:
         first = next(csv.DictReader(out_path.read_text().splitlines()))
         g, g_star = float(first["growth"]), float(first["equilibrium_growth"])
         assert abs(g - g_star) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_drawn_switches_have_a_positive_response(self, seed, capsys, tmp_path):
+        # as the start, each drawn switch skips noisy copies of alpha with a 0 sector
+        out_path = tmp_path / "trace.csv"
+        code, _, err = run_cli(capsys, "converge", "--alpha", "0.001,0.999", "--steps",
+                               "50", "--seed", str(seed), "--output", str(out_path))
+        assert (code, err) == (0, "")
+        delta = json.loads((tmp_path / "trace.config.json").read_text())["economy"][
+            "deprecation"]
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
+        assert len(rows) == 50
+        assert all(float(row["equilibrium_growth"]) > -delta for row in rows)
+
+    def test_given_zero_response_switch_is_kept(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({
+            "experiment": "switch",
+            "steps": 30,
+            "economy": {"alphas": [0.5, 0.5], "deprecation": 0.03},
+            "switch": {"initial_sigma": [0.5, 0.5], "switch_steps": [10],
+                       "switch_sigmas": [[1.0, 0.0]]},
+            "output": str(tmp_path / "trace.csv"),
+        }))
+        code, _, err = run_cli(capsys, "converge", "--config", str(cfg_path))
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader((tmp_path / "trace.csv").read_text().splitlines()))
+        switched = [r for r in rows if (r["sigma_0"], r["sigma_1"]) == ("1", "0")]
+        assert switched and len(switched) < len(rows)
+        assert all(float(r["equilibrium_growth"]) == -0.03 for r in switched)
 
     def test_config_file_plus_flag_override(self, capsys, tmp_path):
         cfg_path = tmp_path / "run.json"
