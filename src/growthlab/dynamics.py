@@ -22,7 +22,8 @@ The product is the closed forms' ``core._log_response`` on C-ordered rows
 kernel's callers silence numpy's divide and overflow warnings once, outside.
 
 Steps are numbered from 1; a PriceSchedule maps each step to a row of its
-price table, holding the last row past the end.
+price table, holding the last row past the end.  A held ratio that repeats
+exactly is replayed, not recomputed (see ``run_switch_experiment``).
 """
 
 from __future__ import annotations
@@ -129,15 +130,15 @@ def step_agent(
     """
     p = eq._resolve_prices(state.sectors, coefficients, params,
                            None if prices_at_t is params.prices else prices_at_t)
-    x, log_y, g = _advance(state.ratio, state.log_income, state.strategy.weights / p,
-                           params, coefficients)
+    x, log_y, g, _ = _advance(state.ratio, state.log_income, state.strategy.weights / p,
+                              params, coefficients)
     x.flags.writeable = False
     return AgentState(ratio=x, log_income=float(log_y), growth=float(g),
                       strategy=state.strategy)
 
 
 def _advance(x, log_y, invest, params, coefficients):
-    """One period of the ratio state; returns the new (x, log_y, growth).
+    """One period of the ratio state: the new (x, log_y, growth) and log(1 + g').
 
     ``x`` and ``invest`` (sigma / p) are (sectors,) for one agent, with a
     scalar log income, or C-ordered (agents, sectors) with an (agents,) one.
@@ -175,7 +176,7 @@ def _advance(x, log_y, invest, params, coefficients):
             growth = gross - 1.0
         growth = np.where(log_y == -np.inf, 0.0, growth)  # absorbed before
         gross = np.where(new_log_y == -np.inf, np.inf, gross)  # so their ratio reads 0
-    return (v / gross if one else (v.T / gross).T), new_log_y, growth
+    return (v / gross if one else (v.T / gross).T), new_log_y, growth, log_g
 
 
 def _check_switch_steps(at_steps: Sequence[int], steps: int) -> None:
@@ -275,6 +276,12 @@ def run_switch_experiment(
     that the start income is the production of its capital (the schedule
     checked its prices when built).  The steps are ``step_agent``'s: growth
     stays finite, and past float range income reads inf but its log does not.
+    Sigma / p changes only on step 1, switch steps and price-change steps, so
+    in between a live step is a function of its ratio.  Once a step with a
+    finite log income returns, byte for byte, the ratio of one or two steps
+    back, its steps repeat until the next such step and are replayed in
+    phase: each adds its log growth (< 709.8) to the log income, as
+    ``_advance`` does, and records its growth.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
@@ -302,8 +309,19 @@ def run_switch_experiment(
                 sigma = current.as_tuple()
                 g_star = eq.equilibrium_growth(current, coefficients, params, p)
                 invest = current.weights / p
-            x, log_y, g = _advance(x, log_y, invest, params, coefficients)
-            g, log_y = float(g), float(log_y)
+                # step s's (bytes of x, x, log growth, growth) at [s % 2]
+                outputs, cycle = [(b"",), (b"",)], None
+            if cycle:  # the step of this phase, without the kernel
+                _, x, log_g, g = cycle[t % len(cycle)]
+                log_y += log_g
+            else:
+                x, log_y, g, log_g = _advance(x, log_y, invest, params, coefficients)
+                g, log_y = float(g), float(log_y)
+                out = (x.tobytes(), x, float(log_g), g)
+                # a live step repeats once its x is that of step t - 1 or t - 2
+                if log_y > -math.inf and out[0] in (outputs[0][0], outputs[1][0]):
+                    cycle = [out] if out[0] == outputs[(t - 1) % 2][0] else outputs
+                outputs[t % 2] = out
             records.append(TraceRecord(
                 t, 0, _income(log_y), g, g_star, g - g_star, sigma, log_y
             ))

@@ -252,7 +252,7 @@ def evolve_step(
     invest = np.array([s.weights for s in strategies]) / p
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         stepped = _advance(population.ratio, population.log_income, invest, params,
-                           coefficients)
+                           coefficients)[:3]
     snapshot = Population(*stepped, strategies, population.step + 1, rngs,
                           np.full(len(strategies), -1))
     if config.imitation_probability <= 0.0:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from growthlab import (
     project_to_simplex,
     response,
 )
-from growthlab.dynamics import PriceSchedule
-from growthlab.equilibrium import optimal_strategy
+from growthlab.dynamics import PriceSchedule, TraceRecord, step_agent
+from growthlab.equilibrium import equilibrium_growth, optimal_strategy
 
 
 @dataclass(frozen=True)
@@ -87,3 +87,22 @@ def near_optimal(coefficients, sd, rng, retries: int = 50) -> Strategy:
 @pytest.fixture(scope="session")
 def reference_economy():
     return default_economy()
+
+
+def step_agent_records(state, switches, params, coefficients, prices, steps):
+    """Reference trace: a plain ``step_agent`` loop, one record per step."""
+    pending = dict(switches)
+    records = []
+    for t in range(1, steps + 1):
+        if t in pending:
+            state = replace(state, strategy=pending[t])
+        p = prices.at(t)
+        state = step_agent(state, params, coefficients, p)
+        g_star = equilibrium_growth(state.strategy, coefficients, params, p)
+        records.append(
+            TraceRecord(
+                t, 0, state.income, state.growth, g_star,
+                state.growth - g_star, state.strategy.as_tuple(), state.log_income,
+            )
+        )
+    return records

@@ -79,6 +79,49 @@ def test_summary_states_the_position_medians(parent, split, capsys):
     assert ("(split)" in out) == split
 
 
+# a timed run.py report, as it prints one
+REPORT = """\
+perfbench landscape-cli: seed=1 seconds=2 trace=0
+  machine: cores=2 python=3.11.7 numpy=2.4.6 commit=unknown
+  norm_cpu_s                                  0.0834186 s      median of 12 passes
+  norm_op_p90_ms                                83.4186 ms     p90 of 1 ops' medians over 12 passes
+  setup_s                                      0.195148 s      median of 9 worker starts
+  peak_rss_mb                                   40.9062 MB     max RSS of the timed worker
+  error_rate                                          0        0 of 12 ops failed
+  cpu_s                                       0.0943494 s      median of 12 passes; unscaled, not in the JSON line
+  host_slowdown                                 1.17603        mean of 263 reference chunks over nominal; unscaled, not in the JSON line
+  wall_s                                      0.0952864 s      median of 12 passes; unscaled, not in the JSON line
+  op_p90_ms                                     117.218 ms     p90 of 12 ops; unscaled, not in the JSON line
+  setup_wall_s                                   0.2083 s      median of 9 worker starts; unscaled, not in the JSON line
+{"correct": true, "attempted": 12, "failed": 0, "metrics": {"norm_cpu_s": {"value": 0.0834185773369514, "unit": "s"}}}
+"""
+
+
+def test_report_parse_keeps_the_unscaled_cpu_and_host_slowdown():
+    bench_pair = load_bench_pair()
+    result, unscaled, machine = bench_pair.parse_report(REPORT.strip().splitlines())
+    assert result["metrics"]["norm_cpu_s"]["value"] == 0.0834185773369514
+    assert unscaled == {"cpu_s": 0.0943494, "host_slowdown": 1.17603}
+    assert machine == "machine: cores=2 python=3.11.7 numpy=2.4.6 commit=unknown"
+    # a trace pass prints no unscaled lines
+    trace = [line for line in REPORT.strip().splitlines() if "unscaled" not in line]
+    assert bench_pair.parse_report(trace)[1] == {}
+
+
+def test_summary_states_the_unscaled_position_medians(capsys):
+    bench_pair = load_bench_pair()
+    runs = _runs(PARENT, PARENT)
+    for r in runs:
+        value = r["result"]["metrics"]["norm_cpu_s"]["value"]
+        r["unscaled"] = {"cpu_s": 2 * value, "host_slowdown": value / 10}
+    position = bench_pair.summarize(runs, ["w"], len(PARENT))["w"]["position"]
+    assert position["parent"]["cpu_s"] == {"first": 2.8, "second": 3.0, "split": False}
+    assert position["change"]["host_slowdown"] == {"first": 0.15, "second": 0.14,
+                                                   "split": False}
+    out = capsys.readouterr().out
+    assert "cpu_s           unscaled, by position in the pair: parent first 2.8" in out
+
+
 def _git(repo, *args):
     return subprocess.run(("git", "-c", "user.name=t", "-c", "user.email=t@t", *args),
                           cwd=repo, check=True, capture_output=True, text=True).stdout

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from growthlab import (
 )
 from growthlab.dynamics import (
     PriceSchedule,
-    TraceRecord,
     _advance,
     equilibrium_state,
     run_hold,
@@ -32,7 +32,7 @@ from growthlab.equilibrium import (
     optimal_strategy,
 )
 
-from conftest import default_economy, near_optimal, random_instance
+from conftest import default_economy, near_optimal, random_instance, step_agent_records
 
 
 class TestPriceSchedule:
@@ -300,37 +300,93 @@ class TestRunSwitchExperiment:
         assert one == two
 
 
-def step_agent_records(state, switches, params, coefficients, prices, steps):
-    """Reference trace: a plain ``step_agent`` loop, one record per step."""
-    pending = dict(switches)
-    records = []
-    for t in range(1, steps + 1):
-        if t in pending:
-            state = replace(state, strategy=pending[t])
-        p = prices.at(t)
-        state = step_agent(state, params, coefficients, p)
-        g_star = equilibrium_growth(state.strategy, coefficients, params, p)
-        records.append(
-            TraceRecord(
-                t, 0, state.income, state.growth, g_star,
-                state.growth - g_star, state.strategy.as_tuple(), state.log_income,
-            )
-        )
-    return records
+def first_repeat(state, params, c, prices, steps):
+    """The first step t <= ``steps`` whose ratio, stepped by ``_advance`` at
+    fixed prices, equals byte for byte the ratio of step t - 1 or t - 2, and
+    that period (1 or 2); None if there is none."""
+    x, log_y, invest = state.ratio, state.log_income, state.strategy.weights / prices
+    seen = []
+    with np.errstate(divide="ignore", over="ignore"):
+        for t in range(1, steps + 1):
+            x, log_y = _advance(x, log_y, invest, params, c)[:2]
+            seen.append(x.tobytes())
+            for period in (1, 2):
+                if len(seen) > period and seen[-1] == seen[-1 - period]:
+                    return t, period
+    return None
 
 
 class TestStepAgentParity:
-    """run_hold and run_switch_experiment step on plain arrays; their records
-    must be bit-identical to stepping AgentStates one at a time."""
+    """run_hold and run_switch_experiment step on plain arrays, and replay a
+    ratio that repeats; their records must be bit-identical to stepping
+    AgentStates one at a time.  ``repr`` also tells -0.0 from 0.0 and a
+    numpy scalar from a float, which ``==`` does not."""
 
     def assert_parity(self, state, switches, params, c, prices, steps):
         expected = step_agent_records(state, switches, params, c, prices, steps)
         if not switches:
-            assert run_hold(state, params, c, prices, steps) == expected
+            held = run_hold(state, params, c, prices, steps)
+            assert held == expected
+            assert [repr(r) for r in held] == [repr(r) for r in expected]
         got = run_switch_experiment(
             state.strategy, switches, params, c, prices, steps, initial_state=state
         )
         assert got == expected
+        assert [repr(r) for r in got] == [repr(r) for r in expected]
+
+    @staticmethod
+    def repeating_case(period):
+        """The first of ``random_instance(default_rng(5))``'s economies whose
+        uniform start repeats with ``period`` within 300 steps, that start,
+        and the step at which the repeat shows."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            inst = random_instance(rng)
+            state = uniform_state(inst.strategy, inst.coefficients, inst.params)
+            found = first_repeat(state, inst.params, inst.coefficients,
+                                 inst.params.prices, 300)
+            if found is not None and found[1] == period:
+                return inst, state, found[0]
+        raise AssertionError(f"no draw repeats with period {period}")
+
+    # a fixed point, and a 2-cycle whose price change lands on either phase
+    @pytest.mark.parametrize("period, offset", [(1, 5), (2, 2), (2, 3)])
+    def test_repeat_then_a_price_change_then_a_switch(self, period, offset):
+        inst, state, repeat = self.repeating_case(period)
+        c, params = inst.coefficients, inst.params
+        change = repeat + offset
+        prices = PriceSchedule([params.prices] * (change - 1) + [params.prices * 1.25])
+        b = project_to_simplex(np.random.default_rng(7).dirichlet(np.ones(params.sectors)))
+        self.assert_parity(state, [], params, c, prices, change + 60)
+        self.assert_parity(state, [(change + 60, b)], params, c, prices, change + 120)
+        self.assert_parity(state, [(change, b)], params, c, prices, change + 60)
+
+    def test_full_deprecation_row_that_returns(self):
+        # at deprecation 1 a step's ratio depends on its prices alone, so rows
+        # p, p, q, p give step 4 the ratio of step 2: a cycle must not join
+        # steps from both sides of a change
+        inst = random_instance(np.random.default_rng(239), n=3, delta=1.0)
+        c, params, p = inst.coefficients, inst.params, inst.params.prices
+        prices = PriceSchedule([p, p, p * 1.25, p])
+        x, seen = np.ones(3), []
+        for t in range(1, 5):
+            x = _advance(x, 0.0, inst.strategy.weights / prices.at(t), params, c)[0]
+            seen.append(x.tobytes())
+        assert seen[3] == seen[1] != seen[2]
+        state = uniform_state(inst.strategy, c, params)
+        self.assert_parity(state, [], params, c, prices, 10)
+
+    def test_log_income_at_float_max(self):
+        # log y + log(1 + g') rounds back to the largest float on every step
+        params, c, sched = default_economy()
+        start = equilibrium_state(Strategy(np.array([0.5, 0.5])), c, params)
+        state = replace(start, log_income=sys.float_info.max)
+        b = Strategy(np.array([0.9, 0.1]))
+        self.assert_parity(state, [], params, c, sched, 40)
+        self.assert_parity(state, [(20, b)], params, c, sched, 40)
+        records = run_hold(state, params, c, sched, 40)
+        assert {r.log_income for r in records} == {sys.float_info.max}
+        assert {r.income for r in records} == {math.inf}
 
     def test_random_economies(self):
         rng = np.random.default_rng(211)
@@ -534,7 +590,7 @@ class TestAdvance:
         invest = np.array([0.0, 1.0])
         with np.errstate(divide="ignore"):
             # 0.125 * 5e-324 underflows to 0; 0.125 * 4e-323 is 5e-324 exactly
-            x, log_y, g = _advance(np.array([5e-324, 1.0]), -1.0, invest, params, c)
+            x, log_y, g, _ = _advance(np.array([5e-324, 1.0]), -1.0, invest, params, c)
             want = _advance(np.array([4e-323, 1.0]), -1.0, invest, params, c)
         assert np.isfinite(log_y) and g > -params.deprecation
         assert (x.tolist(), log_y, g) == (want[0].tolist(), want[1], want[2])
@@ -545,10 +601,10 @@ class TestAdvance:
         log_y = np.array([-1.0, 2.0, -np.inf])
         invest = np.array([[0.0, 1.0], [0.5, 0.5], [0.0, 1.0]])
         with np.errstate(divide="ignore"):
-            xs, log_ys, gs = _advance(x, log_y, invest, params, c)
+            xs, log_ys, gs, _ = _advance(x, log_y, invest, params, c)
             rows = [_advance(x[i], log_y[i], invest[i], params, c) for i in range(2)]
             want = _advance(np.array([4e-323, 1.0]), -1.0, invest[0], params, c)
-        for i, (xi, log_yi, gi) in enumerate(rows):
+        for i, (xi, log_yi, gi, _) in enumerate(rows):
             assert (xs[i].tolist(), log_ys[i], gs[i]) == (xi.tolist(), log_yi, gi)
         assert (xs[0].tolist(), log_ys[0], gs[0]) == (want[0].tolist(), want[1], want[2])
         assert (log_ys[2], gs[2]) == (-np.inf, 0.0)  # absorbed before stays so
@@ -558,8 +614,8 @@ class TestAdvance:
         c = self.UNDERFLOW[1]
         params = EconomyParams(0.875, 1.0, np.ones(2))
         with np.errstate(divide="ignore"):
-            x, log_y, g = _advance(np.array([0.5, 1.0]), -1.0, np.array([0.0, 1.0]),
-                                   params, c)
+            x, log_y, g, _ = _advance(np.array([0.5, 1.0]), -1.0, np.array([0.0, 1.0]),
+                                      params, c)
         assert (log_y, g, x.tolist()) == (-np.inf, -1.0, [0.0, 0.0])
 
 

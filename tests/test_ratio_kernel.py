@@ -7,7 +7,8 @@ unchanged, strategies stay on the simplex after mutation and after
 imitation, and every switch approaches its new equilibrium from above.  A zero-income agent stays absorbed, and no NaN reaches its
 records: only its log income is -inf.  A switch away from a fixed point
 shows in the growth of the very step it takes effect (README derives the
-bound).
+bound).  A switch run, which replays its own steps once its ratio repeats,
+matches a ``step_agent`` loop bit for bit.
 """
 
 import math
@@ -33,7 +34,10 @@ from growthlab import (
     validate_simplex,
 )
 from growthlab.core import _log_response
+from growthlab.dynamics import equilibrium_state
 from growthlab.evolution import SELECTION_RULES, agent_stream, mutate_strategy
+
+from conftest import step_agent_records
 
 STEPS = 40
 FLOOR_TOL = 1e-12  # the same slack as the trajectory tests in test_dynamics.py
@@ -215,6 +219,23 @@ def test_every_switch_overshoots_from_above(run):
         a, [(2, b)], params, coefficients, PriceSchedule.constant(prices), STEPS
     )
     assert min(r.excess_growth for r in records) >= -EXCESS_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), run=switch_runs())
+def test_switch_run_matches_a_step_agent_loop(data, run):
+    # from a's fixed point the ratio repeats at once; the price change and the
+    # switch each end a replay, or land before one starts
+    a, b, params, coefficients, prices = run
+    steps = data.draw(st.integers(2, 200))
+    change, switch = data.draw(st.integers(2, steps)), data.draw(st.integers(1, steps))
+    later = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=params.sectors,
+                                        max_size=params.sectors)))
+    schedule = PriceSchedule([prices] * (change - 1) + [later])
+    got = run_switch_experiment(a, [(switch, b)], params, coefficients, schedule, steps)
+    start = equilibrium_state(a, coefficients, params, prices)
+    want = step_agent_records(start, [(switch, b)], params, coefficients, schedule, steps)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
 
 
 def visibility_slack(run) -> float:

@@ -25,12 +25,15 @@ holds each side's medians of each metric over the runs it made first and
 second in its pair, and flags the side as "split" when the two sets of runs
 do not overlap (every run at one position slower than every run at the
 other), since a position effect then widens the quartiles the gain rule
-reads.  A summary (medians, quartiles, pair wins, the rule and the position
-medians) goes to standard output.  ``layers`` holds, per workload, each
-trace-pass metric's parent and change values, and under "flagged" the
-metrics that moved the wrong way (by the ``better`` of BENCHMARK.json's
-``per_layer``) by more than 10% of a positive parent value; they are
-printed too.
+reads.  Each run's entry also keeps, under "unscaled", the report's
+``cpu_s`` and ``host_slowdown`` ("unscaled, not in the JSON line"), and
+"position" holds their medians by position too, so a split can be set
+against what the host did.  A summary (medians, quartiles, pair wins, the
+rule and the position medians) goes to standard output.  ``layers`` holds,
+per workload, each trace-pass metric's parent and change values, and under
+"flagged" the metrics that moved the wrong way (by the ``better`` of
+BENCHMARK.json's ``per_layer``) by more than 10% of a positive parent
+value; they are printed too.
 """
 
 from __future__ import annotations
@@ -60,8 +63,11 @@ def make_trees(repo: str, parent_sha: str, scratch: str) -> dict[str, str]:
     return trees
 
 
-def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, str]:
-    """The last JSON line of one run.py call, and its machine line."""
+UNSCALED = ("cpu_s", "host_slowdown")  # of the report's unscaled lines
+
+
+def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, dict, str]:
+    """``parse_report`` of one run.py call."""
     proc = subprocess.run(
         (sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", str(trace)),
@@ -71,8 +77,19 @@ def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, str
     if not lines or not lines[-1].startswith("{"):
         raise SystemExit(f"run.py {workload} in {tree} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
+    return parse_report(lines)
+
+
+def parse_report(lines: list[str]) -> tuple[dict, dict, str]:
+    """A run.py report's last line, its JSON result; the values of its
+    UNSCALED lines by name (none in a trace pass); and its machine line."""
     machine = next(line.strip() for line in lines if line.strip().startswith("machine:"))
-    return json.loads(lines[-1]), machine
+    unscaled = {}
+    for line in lines:
+        name, value = (line.split() + ["", ""])[:2]
+        if name in UNSCALED and line.endswith("; unscaled, not in the JSON line"):
+            unscaled[name] = float(value)
+    return json.loads(lines[-1]), unscaled, machine
 
 
 def parse_machine(line: str) -> dict:
@@ -111,8 +128,9 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
     """Per workload and side: the median of each end-to-end metric, and the
     total of failed ops; per workload under "gain", whether each metric meets
     the gain rule, and under "position", each side's medians by position in
-    the pair.  Prints quartiles, pair wins, the rule and the position medians
-    as it goes."""
+    the pair, also of the UNSCALED values that every timed run holds.
+    Prints quartiles, pair wins, the rule and the position medians as it
+    goes."""
     medians = {}
     for w in workloads:
         timed = {side: [r for r in runs if r["workload"] == w and r["side"] == side
@@ -141,13 +159,25 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
                   f"[{quartiles['change'][0]:.4f}, {quartiles['change'][2]:.4f}]  "
                   f"change lower in {wins}/{pairs} pairs; gain rule "
                   f"{'holds' if gain else 'does not hold'}")
-            line = []
-            for side, side_runs in timed.items():
-                pos = medians[w]["position"][side][name] = by_position(side_runs, by_side[side])
-                line.append(f"{side} first {pos['first']} second {pos['second']}"
-                            + (" (split)" if pos["split"] else ""))
-            print(f"{'':<14} {'':<15} by position in the pair: {'; '.join(line)}")
+            line = positions(timed, by_side, medians[w]["position"], name)
+            print(f"{'':<14} {'':<15} by position in the pair: {line}")
+        for name in UNSCALED:
+            if all(name in r.get("unscaled", {}) for rs in timed.values() for r in rs):
+                by_side = {side: [r["unscaled"][name] for r in rs] for side, rs in timed.items()}
+                line = positions(timed, by_side, medians[w]["position"], name)
+                print(f"{w:<14} {name:<15} unscaled, by position in the pair: {line}")
     return medians
+
+
+def positions(timed: dict, by_side: dict, into: dict, name: str) -> str:
+    """Each side's ``by_position`` of its values, stored at into[side][name],
+    and the summary's text of them."""
+    line = []
+    for side, side_runs in timed.items():
+        pos = into[side][name] = by_position(side_runs, by_side[side])
+        line.append(f"{side} first {pos['first']} second {pos['second']}"
+                    + (" (split)" if pos["split"] else ""))
+    return "; ".join(line)
 
 
 def layers(runs: list[dict], workloads, better: dict[str, str]) -> dict:
@@ -208,8 +238,10 @@ def main(argv=None) -> int:
         schedule += [(("parent", "change"), w, "trace") for w in workloads]
         for sides, w, k in schedule:
             for side in sides:
-                result, machine = run_once(trees[side], w, args.seed, int(k == "trace"))
-                runs.append({"side": side, "workload": w, "pass": k, "result": result})
+                result, unscaled, machine = run_once(trees[side], w, args.seed,
+                                                     int(k == "trace"))
+                runs.append({"side": side, "workload": w, "pass": k, "result": result,
+                             "unscaled": unscaled})
                 print(f"{side:<6} {w:<14} pass {k}: correct={result['correct']}",
                       file=sys.stderr, flush=True)
 
