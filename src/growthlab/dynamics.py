@@ -22,14 +22,15 @@ The product is the closed forms' ``core._log_response`` on C-ordered rows
 kernel's callers silence numpy's divide and overflow warnings once, outside.
 
 Steps are numbered from 1; a PriceSchedule maps each step to a row of its
-price table, holding the last row past the end.  A held ratio that repeats
-exactly is replayed, not recomputed (see ``run_switch_experiment``).
+price table, holding the last row past the end.  Once a held ratio repeats
+exactly, the rest of its steps are emitted in one pass, not recomputed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -276,12 +277,12 @@ def run_switch_experiment(
     that the start income is the production of its capital (the schedule
     checked its prices when built).  The steps are ``step_agent``'s: growth
     stays finite, and past float range income reads inf but its log does not.
-    Sigma / p changes only on step 1, switch steps and price-change steps, so
-    in between a live step is a function of its ratio.  Once a step with a
-    finite log income returns, byte for byte, the ratio of one or two steps
-    back, its steps repeat until the next such step and are replayed in
-    phase: each adds its log growth (< 709.8) to the log income, as
-    ``_advance`` does, and records its growth.
+    Sigma / p is fixed from step 1, a switch or a price change to the next,
+    so a live step there is a function of its ratio.  Once one (log income
+    finite) returns, byte for byte, the ratio of one or two steps back, the
+    rest of the segment repeats it and is emitted in one pass, with the
+    kernel's bytes: each phase's own growth, ``_income``, and log incomes by
+    ``accumulate``, the same sequential float add (log growth < 709.8).
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
@@ -295,34 +296,33 @@ def run_switch_experiment(
         state = initial_state
         verify_state_consistency(state, params, coefficients)
 
-    pending = dict(switches)
-    # the steps that change the strategy or the prices; the others only step
-    changes = {1, *pending, *prices.change_steps(steps)}
+    pending = {1: initial, **dict(switches)}  # the strategy from each of its steps on
+    firsts = sorted({*pending, *prices.change_steps(steps)})  # each starts a segment
     records: list[TraceRecord] = []
     x, log_y = state.ratio, state.log_income
-    current = initial
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
-        for t in range(1, steps + 1):
-            if t in changes:
-                p = prices.at(t)
-                current = pending.get(t, current)
-                sigma = current.as_tuple()
-                g_star = eq.equilibrium_growth(current, coefficients, params, p)
-                invest = current.weights / p
-                # step s's (bytes of x, x, log growth, growth) at [s % 2]
-                outputs, cycle = [(b"",), (b"",)], None
-            if cycle:  # the step of this phase, without the kernel
-                _, x, log_g, g = cycle[t % len(cycle)]
-                log_y += log_g
-            else:
+        for first, stop in zip(firsts, [*firsts[1:], steps + 1]):
+            p = prices.at(first)
+            current = pending[first] if first in pending else current
+            sigma = current.as_tuple()
+            g_star = eq.equilibrium_growth(current, coefficients, params, p)
+            invest = current.weights / p
+            before = last = (b"",)  # steps t - 2, t - 1: (x bytes, x, log g, g, excess)
+            for t in range(first, stop):
                 x, log_y, g, log_g = _advance(x, log_y, invest, params, coefficients)
                 g, log_y = float(g), float(log_y)
-                out = (x.tobytes(), x, float(log_g), g)
-                # a live step repeats once its x is that of step t - 1 or t - 2
-                if log_y > -math.inf and out[0] in (outputs[0][0], outputs[1][0]):
-                    cycle = [out] if out[0] == outputs[(t - 1) % 2][0] else outputs
-                outputs[t % 2] = out
-            records.append(TraceRecord(
-                t, 0, _income(log_y), g, g_star, g - g_star, sigma, log_y
-            ))
+                out = (x.tobytes(), x, float(log_g), g, g - g_star)
+                records.append(TraceRecord(t, 0, _income(log_y), g, g_star, out[4],
+                                           sigma, log_y))
+                # a live step whose x is that of step t - 1 or t - 2 repeats to `stop`
+                if log_y > -math.inf and out[0] in (last[0], before[0]):
+                    phases = [out] if out[0] == last[0] else [last, out]  # period 1 or 2
+                    _, xs, log_gs, gs, excess = zip(*phases)
+                    log_ys = [*accumulate(islice(cycle(log_gs), stop - t - 1), initial=log_y)]
+                    records.extend(map(tuple.__new__, repeat(TraceRecord), zip(
+                        range(t + 1, stop), repeat(0), map(_income, log_ys[1:]), cycle(gs),
+                        repeat(g_star), cycle(excess), repeat(sigma), log_ys[1:])))
+                    x, log_y = xs[(stop - t - 2) % len(xs)], log_ys[-1]  # of step stop - 1
+                    break
+                before, last = last, out
     return records

@@ -2,6 +2,7 @@
 or benchmark run, its summary, and the two trees it extracts."""
 
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -184,3 +185,58 @@ def test_layers_flag_the_metrics_that_moved_the_wrong_way(capsys):
     assert got["w"]["flagged"] == ["a.s", "b.count"]
     out = capsys.readouterr().out
     assert "a.s" in out and "b.count" in out and "c.s" not in out
+
+
+def _trace(side, passes):
+    """Trace runs of workload "w", one per dict of metric values."""
+    return [{"side": side, "workload": "w", "pass": "trace",
+             "result": {"metrics": {n: {"value": v} for n, v in values.items()}, "failed": 0}}
+            for values in passes]
+
+
+def test_layers_take_the_median_of_the_trace_passes(capsys):
+    bench_pair = load_bench_pair()
+    better = {"a.s": "lower", "b.s": "lower", "c.count": "higher"}
+    # one slow pass of a.s and one low count flag nothing; b.s moved in two of three
+    parent = [{"a.s": 1.0, "b.s": 1.0, "c.count": 100},
+              {"a.s": 1.1, "b.s": 1.1, "c.count": 100},
+              {"a.s": 0.9, "b.s": 0.9, "c.count": 100}]
+    change = [{"a.s": 2.0, "b.s": 1.3, "c.count": 50},
+              {"a.s": 1.0, "b.s": 1.4, "c.count": 100},
+              {"a.s": 1.05, "b.s": 0.9, "c.count": 100}]
+    got = bench_pair.layers(_trace("parent", parent) + _trace("change", change), ["w"], better)
+    assert got["w"]["metrics"] == {"a.s": {"parent": 1.0, "change": 1.05},
+                                   "b.s": {"parent": 1.0, "change": 1.3},
+                                   "c.count": {"parent": 100, "change": 100}}
+    assert got["w"]["flagged"] == ["b.s"]
+    out = capsys.readouterr().out
+    assert "b.s" in out and "a.s" not in out and "c.count" not in out
+    # the change's first pass alone, against the parent's, flags all three
+    alone = bench_pair.layers(_trace("parent", parent[:1]) + _trace("change", change[:1]),
+                              ["w"], better)
+    assert alone["w"]["flagged"] == ["a.s", "b.s", "c.count"]
+
+
+def test_trace_passes_alternate_sides(tmp_path, monkeypatch):
+    bench_pair = load_bench_pair()
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    calls = []
+
+    def run_once(tree, workload, seed, trace):
+        calls.append((tree, workload, trace))
+        metrics = {"norm_cpu_s": {"value": 1.0}} if not trace else {"a.s": {"value": 1.0}}
+        return ({"correct": True, "failed": 0, "metrics": metrics}, {},
+                "machine: cores=2 python=3 numpy=2 commit=unknown")
+
+    monkeypatch.setattr(bench_pair, "git", lambda *args, cwd: (
+        os.path.abspath(repo).encode() if "--show-toplevel" in args else b"abc1234"))
+    monkeypatch.setattr(bench_pair, "make_trees",
+                        lambda repo, sha, scratch: {"parent": "P", "change": "C"})
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["abc1234", "0", "--pairs", "2", "--workload", "w",
+                            "--output", str(out)]) == 0
+    assert calls == [("P", "w", 0), ("C", "w", 0), ("C", "w", 0), ("P", "w", 0),
+                     ("P", "w", 1), ("C", "w", 1), ("C", "w", 1), ("P", "w", 1),
+                     ("P", "w", 1), ("C", "w", 1)]
+    assert len([r for r in json.loads(out.read_text())["runs"] if r["pass"] == "trace"]) == 6

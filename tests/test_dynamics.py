@@ -349,8 +349,9 @@ class TestStepAgentParity:
                 return inst, state, found[0]
         raise AssertionError(f"no draw repeats with period {period}")
 
-    # a fixed point, and a 2-cycle whose price change lands on either phase
-    @pytest.mark.parametrize("period, offset", [(1, 5), (2, 2), (2, 3)])
+    # a fixed point, and a 2-cycle whose price change lands on either phase;
+    # at offset 1 the repeat is the last step of its segment, so its span is empty
+    @pytest.mark.parametrize("period, offset", [(1, 5), (2, 2), (2, 3), (1, 1), (2, 1)])
     def test_repeat_then_a_price_change_then_a_switch(self, period, offset):
         inst, state, repeat = self.repeating_case(period)
         c, params = inst.coefficients, inst.params
@@ -360,6 +361,39 @@ class TestStepAgentParity:
         self.assert_parity(state, [], params, c, prices, change + 60)
         self.assert_parity(state, [(change + 60, b)], params, c, prices, change + 120)
         self.assert_parity(state, [(change, b)], params, c, prices, change + 60)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_run_that_ends_on_its_repeat_step(self, period):
+        # a run's last step is the repeat, or the first or second step after it
+        inst, state, repeat = self.repeating_case(period)
+        for steps in (repeat, repeat + 1, repeat + 2):
+            self.assert_parity(state, [], inst.params, inst.coefficients, inst.schedule, steps)
+
+    # from log income 705 at g* near 0.1 the log income passes log(DBL_MAX),
+    # about 709.78, some 50 steps after the ratio repeats; income must read
+    # inf from exactly the step whose log income math.exp rejects
+    @pytest.mark.parametrize("sigma, period", [((0.5, 0.5), 1), ((0.3, 0.7), 2)])
+    def test_income_overflows_inside_a_replayed_span(self, sigma, period):
+        params, c, sched = default_economy(target_growth=0.1)
+        start = equilibrium_state(Strategy(np.array(sigma)), c, params)
+        state = replace(start, log_income=705.0)
+        self.assert_parity(state, [], params, c, sched, 200)
+        records = run_hold(state, params, c, sched, 200)
+
+        def overflows(log_income):
+            try:
+                math.exp(log_income)
+            except OverflowError:
+                return True
+            return False
+
+        over = [overflows(r.log_income) for r in records]
+        step = over.index(True) + 1
+        repeat, found = first_repeat(state, params, c, params.prices, 200)
+        assert found == period and repeat + 1 < step < 200
+        assert over == [False] * (step - 1) + [True] * (201 - step)
+        assert [r.income == math.inf for r in records] == over
+        assert all(math.isfinite(r.log_income) for r in records)
 
     def test_full_deprecation_row_that_returns(self):
         # at deprecation 1 a step's ratio depends on its prices alone, so rows

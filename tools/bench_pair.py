@@ -14,9 +14,10 @@ unmodified ``perfbench/run.py``.  Building both sides alike keeps one
 build method; it is not known to cause or cure the position effect below.
 
 Layout: N pairs per workload, the workloads in turn within a pair; odd
-pairs run the parent first, even pairs the change first.  Then one
-``--trace 1`` pass per side and workload, parent first.  The output has the
-keys description, command, order, machine, medians, layers and runs;
+pairs run the parent first, even pairs the change first.  Then three
+``--trace 1`` passes per side and workload, alternating in the same way.
+The output has the keys description, command, order, machine, medians,
+layers and runs;
 ``medians`` holds each side's median of every end-to-end metric and its
 total of failed ops, and under "gain" whether each metric meets the gain rule: the change
 lower in at least 9 of 10 pairs, ties counting for neither, and the median
@@ -30,10 +31,12 @@ reads.  Each run's entry also keeps, under "unscaled", the report's
 "position" holds their medians by position too, so a split can be set
 against what the host did.  A summary (medians, quartiles, pair wins, the
 rule and the position medians) goes to standard output.  ``layers`` holds,
-per workload, each trace-pass metric's parent and change values, and under
-"flagged" the metrics that moved the wrong way (by the ``better`` of
-BENCHMARK.json's ``per_layer``) by more than 10% of a positive parent
-value; they are printed too.
+per workload, each trace metric's parent and change medians over the trace
+passes, and under "flagged" the metrics whose medians moved the wrong way
+(by the ``better`` of BENCHMARK.json's ``per_layer``) by more than 10% of a
+positive parent value; they are printed too.  One trace pass per side
+cannot resolve 10%: the same tree's switch-sweep
+``dynamics.us_per_agent_step`` has read anywhere from 4.3 to 10.3 us.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def make_trees(repo: str, parent_sha: str, scratch: str) -> dict[str, str]:
 
 
 UNSCALED = ("cpu_s", "host_slowdown")  # of the report's unscaled lines
+TRACE_PASSES = 3  # per side and workload; ``layers`` reads their medians
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> tuple[dict, dict, str]:
@@ -181,16 +185,19 @@ def positions(timed: dict, by_side: dict, into: dict, name: str) -> str:
 
 
 def layers(runs: list[dict], workloads, better: dict[str, str]) -> dict:
-    """Per workload, each trace-pass metric's parent and change values, and
-    the names whose change moved the wrong way by more than 10% of the
-    parent's value; a parent value <= 0 (``trace.overhead_s`` can be
-    negative) flags nothing.  Prints the flagged names."""
+    """Per workload, each trace metric's parent and change medians over the
+    trace passes, and the names whose change median moved the wrong way by
+    more than 10% of the parent's; a parent median <= 0
+    (``trace.overhead_s`` can be negative) flags nothing.  Prints the
+    flagged names."""
     out = {}
     for w in workloads:
-        trace = {r["side"]: r["result"]["metrics"] for r in runs
-                 if r["workload"] == w and r["pass"] == "trace"}
-        values = {name: {side: trace[side][name]["value"] for side in ("parent", "change")}
-                  for name in trace["parent"]}
+        trace = {side: [r["result"]["metrics"] for r in runs if r["workload"] == w
+                        and r["pass"] == "trace" and r["side"] == side]
+                 for side in ("parent", "change")}
+        values = {name: {side: statistics.median(m[name]["value"] for m in passes)
+                         for side, passes in trace.items()}
+                  for name in trace["parent"][0]}
         flagged = []
         for name, v in values.items():
             if name in better and v["parent"] > 0:
@@ -235,7 +242,8 @@ def main(argv=None) -> int:
         trees = make_trees(repo, sha, scratch)
         schedule = [(("parent", "change") if k % 2 else ("change", "parent"), w, k)
                     for k in range(1, args.pairs + 1) for w in workloads]
-        schedule += [(("parent", "change"), w, "trace") for w in workloads]
+        schedule += [(("parent", "change") if k % 2 else ("change", "parent"), w, "trace")
+                     for k in range(1, TRACE_PASSES + 1) for w in workloads]
         for sides, w, k in schedule:
             for side in sides:
                 result, unscaled, machine = run_once(trees[side], w, args.seed,
@@ -251,8 +259,9 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --trace T --seed {args.seed}",
         "order": (f"{args.pairs} pairs per workload, workloads in turn "
                   f"({', '.join(workloads)}); odd pairs run the parent first, even "
-                  "pairs the change first; then one --trace 1 pass per side and "
-                  f"workload, parent first. Both sides ran from a git archive of a "
+                  f"pairs the change first; then {TRACE_PASSES} --trace 1 passes per "
+                  "side and workload, alternating alike, whose medians make "
+                  "layers. Both sides ran from a git archive of a "
                   f"commit: the parent side of {sha}, the change side of a commit of "
                   "the working tree's tracked files (git stash create, or HEAD when "
                   "clean); neither has a .git directory, so their machine lines read "
