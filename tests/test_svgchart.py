@@ -1,9 +1,12 @@
+import os
 import re
 
 import pytest
 
 from growthlab.core import DomainError
 from growthlab.svgchart import emit_svg
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def test_single_constant_series_draws_horizontal_line():
@@ -76,3 +79,27 @@ def test_span_below_tick_resolution_finishes():
     text = emit_svg([("s", [(0, 1e10), (1, 1e10 + 2e-6)])])
     polylines = re.findall(r'<polyline points="([^"]+)"', text)
     assert len(polylines[0].split()) == 2
+
+
+#: pin name -> emit_svg's arguments, for the paths the run pins do not draw
+CHART_PINS = {
+    # no title or y label, the default x label, one x (the x axis spans x to
+    # x + 1) and a label with every character that markup cares about
+    "chart_bare": ([("a & b < c > d \"e\" 'f'", [(3.0, 0.25), (3.0, 0.75), (3.0, 0.5)])],
+                   {}),
+    # seven series, so the palette wraps, a custom x label and & in the title
+    "chart_seven_series": (
+        [(f"rule {i}", [(t, 0.1 * (i + 1) + 0.013 * t * (i - 3)) for t in range(0, 60, 7)])
+         for i in range(7)],
+        {"title": "growth & excess", "x_label": "years", "y_label": "log income"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CHART_PINS))
+def test_chart_bytes_match_their_pin(name):
+    series, kwargs = CHART_PINS[name]
+    # with the final newline that a run's writer adds
+    got = (emit_svg(series, **kwargs) + "\n").encode()
+    with open(os.path.join(DATA, f"{name}.svg"), "rb") as fh:
+        assert got == fh.read(), f"{name}.svg differs from its pin"
