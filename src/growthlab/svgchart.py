@@ -8,6 +8,7 @@ without further tooling.
 
 from __future__ import annotations
 
+import html
 import math
 from typing import Sequence
 
@@ -28,9 +29,7 @@ _MARGIN_BOTTOM = 46
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi]; pure and deterministic."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick positions covering [lo, hi], for hi > lo; pure and deterministic."""
     span = hi - lo
     raw = span / max(target, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -96,6 +95,17 @@ def emit_svg(
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     out: list[str] = []
+
+    # one routine per repeated element kind; attrs is any attribute text that
+    # closes the tag, and a text's body is always escaped
+    def line(x1, y1, x2, y2, stroke="#333", attrs=""):
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{attrs}/>')
+
+    def text(x, y, size, body, anchor="middle", attrs=""):
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+                   f'font-size="{size}"{attrs}>{html.escape(body, quote=False)}</text>')
+
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -103,50 +113,26 @@ def emit_svg(
     )
     out.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     if title:
-        out.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{_escape(title)}</text>'
-        )
+        text(f"{_WIDTH / 2:.0f}", 20, 14, title)
 
     # axes box
     out.append(
         f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333" stroke-width="1"/>'
     )
+    bottom = _MARGIN_TOP + plot_h
     for t in _nice_ticks(x_lo, x_hi):
-        px = sx(t)
-        out.append(
-            f'<line x1="{px:.2f}" y1="{_MARGIN_TOP + plot_h}" '
-            f'x2="{px:.2f}" y2="{_MARGIN_TOP + plot_h + 5}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{px:.2f}" y="{_MARGIN_TOP + plot_h + 18}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{t:.6g}</text>"
-        )
+        px = f"{sx(t):.2f}"
+        line(px, bottom, px, bottom + 5)
+        text(px, bottom + 18, 11, f"{t:.6g}")
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
-        out.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{py:.2f}" '
-            f'x2="{_MARGIN_LEFT}" y2="{py:.2f}" stroke="#333"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{py + 3.5:.2f}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{t:.6g}</text>"
-        )
-    out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 8}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-        f"{_escape(x_label)}</text>"
-    )
+        line(_MARGIN_LEFT - 5, f"{py:.2f}", _MARGIN_LEFT, f"{py:.2f}")
+        text(_MARGIN_LEFT - 8, f"{py + 3.5:.2f}", 11, f"{t:.6g}", "end")
+    text(f"{_MARGIN_LEFT + plot_w / 2:.0f}", _HEIGHT - 8, 12, x_label)
     if y_label:
-        cy = _MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="16" y="{cy:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {cy:.0f})">{_escape(y_label)}</text>'
-        )
+        cy = f"{_MARGIN_TOP + plot_h / 2:.0f}"
+        text(16, cy, 12, y_label, attrs=f' transform="rotate(-90 16 {cy})"')
 
     for idx, ((label, _), points) in enumerate(zip(series, arrays)):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -159,19 +145,7 @@ def emit_svg(
         # legend entry, top-right corner of the plot box
         ly = _MARGIN_TOP + 14 + 16 * idx
         lx = _MARGIN_LEFT + plot_w - 150
-        out.append(
-            f'<line x1="{lx}" y1="{ly}" x2="{lx + 22}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 28}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="11">{_escape(str(label))}</text>'
-        )
+        line(lx, ly, lx + 22, ly, color, ' stroke-width="2"')
+        text(lx + 28, ly + 4, 11, str(label), anchor=None)
     out.append("</svg>")
     return "\n".join(out)
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

@@ -478,3 +478,37 @@ def test_criterion_13_imitators_copy_excess_growth():
               f"elapsed = {elapsed:.2f}s")
         assert all(p > q for p, q in means)
         assert elapsed < 10.0
+
+
+def test_criterion_14_adaptation_after_a_technology_shock():
+    with criterion(14, "an evolved population adapts to a change of alpha"):
+        t0 = time.perf_counter()
+        params, before, _ = default_economy()  # scaling stays calibrated to (0.5, 0.5)
+        prices = params.prices
+        after = ProductionCoefficients(np.array([0.8, 0.2]))
+        top = response(optimal_strategy(after), after)
+
+        def share(pop):  # mean response under the new alpha, over its maximum
+            return float(np.mean([response(s, after) for s in pop.strategies])) / top
+
+        at_shock, steps = [], []
+        for seed in range(6):
+            config = EvolutionConfig(seed=seed)  # imitate-best-observed, 50 agents
+            pop = init_population(params, before, config, prices)
+            for _ in range(500):
+                pop = evolve_step(pop, params, before, prices, config)
+            at_shock.append(share(pop))
+            # invested capital carries over; from here on it produces with the new alpha
+            for t in range(1, 601):
+                pop = evolve_step(pop, params, after, prices, config)
+                if t % 10 == 0 and share(pop) >= 0.99:
+                    break
+            else:
+                t = None  # not within 600 steps
+            steps.append(t)
+        elapsed = time.perf_counter() - t0
+        print(f"    mean response at the shock = {min(at_shock):.3f}-{max(at_shock):.3f} "
+              f"of the new maximum; steps to 99% of it, seeds 0-5 = {steps}, "
+              f"elapsed = {elapsed:.2f}s")
+        assert None not in steps
+        assert elapsed < 2.0

@@ -240,3 +240,24 @@ def test_trace_passes_alternate_sides(tmp_path, monkeypatch):
                      ("P", "w", 1), ("C", "w", 1), ("C", "w", 1), ("P", "w", 1),
                      ("P", "w", 1), ("C", "w", 1)]
     assert len([r for r in json.loads(out.read_text())["runs"] if r["pass"] == "trace"]) == 6
+
+
+def test_flagged_layers_state_whether_their_pass_ranges_overlap(capsys):
+    bench_pair = load_bench_pair()
+    better = {"a.s": "lower", "b.s": "lower", "c.s": "lower"}
+    # a.s and b.s both flag at +40% and +20%; only b.s's passes share a range
+    parent = [{"a.s": 1.0, "b.s": 1.0, "c.s": 1.0},
+              {"a.s": 1.1, "b.s": 1.5, "c.s": 1.0},
+              {"a.s": 0.9, "b.s": 0.9, "c.s": 1.0}]
+    change = [{"a.s": 1.3, "b.s": 1.2, "c.s": 1.0},
+              {"a.s": 1.4, "b.s": 1.3, "c.s": 1.0},
+              {"a.s": 1.5, "b.s": 1.0, "c.s": 1.0}]
+    got = bench_pair.layers(_trace("parent", parent) + _trace("change", change), ["w"], better)
+    assert got["w"]["flagged"] == ["a.s", "b.s"]
+    assert got["w"]["ranges"] == {"a.s": {"parent": [0.9, 1.1], "change": [1.3, 1.5]},
+                                  "b.s": {"parent": [0.9, 1.5], "change": [1.0, 1.3]}}
+    assert got["w"]["overlapping"] == ["b.s"]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["a.s", "b.s"]
+    assert "pass ranges overlap" not in lines[0]
+    assert lines[1].endswith("[0.9, 1.5] and [1, 1.3], pass ranges overlap")

@@ -90,6 +90,14 @@ class TestExitCodes:
         assert code == 2
         assert "economy.alphas" in err or "experiment" in err
 
+    def test_config_of_another_experiment_is_exit_2(self, capsys, tmp_path):
+        other = tmp_path / "evolve.json"
+        other.write_text(json.dumps({"experiment": "evolve", "economy": {"alphas": [0.5, 0.5]}}))
+        code, out, err = run_cli(capsys, "converge", "--config", str(other))
+        assert (code, out) == (2, "")
+        assert err == "error: config is for experiment 'evolve', subcommand needs 'switch'\n"
+        assert os.listdir(tmp_path) == ["evolve.json"]
+
     def test_missing_alpha_is_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "converge", "--output", str(tmp_path / "x.csv")
@@ -260,8 +268,10 @@ class TestExitCodes:
             (3, ["--alpha", "0.5,0.5"], "error: economy: expected dict, got int"),
             ({"alphas": [0.5, 0.5]}, ["--mutation-sd", "nan"],
              "error: switch.mutation_sd: must be finite and >= 0\n"),
+            ({"alphas": [0.5, 0.5]}, ["--alpha", "0.5,x"],
+             "not a comma-separated float list: '0.5,x'"),
         ],
-        ids=["switch-steps", "economy-not-object", "mutation-sd-nan"],
+        ids=["switch-steps", "economy-not-object", "mutation-sd-nan", "alpha-not-float"],
     )
     def test_bad_outside_input_writes_nothing(
         self, capsys, tmp_path, economy, flags, message

@@ -127,6 +127,10 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match="^config root must be a JSON object$"):
             load_config(str(path))
 
+    def test_document_root_must_be_object(self):
+        with pytest.raises(ConfigurationError, match="^config root must be a JSON object$"):
+            config_from_dict([])
+
     def test_other_experiments_sections_allowed(self):
         doc = dict(MINIMAL, switch={"anything": 1}, landscape={"samples": 5})
         assert config_from_dict(doc).switch is None

@@ -13,6 +13,7 @@ from growthlab import (
     EconomyParams,
     ProductionCoefficients,
     Strategy,
+    production,
     project_to_simplex,
     validate_simplex,
     weighted_geometric_mean,
@@ -106,6 +107,10 @@ class TestWeightedGeometricMean:
     def test_negative_base(self):
         with pytest.raises(DomainError):
             weighted_geometric_mean([-1.0, 2.0], self.half)
+
+    def test_production_needs_positive_scaling(self):
+        with pytest.raises(DomainError, match="scaling must be positive"):
+            production([1.0, 1.0], self.half, 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

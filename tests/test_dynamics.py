@@ -666,6 +666,14 @@ class TestEntryChecks:
         with pytest.raises(ConfigurationError):
             run_switch_experiment(sigma, [], params, c, wrong, 10, initial_state=state)
 
+    def test_non_positive_capital_level_and_steps_rejected(self):
+        params, c, sched = default_economy()
+        sigma = Strategy(np.array([0.5, 0.5]))
+        with pytest.raises(DomainError, match="capital_level must be positive"):
+            uniform_state(sigma, c, params, capital_level=0.0)
+        with pytest.raises(ConfigurationError, match="steps must be >= 1, got 0"):
+            run_switch_experiment(sigma, [], params, c, sched, 0)
+
     def test_fast_growth_finishes_with_finite_log_income(self):
         # 20% growth per step takes income past float range near step 3.9k;
         # the run keeps stepping on the ratio, and only income reads inf

@@ -164,6 +164,11 @@ class TestContourContains:
         with pytest.raises(DomainError):
             contour_contains(optimal_strategy(HALF), -0.031, HALF, params)
 
+    def test_nan_level_rejected(self):
+        params = EconomyParams(0.097, 0.03, ONES2)
+        with pytest.raises(DomainError, match="contour level must be finite"):
+            contour_contains(optimal_strategy(HALF), float("nan"), HALF, params)
+
 
 class TestCalibrateScaling:
     def test_reference_calibration(self):

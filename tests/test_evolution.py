@@ -198,6 +198,17 @@ class TestSelectParent:
         with pytest.raises(SelectionError):
             select_parent(0, pop, cfg, np.random.default_rng(0), self.params)
 
+    def test_observer_out_of_range_and_sample_past_the_peers_rejected(self):
+        pop = _population_with_growths([0.0, 0.01, 0.02], self.params, self.coefficients)
+        cfg = EvolutionConfig(population_size=5, observation_sample=2)
+        for observer in (-1, 3):
+            with pytest.raises(SelectionError, match=f"observer index {observer} out of range"):
+                select_parent(observer, pop, cfg, np.random.default_rng(0), self.params)
+        # a config for a larger population can ask for more peers than 3 agents have
+        cfg = EvolutionConfig(population_size=5, observation_sample=3)
+        with pytest.raises(SelectionError, match="observation_sample 3 exceeds available peers 2"):
+            select_parent(0, pop, cfg, np.random.default_rng(0), self.params)
+
 
 class TestEvolutionConfig:
     def test_observation_sample_bound(self):
@@ -469,6 +480,13 @@ class TestInitPopulation:
         zero_response = [half, Strategy(np.array([0.0, 1.0]))]
         with pytest.raises(InvariantViolation):
             init_population(params, c, cfg, strategies=zero_response)
+
+    def test_strategy_count_must_match_population(self):
+        params, c, _ = default_economy()
+        cfg = EvolutionConfig(population_size=3, observation_sample=1)
+        half = Strategy(np.array([0.5, 0.5]))
+        with pytest.raises(ConfigurationError, match="got 2 strategies for population of 3"):
+            init_population(params, c, cfg, strategies=[half, half])
 
     def test_rows_match_equilibrium_state(self):
         rng = np.random.default_rng(331)

@@ -34,9 +34,12 @@ rule and the position medians) goes to standard output.  ``layers`` holds,
 per workload, each trace metric's parent and change medians over the trace
 passes, and under "flagged" the metrics whose medians moved the wrong way
 (by the ``better`` of BENCHMARK.json's ``per_layer``) by more than 10% of a
-positive parent value; they are printed too.  One trace pass per side
-cannot resolve 10%: the same tree's switch-sweep
-``dynamics.us_per_agent_step`` has read anywhere from 4.3 to 10.3 us.
+positive parent value; they are printed too.  For each flagged metric,
+"ranges" holds each side's [min, max] over its passes, and "overlapping"
+names the metrics whose two ranges overlap; their printed line says "pass
+ranges overlap".  One trace pass per side cannot resolve 10%: the same
+tree's switch-sweep ``dynamics.us_per_agent_step`` has read anywhere from
+4.3 to 10.3 us.
 """
 
 from __future__ import annotations
@@ -188,25 +191,38 @@ def layers(runs: list[dict], workloads, better: dict[str, str]) -> dict:
     """Per workload, each trace metric's parent and change medians over the
     trace passes, and the names whose change median moved the wrong way by
     more than 10% of the parent's; a parent median <= 0
-    (``trace.overhead_s`` can be negative) flags nothing.  Prints the
-    flagged names."""
+    (``trace.overhead_s`` can be negative) flags nothing.  For each flagged
+    name, "ranges" holds each side's [min, max] over its passes, and
+    "overlapping" lists the names whose two ranges overlap: a move that
+    one side's passes also span may be noise.  Prints the flagged names
+    with their ranges."""
     out = {}
     for w in workloads:
         trace = {side: [r["result"]["metrics"] for r in runs if r["workload"] == w
                         and r["pass"] == "trace" and r["side"] == side]
                  for side in ("parent", "change")}
-        values = {name: {side: statistics.median(m[name]["value"] for m in passes)
-                         for side, passes in trace.items()}
+        passes = {name: {side: [m[name]["value"] for m in side_passes]
+                         for side, side_passes in trace.items()}
                   for name in trace["parent"][0]}
-        flagged = []
+        values = {name: {side: statistics.median(v) for side, v in sides.items()}
+                  for name, sides in passes.items()}
+        flagged, ranges, overlapping = [], {}, []
         for name, v in values.items():
             if name in better and v["parent"] > 0:
                 moved = (v["change"] - v["parent"]) / v["parent"]
                 if (moved > 0.1) if better[name] == "lower" else (moved < -0.1):
                     flagged.append(name)
+                    ranges[name] = {side: [min(p), max(p)] for side, p in passes[name].items()}
+                    (p_lo, p_hi), (c_lo, c_hi) = ranges[name].values()
+                    overlap = p_lo <= c_hi and c_lo <= p_hi
+                    if overlap:
+                        overlapping.append(name)
                     print(f"{w:<14} {name:<36} parent {v['parent']:.6g}  change "
-                          f"{v['change']:.6g}  {moved:+.1%}, {better[name]} is better")
-        out[w] = {"metrics": values, "flagged": flagged}
+                          f"{v['change']:.6g}  {moved:+.1%}, {better[name]} is better; "
+                          f"passes [{p_lo:.6g}, {p_hi:.6g}] and [{c_lo:.6g}, {c_hi:.6g}]"
+                          + (", pass ranges overlap" if overlap else ""))
+        out[w] = {"metrics": values, "flagged": flagged, "ranges": ranges,
+                  "overlapping": overlapping}
     return out
 
 
