@@ -124,10 +124,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _simplex_point(v: np.ndarray, name: str) -> np.ndarray:
     """``v`` frozen; raises unless every point on its last axis is on the simplex."""
-    if not np.isfinite(v).all():
-        raise DomainError(f"{name} must be finite")
-    if (v < 0.0).any() or (v > 1.0).any():
-        raise DomainError(f"{name} must lie in [0, 1]")
+    if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
+        raise DomainError(f"{name} must be finite" if not np.isfinite(v).all()
+                          else f"{name} must lie in [0, 1]")
     sums = v.sum(axis=-1)
     off = np.abs(sums - 1.0) > SIMPLEX_TOL
     if np.count_nonzero(off):

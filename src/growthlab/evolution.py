@@ -14,7 +14,10 @@ strategy; the imitator's capital stays where it is (invested capital is
 non-malleable).  Every agent owns a PCG64 stream seeded from the master
 seed and its index, so changing the population size never reshuffles
 other agents' randomness.  The population is the step kernel's
-state as arrays; an agent is absorbed where its log income is -inf.
+state as arrays; an agent is absorbed where its log income is -inf.  Its
+``sigma`` holds the strategies' weights as one read-only matrix, stacked
+once and then carried from step to step: phase 1 divides it by the prices,
+and phase 2 copies it only on a step where some agent imitated.
 """
 
 from __future__ import annotations
@@ -91,16 +94,19 @@ class Population:
     each agent's private random stream.
 
     ``ratio`` is the (agents, sectors) capital/income ratio; ``log_income``
-    and ``growth`` (the last realized growth) are (agents,).  Zero income is
-    absorbing: its row has log income -inf and ratio 0, and ``absorbed``
-    reads it.  ``parents[i]`` is the agent that agent i copied in the step
-    that made this population, or -1.  Only ``from_agents`` checks its input.
+    and ``growth`` (the last realized growth) are (agents,).  ``sigma`` is
+    the read-only, C-ordered (agents, sectors) stack of
+    ``strategies[i].weights``.  Zero income is absorbing: its row has log
+    income -inf and ratio 0, and ``absorbed`` reads it.  ``parents[i]`` is
+    the agent that agent i copied in the step that made this population, or
+    -1.  Only ``from_agents`` checks its input.
     """
 
     ratio: np.ndarray
     log_income: np.ndarray
     growth: np.ndarray
     strategies: list[Strategy]
+    sigma: np.ndarray
     step: int
     rngs: list[np.random.Generator]
     parents: np.ndarray
@@ -124,6 +130,7 @@ class Population:
             np.array([a.log_income for a in agents]),
             np.array([a.growth for a in agents]),
             [a.strategy for a in agents],
+            _stack([a.strategy for a in agents]),
             step,
             list(rngs),
             np.full(len(agents), -1),
@@ -142,6 +149,13 @@ class Population:
         rows = zip(ratio, self.log_income.tolist(), self.growth.tolist(), self.strategies)
         return [AgentState(ratio=x, log_income=y, growth=g, strategy=s)
                 for x, y, g, s in rows]
+
+
+def _stack(strategies: Sequence[Strategy]) -> np.ndarray:
+    """The read-only (agents, sectors) matrix of the strategies' weights."""
+    sigma = np.array([s.weights for s in strategies])
+    sigma.flags.writeable = False
+    return sigma
 
 
 def agent_stream(master_seed: int, agent_index: int) -> np.random.Generator:
@@ -198,8 +212,7 @@ def select_parent(
       the observer's; otherwise the observer keeps its own strategy (its own
       index is returned).
     """
-    growth = population.growth
-    n = growth.size
+    n = population.growth.size
     if n < 2:
         raise SelectionError("selection needs at least two agents")
     if not (0 <= observer_index < n):
@@ -209,26 +222,28 @@ def select_parent(
         raise SelectionError(
             f"observation_sample {k} exceeds available peers {n - 1}"
         )
-    # indices 0..n-2 shifted around the observer give distinct peers
-    raw = rng.choice(n - 1, size=k, replace=False)
-    peers = raw + (raw >= observer_index)
+    return _pick(observer_index, population.growth.tolist(), config, rng, params)
 
+
+def _pick(i: int, growth: list[float], config: EvolutionConfig,
+          rng: np.random.Generator, params: EconomyParams) -> int:
+    """``select_parent``'s draw and rule for observer i, unchecked, on the
+    growth figures as a list."""
+    # indices 0..n-2 shifted around the observer give distinct peers
+    raw = rng.choice(len(growth) - 1, size=config.observation_sample, replace=False)
+    peers = [j + (j >= i) for j in raw.tolist()]
     rule = config.selection_rule
-    if rule == "imitate-best-observed":
-        ordered = np.sort(peers)
-        return int(ordered[int(np.argmax(growth[ordered]))])
+    if rule == "imitate-best-observed":  # max keeps the first, so the lowest tied index
+        return max(sorted(peers), key=growth.__getitem__)
     if rule == "growth-proportional":
-        ordered = np.sort(peers)
-        weights = np.maximum(growth[ordered] + params.deprecation, 0.0)
+        ordered = sorted(peers)
+        weights = np.maximum(np.array([growth[j] for j in ordered]) + params.deprecation, 0.0)
         total = float(weights.sum())
         if total <= 0.0:
             return int(rng.choice(ordered))
         return int(rng.choice(ordered, p=weights / total))
     # pairwise-better
-    peer = int(peers[0])
-    if growth[peer] > growth[observer_index]:
-        return peer
-    return observer_index
+    return peers[0] if growth[peers[0]] > growth[i] else i
 
 
 def evolve_step(
@@ -241,35 +256,37 @@ def evolve_step(
     """One synchronous two-phase update of the whole population.
 
     Phase 1 steps every agent at once on the population's arrays, with the
-    kernel and the checks of ``step_agent``.  Phase 2 decides, then copies:
-    each agent's coin and ``select_parent`` read the phase-1 snapshot and
-    fill ``parents``, then each imitator takes a noisy copy of its parent's
-    phase-1 strategy.  Each agent draws on its own stream, which the step
-    advances in place: stepping one population twice draws anew.
+    kernel and the checks of ``step_agent``: the held ``sigma`` divided by
+    the prices.  Phase 2 decides, then copies: each agent's coin and
+    ``select_parent``'s rule read the phase-1 growth and fill ``parents``,
+    then each imitator takes a noisy copy of its parent's phase-1 strategy,
+    in ``strategies`` and in a copy of ``sigma``.  Each agent draws on its
+    own stream, which the step advances in place: stepping one population
+    twice draws anew.
     """
     p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
-    strategies, rngs = population.strategies, population.rngs
-    invest = np.array([s.weights for s in strategies]) / p
+    strategies, sigma, rngs = population.strategies, population.sigma, population.rngs
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
-        stepped = _advance(population.ratio, population.log_income, invest, params,
+        stepped = _advance(population.ratio, population.log_income, sigma / p, params,
                            coefficients)[:3]
-    snapshot = Population(*stepped, strategies, population.step + 1, rngs,
-                          np.full(len(strategies), -1))
-    if config.imitation_probability <= 0.0:
-        return snapshot
+    step, parents = population.step + 1, np.full(len(strategies), -1)
     chosen = {}  # imitator -> parent
-    for i, rng in enumerate(rngs):
-        if rng.random() < config.imitation_probability:
-            parent = select_parent(i, snapshot, config, rng, params)
-            if parent != i:
-                chosen[i] = parent
+    if config.imitation_probability > 0.0:
+        growth = stepped[2].tolist()
+        for i, rng in enumerate(rngs):
+            if rng.random() < config.imitation_probability:
+                parent = _pick(i, growth, config, rng, params)
+                if parent != i:
+                    chosen[i] = parent
     if not chosen:
-        return snapshot
-    copies, parents = list(strategies), snapshot.parents.copy()
+        return Population(*stepped, strategies, sigma, step, rngs, parents)
+    copies, sigma = list(strategies), sigma.copy()
     for i, j in chosen.items():
         copies[i] = mutate_strategy(strategies[j], config.imitation_error_sd, rngs[i])
+        sigma[i] = copies[i].weights
         parents[i] = j
-    return Population(*stepped, copies, snapshot.step, rngs, parents)
+    sigma.flags.writeable = False
+    return Population(*stepped, copies, sigma, step, rngs, parents)
 
 
 def init_population(
@@ -297,7 +314,7 @@ def init_population(
         strategies = [project_to_simplex(rng.dirichlet(ones)) for rng in rngs]
     for n in {s.sectors for s in strategies}:  # each count once, before stacking
         p = _resolve_prices(n, coefficients, params, prices)
-    sigma = np.array([s.weights for s in strategies])
+    sigma = _stack(strategies)
     ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
-    return Population(ratio, np.zeros(n_agents), growth, list(strategies), 0, rngs,
+    return Population(ratio, np.zeros(n_agents), growth, list(strategies), sigma, 0, rngs,
                       np.full(n_agents, -1))

@@ -164,7 +164,8 @@ def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     Steps 0 (the initial population) to T in one loop.  Per agent it holds
     the ``g*,sigma_0,...`` tail and the response, computed for every agent
     on step 0 and on the steps whose prices change, and otherwise only for
-    the agents that imitated on the step (``parents`` >= 0).
+    the agents that imitated on the step (``parents`` >= 0); the mean
+    response is recomputed only on a step that recomputed some agent's.
     """
     evo, params, coeffs = cfg.evolution, cfg.params, cfg.coefficients
     pop = init_population(params, coeffs, evo, cfg.prices.at(1))
@@ -178,13 +179,16 @@ def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
         p = cfg.prices.at(max(t, 1))
         if t >= 1:
             pop = evolve_step(pop, params, coeffs, p, evo)
-        for i in range(n) if t in changes else np.flatnonzero(pop.parents >= 0).tolist():
+        redo = range(n) if t in changes else np.flatnonzero(pop.parents >= 0).tolist()
+        for i in redo:
             strategy = pop.strategies[i]
             g_star = equilibrium_growth(strategy, coeffs, params, p)
             tails[i] = ",".join(map(fmt17, [g_star, *strategy.weights]))
             responses[i] = response(strategy, coeffs) if cfg.emit_svg else 0.0
         if cfg.emit_svg:
-            mean_response.append((t, float(np.mean(responses))))
+            if redo:  # step 0 redoes every agent, so mean is set from the start
+                mean = float(np.mean(responses))
+            mean_response.append((t, mean))
         rows = enumerate(zip(pop.log_income.tolist(), pop.growth.tolist(), tails))
         blocks.append("\n".join("%d,%d,%.17g,%.17g,%.17g,%s" % (t, i, _income(y), y, g, tail)
                                 for i, (y, g, tail) in rows))
@@ -215,8 +219,8 @@ def landscape_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[
             with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
                 resp = np.exp(_log_response(block, coeffs))
             g_star = _gain_rows(block, coeffs, cfg.params, p) - cfg.params.deprecation
-            values = np.column_stack([block, resp, g_star]).tolist()
-            yield "\n".join(row % tuple(v) for v in values)
+            values = np.column_stack([block, resp, g_star])
+            yield "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
 
     return lines(), {}
 

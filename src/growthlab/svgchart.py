@@ -8,7 +8,6 @@ without further tooling.
 
 from __future__ import annotations
 
-import html
 import math
 from typing import Sequence
 
@@ -97,14 +96,16 @@ def emit_svg(
     out: list[str] = []
 
     # one routine per repeated element kind; attrs is any attribute text that
-    # closes the tag, and a text's body is always escaped
+    # closes the tag, and a text's body is always escaped as html.escape(body,
+    # quote=False) does it, without importing html's entity tables
     def line(x1, y1, x2, y2, stroke="#333", attrs=""):
         out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{attrs}/>')
 
     def text(x, y, size, body, anchor="middle", attrs=""):
         anchor = f' text-anchor="{anchor}"' if anchor else ""
+        body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
-                   f'font-size="{size}"{attrs}>{html.escape(body, quote=False)}</text>')
+                   f'font-size="{size}"{attrs}>{body}</text>')
 
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(

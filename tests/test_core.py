@@ -18,7 +18,7 @@ from growthlab import (
     validate_simplex,
     weighted_geometric_mean,
 )
-from growthlab.core import _log_response
+from growthlab.core import _log_response, _simplex_point
 
 
 class TestValidateSimplex:
@@ -181,6 +181,37 @@ def test_one_row_log_response_matches_its_row_of_many(case):
             one = _log_response(row.copy(), coefficients, prices)
             assert np.asarray(one).shape == ()
             assert np.asarray(one).tobytes() == many[i].tobytes()
+
+
+FINITE, RANGE = "x must be finite", "x must lie in [0, 1]"
+
+
+@pytest.mark.parametrize("v, message", [
+    ([np.nan, 1.0], FINITE),
+    ([np.inf, 0.0], FINITE),
+    ([-np.inf, 1.0], FINITE),
+    ([-0.5, np.nan], FINITE),  # also out of range: finiteness is reported first
+    ([-0.1, 1.1], RANGE),
+    ([0.5, 1.5], RANGE),  # also off the sum: the range is reported first
+    ([0.25, 0.5], "x must sum to 1 within 1e-12 (got 0.75)"),
+    ([[0.5, 0.5], [0.5, np.nan]], FINITE),
+    ([[0.25, 0.5], [np.inf, 0.0]], FINITE),  # row 0 is off the sum, row 1 not finite
+    ([[-0.1, 1.1], [-np.inf, 1.0]], FINITE),
+    ([[0.5, 0.5], [1.25, -0.25]], RANGE),
+    ([[0.25, 0.5], [0.5, 1.5]], RANGE),
+    ([[0.5, 0.5], [0.25, 0.5], [0.5, 0.625]], "x must sum to 1 within 1e-12 (got 0.75)"),
+])
+def test_simplex_point_messages(v, message):
+    # one message per failure, whatever order the checks run in
+    with pytest.raises(DomainError) as raised:
+        _simplex_point(np.array(v), "x")
+    assert str(raised.value) == message
+
+
+def test_simplex_point_returns_a_frozen_copy():
+    for v in (np.array([0.25, 0.75]), np.array([[0.5, 0.5], [0.0, 1.0]])):
+        out = _simplex_point(v, "x")
+        assert out is not v and np.array_equal(out, v) and not out.flags.writeable
 
 
 class TestDomainTypes:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from growthlab import (
@@ -422,6 +423,36 @@ class TestEvolveStep:
         pop_large = init_population(self.params, self.coefficients, large, self.prices)
         for a, b in zip(pop_small.agents, pop_large.agents):
             assert a.strategy == b.strategy
+
+
+def _assert_held_matrix(pop):
+    """``pop.sigma`` is the read-only, C-ordered stack of its strategies' weights."""
+    sigma, want = pop.sigma, np.array([s.weights for s in pop.strategies])
+    assert sigma.flags.c_contiguous and not sigma.flags.writeable
+    assert sigma.dtype == want.dtype and sigma.shape == want.shape
+    assert sigma.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rule=st.sampled_from(SELECTION_RULES), seed=st.integers(0, 2**32 - 1),
+       sectors=st.integers(1, 5), size=st.integers(2, 8), data=st.data())
+def test_held_strategy_matrix_follows_the_strategies(rule, seed, sectors, size, data):
+    inst = random_instance(np.random.default_rng(seed), n=sectors)
+    params, coefficients, prices = inst.params, inst.coefficients, inst.params.prices
+    cfg = EvolutionConfig(
+        population_size=size, observation_sample=data.draw(st.integers(1, size - 1)),
+        imitation_probability=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
+        imitation_error_sd=data.draw(st.sampled_from([0.0, 0.02, 0.5])),
+        selection_rule=rule, seed=seed)
+    pop = init_population(params, coefficients, cfg, prices)
+    _assert_held_matrix(pop)
+    _assert_held_matrix(Population.from_agents(pop.agents, pop.step, pop.rngs))
+    for _ in range(20):
+        before = pop.sigma.copy()
+        out = evolve_step(pop, params, coefficients, prices, cfg)
+        assert pop.sigma.tobytes() == before.tobytes()  # the step copies, never writes
+        _assert_held_matrix(out)
+        pop = out
 
 
 def _replay_capital(state, params, coefficients, steps):

@@ -22,6 +22,7 @@ from hypothesis import assume, given, settings, strategies as st
 from growthlab import (EconomyParams, EvolutionConfig, PriceSchedule, ProductionCoefficients,
                        calibrate_scaling, evolve_step, init_population, project_to_simplex,
                        run_switch_experiment)
+from growthlab.dynamics import equilibrium_state, step_agent
 from growthlab.evolution import SELECTION_RULES
 
 STEPS = 60
@@ -30,14 +31,16 @@ TOL = 1e-12  # relative to max(1, |value|): absolute for growth and log income u
 
 def oracle(alphas, scaling, delta, sigmas, prices):
     """(growth, log income, smallest positive supported ratio) of steps
-    1..len(sigmas), step t investing sigmas[t-1] at prices[t-1], from income
-    1 at the fixed point of step 1's strategy and prices.  Zero income
-    absorbs: then growth 0, log income -inf."""
+    1..len(sigmas), step t producing with alphas[t-1] and investing
+    sigmas[t-1] at prices[t-1], from income 1 at the fixed point of step 1's
+    alpha, strategy and prices.  Zero income absorbs: then growth 0, log
+    income -inf."""
     with localcontext() as ctx:
         ctx.prec = 40
-        alpha, s, keep = [Decimal(a) for a in alphas], Decimal(scaling), 1 - Decimal(delta)
+        s, keep = Decimal(scaling), 1 - Decimal(delta)
 
-        def produce(k):  # s prod(k^alpha) over the support
+        def produce(k, t):  # s prod(k^alpha) over the support of step t's alpha
+            alpha = [Decimal(a) for a in alphas[t - 1]]
             if any(a and not x for a, x in zip(alpha, k)):
                 return Decimal(0)
             return s * sum(a * x.ln() for a, x in zip(alpha, k) if a).exp()
@@ -45,13 +48,13 @@ def oracle(alphas, scaling, delta, sigmas, prices):
         def invest(t):  # sigma / p of step t
             return [Decimal(w) / Decimal(q) for w, q in zip(sigmas[t - 1], prices[t - 1])]
 
-        gain = produce(invest(1))  # g* + delta at income 1
+        gain = produce(invest(1), 1)  # g* + delta at income 1
         k, y, out = [v / gain for v in invest(1)], Decimal(1), []
         for t in range(1, len(sigmas) + 1):
             k = [v * y + keep * x for v, x in zip(invest(t), k)]
-            y_next = produce(k)
+            y_next = produce(k, t)
             g, y = y_next / y - 1 if y else Decimal(0), y_next
-            ratio = min((x / y for a, x in zip(alpha, k) if a and x and y), default=1)
+            ratio = min((x / y for a, x in zip(alphas[t - 1], k) if a and x and y), default=1)
             out.append((float(g), float(y.ln()) if y else -math.inf, ratio))
         return out
 
@@ -75,13 +78,18 @@ def strategies(alphas, supported: bool):
         lambda w: project_to_simplex(np.array(w)))
 
 
+def coefficients_of(n):
+    """Production coefficients of n sectors, zero entries included."""
+    weights = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any)
+    return weights.map(lambda w: ProductionCoefficients(project_to_simplex(np.array(w)).weights))
+
+
 @st.composite
 def economies(draw):
     """(coefficients, params, price rows): 1-6 sectors with zero entries in
     alpha, and the price row changing at a drawn step."""
     n = draw(st.integers(1, 6))
-    weights = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any)
-    coefficients = ProductionCoefficients(project_to_simplex(np.array(draw(weights))).weights)
+    coefficients = draw(coefficients_of(n))
     delta = draw(st.floats(0.01, 1.0))
     p, q = (draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n)) for _ in "pq")
     scaling = calibrate_scaling(draw(st.floats(-0.5 * delta, 0.2)), coefficients, delta, p)
@@ -104,9 +112,15 @@ def two_sectors(alpha, delta, a, b, at, prices=(1.0, 1.0), scaling=1.0):
     return ProductionCoefficients(np.array(alpha)), params, [list(prices)], a, b, at
 
 
-def run_oracle(coefficients, params, rows, sigmas):
+def run_oracle(coefficients, params, rows, sigmas, shock=None):
+    """The oracle of STEPS steps; with ``shock`` = (step, coefficients) alpha
+    changes to the new coefficients' from that step on."""
     prices = [rows[min(t, len(rows)) - 1] for t in range(1, STEPS + 1)]
-    return oracle(coefficients.alphas, params.scaling, params.deprecation, sigmas, prices)
+    alphas = [coefficients.alphas] * STEPS
+    if shock is not None:
+        at, after = shock
+        alphas[at - 1:] = [after.alphas] * (STEPS - at + 1)
+    return oracle(alphas, params.scaling, params.deprecation, sigmas, prices)
 
 
 def check_switch(case, normal_ratios_only=False):
@@ -194,5 +208,60 @@ def test_population_phase_2_matches_the_oracle(economy, data):
         steps.append((pop.growth.tolist(), pop.log_income.tolist()))
     for i, schedule in enumerate(schedules):
         exact = run_oracle(coefficients, params, rows, schedule)
+        assume(min(r for *_, r in exact) >= sys.float_info.min)
+        assert_matches([g[i] for g, _ in steps], [y[i] for _, y in steps], exact)
+
+
+@st.composite
+def technology_shocks(draw):
+    """(coefficients before, coefficients after, params, price rows, shock
+    step): a change of alpha at a drawn step, the scaling calibrated to the
+    first alpha, as criterion 14 has it."""
+    before, params, rows = draw(economies())
+    return before, draw(coefficients_of(before.sectors)), params, rows, draw(
+        st.integers(2, STEPS))
+
+
+def shocked(before, after):
+    """Strategies positive wherever either alpha is: a fixed point under
+    the first, and a positive response under the second."""
+    return strategies(before.alphas + after.alphas, True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shock=technology_shocks(), data=st.data())
+def test_one_agent_across_a_change_of_alpha_matches_the_oracle(shock, data):
+    """step_agent under the new coefficients from the shock on: the invested
+    capital carries over and produces with the new alpha."""
+    before, after, params, rows, at = shock
+    sigma = data.draw(shocked(before, after))
+    prices = PriceSchedule(rows)
+    state = equilibrium_state(sigma, before, params, prices.at(1))
+    steps = []
+    for t in range(1, STEPS + 1):
+        state = step_agent(state, params, before if t < at else after, prices.at(t))
+        steps.append((state.growth, state.log_income))
+    exact = run_oracle(before, params, rows, [sigma.weights] * STEPS, shock=(at, after))
+    assume(min(r for *_, r in exact) >= sys.float_info.min)
+    assert_matches([g for g, _ in steps], [y for _, y in steps], exact)
+
+
+@settings(max_examples=10, deadline=None)
+@given(shock=technology_shocks(), data=st.data())
+def test_population_across_a_change_of_alpha_matches_the_oracle(shock, data):
+    """A population that never imitates, stepped by evolve_step under the
+    new coefficients from the shock on, row by row."""
+    before, after, params, rows, at = shock
+    sigmas = [data.draw(shocked(before, after)) for _ in range(4)]
+    config = EvolutionConfig(population_size=4, observation_sample=1,
+                             imitation_probability=0.0)
+    prices = PriceSchedule(rows)
+    pop = init_population(params, before, config, prices.at(1), strategies=sigmas)
+    steps = []
+    for t in range(1, STEPS + 1):
+        pop = evolve_step(pop, params, before if t < at else after, prices.at(t), config)
+        steps.append((pop.growth.tolist(), pop.log_income.tolist()))
+    for i, sigma in enumerate(sigmas):
+        exact = run_oracle(before, params, rows, [sigma.weights] * STEPS, shock=(at, after))
         assume(min(r for *_, r in exact) >= sys.float_info.min)
         assert_matches([g[i] for g, _ in steps], [y[i] for _, y in steps], exact)
