@@ -38,18 +38,15 @@ from .experiments import run_experiment
 SEED_ENV_VAR = "GROWTHLAB_SEED"
 
 
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _list_of(kind: type):
+    """An argparse type: a comma-separated list of ``kind`` (float or int)."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",") if x != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}")
+    return parse
 
 
 # the keys of --s and --target exclude each other (see _overlay)
@@ -70,11 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_economy(p: argparse.ArgumentParser, calibrate: bool = False) -> None:
         """The economy flags; calibrate requires three of them and has no --s."""
-        p.add_argument("--alpha", dest="economy.alphas", type=_floats,
+        p.add_argument("--alpha", dest="economy.alphas", type=_list_of(float),
                        required=calibrate, help="production coefficients")
         p.add_argument("--delta", dest="economy.deprecation", type=float,
                        required=calibrate, help="deprecation rate in (0, 1]")
-        p.add_argument("--prices", dest="economy.prices", type=_floats,
+        p.add_argument("--prices", dest="economy.prices", type=_list_of(float),
                        help="sector prices")
         p.add_argument("--target", dest=_TARGET, type=float, required=calibrate,
                        help="target equilibrium growth of the optimal strategy "
@@ -84,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="print g* for a strategy")
     add_economy(p_eq)
-    p_eq.add_argument("--sigma", type=_floats, required=True, help="strategy weights")
+    p_eq.add_argument("--sigma", type=_list_of(float), required=True, help="strategy weights")
 
     p_cal = sub.add_parser("calibrate", help="print s for a target growth")
     add_economy(p_cal, calibrate=True)
@@ -108,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, help="number of simulation steps")
         add_economy(p)
 
-    p_conv.add_argument("--initial-sigma", dest="switch.initial_sigma", type=_floats,
+    p_conv.add_argument("--initial-sigma", dest="switch.initial_sigma", type=_list_of(float),
                         help="starting strategy")
-    p_conv.add_argument("--switch-steps", dest="switch.switch_steps", type=_ints,
+    p_conv.add_argument("--switch-steps", dest="switch.switch_steps", type=_list_of(int),
                         help="steps to switch at")
     p_conv.add_argument(
         "--mutation-sd",

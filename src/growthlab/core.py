@@ -23,7 +23,7 @@ sectors with a zero production coefficient economically inert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -122,6 +122,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _equal_fields(self, other):
+    """``__eq__`` of the frozen value types: every constructor field equal by
+    value (derived ``init=False`` fields are not compared), or NotImplemented."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.init)
+
+
 def _simplex_point(v: np.ndarray, name: str) -> np.ndarray:
     """``v`` frozen; raises unless every point on its last axis is on the simplex."""
     if not (v.min() >= 0.0 and v.max() <= 1.0):  # NaN fails both
@@ -153,10 +162,7 @@ class Strategy:
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(float(x) for x in self.weights)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Strategy):
-            return NotImplemented
-        return np.array_equal(self.weights, other.weights)
+    __eq__ = _equal_fields
 
     def __repr__(self) -> str:
         return f"Strategy({self.as_tuple()})"
@@ -181,10 +187,7 @@ class ProductionCoefficients:
     def sectors(self) -> int:
         return int(self.alphas.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProductionCoefficients):
-            return NotImplemented
-        return np.array_equal(self.alphas, other.alphas)
+    __eq__ = _equal_fields
 
     def __repr__(self) -> str:
         return f"ProductionCoefficients({tuple(float(x) for x in self.alphas)})"
@@ -223,14 +226,7 @@ class EconomyParams:
     def sectors(self) -> int:
         return self.prices.size
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EconomyParams):
-            return NotImplemented
-        return (
-            self.scaling == other.scaling
-            and self.deprecation == other.deprecation
-            and np.array_equal(self.prices, other.prices)
-        )
+    __eq__ = _equal_fields
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -45,6 +45,7 @@ from .core import (
     ProductionCoefficients,
     Strategy,
     _check_prices,
+    _equal_fields,
     _freeze,
     _income,
     _log_response,
@@ -95,10 +96,7 @@ class PriceSchedule:
         before: the steps on which prices change."""
         return [t for t in self._changes if t <= steps]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PriceSchedule):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
+    __eq__ = _equal_fields
 
 
 class TraceRecord(NamedTuple):
@@ -124,13 +122,12 @@ def step_agent(
 ) -> AgentState:
     """Advance one agent by one period under the given prices.
 
-    Checks sector counts and that each price is positive and finite, except
-    for ``params.prices`` itself, which EconomyParams checked.  The new state
-    carries its ratio and log income, so a loop of calls steps exactly as
-    ``run_hold`` does.
+    Checks sector counts and the prices by the one entry rule: the params'
+    own ``prices`` array is trusted, any other must be positive and finite.
+    The new state carries its ratio and log income, so a loop of calls steps
+    exactly as ``run_hold`` does.
     """
-    p = eq._resolve_prices(state.sectors, coefficients, params,
-                           None if prices_at_t is params.prices else prices_at_t)
+    p = eq._resolve_prices(state.sectors, coefficients, params, prices_at_t)
     x, log_y, g, _ = _advance(state.ratio, state.log_income, state.strategy.weights / p,
                               params, coefficients)
     x.flags.writeable = False

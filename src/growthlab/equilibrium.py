@@ -52,10 +52,11 @@ CONTOUR_REL_TOL = 1e-12
 
 def _resolve_prices(n: int, coefficients, params, prices=None) -> np.ndarray:
     """``prices``, else the params' prices, as a float vector: the one entry
-    check of ``n`` strategy sectors against the params, the coefficients and
-    the prices, each price positive and finite."""
+    check of ``n`` strategy sectors against the params and the coefficients.
+    ``None`` or the params' own ``prices`` array (EconomyParams checked and
+    froze it) is trusted; any other array must be positive and finite."""
     _check_sectors(strategy=n, params=params.sectors, coefficients=coefficients.sectors)
-    if prices is None:
+    if prices is None or prices is params.prices:
         return params.prices
     return _check_prices(_as_vector(prices, "prices"), n)
 

@@ -11,6 +11,7 @@ from growthlab import (
     DimensionError,
     DomainError,
     EconomyParams,
+    PriceSchedule,
     ProductionCoefficients,
     Strategy,
     production,
@@ -274,3 +275,66 @@ class TestDomainTypes:
             AgentState.from_capital(np.array([1.0, 1.0]), -0.5, 0.0, sigma)
         with pytest.raises(DomainError):
             AgentState.from_capital(np.array([1.0, 1.0]), 1.0, np.nan, sigma)
+
+
+# per frozen value type: a builder from fresh inputs, and builders of values
+# that differ from it in one constructor field
+VALUE_TYPES = {
+    "Strategy": (
+        lambda: Strategy(np.array([0.2, 0.3, 0.5])),
+        [lambda: Strategy(np.array([0.2, 0.5, 0.3]))],
+    ),
+    "ProductionCoefficients": (
+        lambda: ProductionCoefficients(np.array([0.25, 0.0, 0.75])),
+        [lambda: ProductionCoefficients(np.array([0.25, 0.75, 0.0]))],
+    ),
+    "EconomyParams": (
+        lambda: EconomyParams(0.1, 0.05, np.array([1.0, 2.0])),
+        [
+            lambda: EconomyParams(0.2, 0.05, np.array([1.0, 2.0])),  # scaling
+            lambda: EconomyParams(0.1, 0.06, np.array([1.0, 2.0])),  # deprecation
+            lambda: EconomyParams(0.1, 0.05, np.array([1.0, 3.0])),  # one price
+        ],
+    ),
+    "PriceSchedule": (
+        lambda: PriceSchedule([[1.0, 2.0], [1.5, 2.0]]),
+        [
+            lambda: PriceSchedule([[1.0, 2.0], [1.5, 2.5]]),  # one entry of one row
+            lambda: PriceSchedule([[1.0, 2.0], [1.5, 2.0], [1.5, 2.0]]),  # row count
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_values_built_from_equal_inputs_are_equal(name):
+    build, _ = VALUE_TYPES[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and b == a
+    assert not a != b
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_one_changed_field_makes_values_unequal(name):
+    build, variants = VALUE_TYPES[name]
+    a = build()
+    for variant in variants:
+        v = variant()
+        assert a != v and v != a
+        assert not a == v
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_against_other_objects(name):
+    x = VALUE_TYPES[name][0]()
+    assert (x == 3) is False
+    assert (x != 3) is True
+    with pytest.raises(TypeError):
+        hash(x)
+
+
+def test_equal_weights_of_two_types_are_unequal():
+    w = np.array([0.25, 0.75])
+    assert Strategy(w) != ProductionCoefficients(w)
+    assert not Strategy(w) == ProductionCoefficients(w)

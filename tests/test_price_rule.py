@@ -5,6 +5,7 @@ DomainError or ConfigurationError."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from growthlab import (
@@ -93,3 +94,58 @@ def test_every_entry_applies_the_same_price_rule(v):
     valid = len(v) == N and all(math.isfinite(x) and x > 0.0 for x in v)
     verdicts = {name: _accepts(entry, v) for name, entry in ENTRIES.items()}
     assert verdicts == {name: valid for name in ENTRIES}, v
+
+
+
+def _bits(value) -> tuple:
+    """The bits of an entry's result: arrays by ``tobytes``, the rest by ``repr``."""
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if hasattr(value, "ratio"):  # AgentState or Population
+        fields = {k: v for k, v in vars(value).items() if k != "rngs"}
+        streams = [r.bit_generator.state for r in getattr(value, "rngs", [])]
+        return tuple(_bits(v) for v in fields.values()) + (repr(streams),)
+    return (repr(value),)
+
+
+# PARAMS, and params whose prices differ per sector, so a price taken from
+# the wrong sector would show
+ECONOMIES = [PARAMS, EconomyParams(0.1, 0.05, np.array([0.5, 2.0, 1.25]))]
+DEFAULT_PRICES = {
+    "equilibrium_growth": lambda params, v: equilibrium_growth(SIGMA, COEFFS, params, v),
+    "equilibrium_ratio": lambda params, v: equilibrium_ratio(SIGMA, COEFFS, params, v),
+    "equilibrium_state": lambda params, v: equilibrium_state(SIGMA, COEFFS, params, v),
+    # at the strategy's own g*: on the contour, where a bit would flip it
+    "contour_contains": lambda params, v: contour_contains(
+        SIGMA, equilibrium_growth(SIGMA, COEFFS, params), COEFFS, params, v
+    ),
+    "init_population": lambda params, v: init_population(params, COEFFS, EVOLUTION, v),
+}
+
+
+@pytest.mark.parametrize("params", ECONOMIES)
+@pytest.mark.parametrize("name", DEFAULT_PRICES)
+def test_the_params_own_prices_give_what_none_gives(name, params):
+    entry = DEFAULT_PRICES[name]
+    assert _bits(entry(params, params.prices)) == _bits(entry(params, None))
+
+
+IMITATING = EvolutionConfig(
+    population_size=4, observation_sample=2, imitation_probability=1.0, seed=7
+)
+REQUIRED_PRICES = {
+    "step_agent": lambda params, v: step_agent(
+        equilibrium_state(SIGMA, COEFFS, params), params, COEFFS, v
+    ),
+    # evolve_step advances its population's streams: a fresh one per call
+    "evolve_step": lambda params, v: evolve_step(
+        init_population(params, COEFFS, IMITATING), params, COEFFS, v, IMITATING
+    ),
+}
+
+
+@pytest.mark.parametrize("params", ECONOMIES)
+@pytest.mark.parametrize("name", REQUIRED_PRICES)
+def test_the_params_own_prices_give_what_a_copy_gives(name, params):
+    entry = REQUIRED_PRICES[name]
+    assert _bits(entry(params, params.prices)) == _bits(entry(params, np.array(params.prices)))

@@ -1,8 +1,11 @@
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import growthlab
 from growthlab.core import DomainError
 from growthlab.svgchart import emit_svg
 
@@ -103,3 +106,26 @@ def test_chart_bytes_match_their_pin(name):
     got = (emit_svg(series, **kwargs) + "\n").encode()
     with open(os.path.join(DATA, f"{name}.svg"), "rb") as fh:
         assert got == fh.read(), f"{name}.svg differs from its pin"
+
+
+# run in a fresh interpreter, so no module another test imported counts
+_HTML_PROBE = """
+import sys
+import growthlab, growthlab.cli, growthlab.experiments
+from growthlab.svgchart import emit_svg
+text = emit_svg([("a & <b>", [(0, 1.0), (1, 2.0)])], title="x < y & y > z",
+                y_label="<&>")
+assert "&amp; &lt;b&gt;" in text and "x &lt; y &amp; y &gt; z" in text
+print(sorted(name for name in ("html", "html.entities") if name in sys.modules))
+"""
+
+
+def test_no_growthlab_import_or_chart_loads_html():
+    """Escaping needs neither ``html`` nor ``html.entities``, whose tables
+    would cost every growthlab process peak memory."""
+    src = os.path.dirname(os.path.dirname(growthlab.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", _HTML_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -143,19 +143,17 @@ def summarize(runs: list[dict], workloads, pairs: int) -> dict:
         timed = {side: [r for r in runs if r["workload"] == w and r["side"] == side
                         and r["pass"] != "trace"] for side in ("parent", "change")}
         medians[w] = {}
+        values = {}  # per side, each metric's values over its timed runs
         for side, side_runs in timed.items():
-            values = {name: [r["result"]["metrics"][name]["value"] for r in side_runs]
-                      for name in side_runs[0]["result"]["metrics"]}
+            values[side] = {name: [r["result"]["metrics"][name]["value"] for r in side_runs]
+                            for name in side_runs[0]["result"]["metrics"]}
             medians[w][side] = {name: round(statistics.median(v), 4)
-                                for name, v in values.items()}
+                                for name, v in values[side].items()}
             medians[w][side]["failed"] = sum(r["result"]["failed"] for r in side_runs)
         medians[w]["gain"] = {}
         medians[w]["position"] = {side: {} for side in timed}
-        for name in medians[w]["parent"]:
-            if name == "failed":
-                continue
-            by_side = {side: [r["result"]["metrics"][name]["value"] for r in timed[side]]
-                       for side in timed}
+        for name in values["parent"]:
+            by_side = {side: values[side][name] for side in timed}
             quartiles = {side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
                          for side, v in by_side.items()}
             wins = sum(c < p for p, c in zip(by_side["parent"], by_side["change"]))
