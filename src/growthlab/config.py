@@ -20,6 +20,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
 from types import UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
@@ -94,6 +95,7 @@ _TOP_KEYS = (
     "target_growth", "economy", "price_schedule",
 ) + tuple(name for name, _ in _SECTIONS.values())
 _ECONOMY_KEYS = ("alphas", "sectors", "deprecation", "prices", "scaling")
+_field_types = cache(get_type_hints)  # of a section type, resolved on its first load
 
 
 @dataclass(frozen=True)
@@ -179,7 +181,7 @@ def _load_section(doc: dict, name: str, spec, inherited: dict):
     Absent or null keys keep the field defaults, or the ``inherited`` values.
     """
     section = _get(doc, name, "", dict, {})
-    kinds = get_type_hints(spec)
+    kinds = _field_types(spec)
     _reject_unknown(section, kinds, f"{name}.")
     values = dict(inherited)
     for f in fields(spec):

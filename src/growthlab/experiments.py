@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -161,28 +161,26 @@ def _emit_panels(records: Sequence[TraceRecord], text: dict[str, list[str]],
 def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     """Population imitation loop; returns the per-step population CSV.
 
-    Steps 0 (the initial population) to T in one loop.  Per agent it holds
-    the ``g*,sigma_0,...`` tail and the response, computed for every agent
-    on step 0 and on the steps whose prices change, and otherwise only for
-    the agents that imitated on the step (``parents`` >= 0); the mean
-    response is recomputed only on a step that recomputed some agent's.
+    Steps 0 (the initial population) to T in one loop on the params of the
+    current price row, built (so checked) on step 0 and each price change.
+    Those steps redo every agent's ``g*,sigma_0,...`` tail and response, the
+    others only the imitators' (``parents`` >= 0), and the mean if any changed.
     """
-    evo, params, coeffs = cfg.evolution, cfg.params, cfg.coefficients
-    pop = init_population(params, coeffs, evo, cfg.prices.at(1))
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(params.sectors))
+    evo, coeffs = cfg.evolution, cfg.coefficients
+    sigma_cols = ",".join(f"sigma_{i}" for i in range(cfg.params.sectors))
     blocks = [f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"]
     mean_response: list[tuple[int, float]] = []
     n = evo.population_size
     tails, responses = [""] * n, [0.0] * n
     changes = {0, *cfg.prices.change_steps(cfg.steps)}
     for t in range(cfg.steps + 1):
-        p = cfg.prices.at(max(t, 1))
-        if t >= 1:
-            pop = evolve_step(pop, params, coeffs, p, evo)
+        params = replace(cfg.params, prices=cfg.prices.at(t or 1)) if t in changes else params
+        pop = evolve_step(pop, params, coeffs, None, evo) if t else init_population(
+            params, coeffs, evo)
         redo = range(n) if t in changes else np.flatnonzero(pop.parents >= 0).tolist()
         for i in redo:
             strategy = pop.strategies[i]
-            g_star = equilibrium_growth(strategy, coeffs, params, p)
+            g_star = equilibrium_growth(strategy, coeffs, params)
             tails[i] = ",".join(map(fmt17, [g_star, *strategy.weights]))
             responses[i] = response(strategy, coeffs) if cfg.emit_svg else 0.0
         if cfg.emit_svg:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from growthlab.dynamics import (
     uniform_state,
 )
 from growthlab.equilibrium import (
+    calibrate_scaling,
     equilibrium_growth,
     equilibrium_ratio,
     hill_climb,
@@ -91,30 +93,23 @@ def test_criterion_2_monotone_ratio_convergence(instances):
             limit = equilibrium_ratio(inst.strategy, inst.coefficients, inst.params)
             prices = inst.params.prices
 
+            def distances(state):  # |ratio - limit| after each of 2000 steps
+                ratios = []
+                for _ in range(2000):
+                    state = step_agent(state, inst.params, inst.coefficients, prices)
+                    ratios.append(state.ratio)
+                return np.abs(np.array(ratios) - limit)
+
             # run_hold's default initial state: the ratio series must never
             # move away from the limit by more than float noise
-            state = equilibrium_state(inst.strategy, inst.coefficients, inst.params)
-            prev = None
-            for _ in range(2000):
-                state = step_agent(state, inst.params, inst.coefficients, prices)
-                dist = np.abs(state.capital / state.income - limit)
-                if prev is not None:
-                    worst_reversal = max(worst_reversal, float(np.max(dist - prev)))
-                prev = dist
+            dist = distances(equilibrium_state(inst.strategy, inst.coefficients, inst.params))
+            worst_reversal = max(worst_reversal, float(np.max(np.diff(dist, axis=0))))
 
             # generic start: the ratio must reach the same limit; early
             # transients may undershoot it once, which is logged, not hidden
-            state = uniform_state(inst.strategy, inst.coefficients, inst.params)
-            prev = None
-            had_undershoot = False
-            for _ in range(2000):
-                state = step_agent(state, inst.params, inst.coefficients, prices)
-                dist = np.abs(state.capital / state.income - limit)
-                if prev is not None and float(np.max(dist - prev)) > 1e-12:
-                    had_undershoot = True
-                prev = dist
-            transient_undershoots += had_undershoot
-            worst_limit_gap = max(worst_limit_gap, float(np.max(prev)))
+            dist = distances(uniform_state(inst.strategy, inst.coefficients, inst.params))
+            transient_undershoots += float(np.max(np.diff(dist, axis=0))) > 1e-12
+            worst_limit_gap = max(worst_limit_gap, float(np.max(dist[-1])))
         print(
             f"    fixed-point runs: max reversal = {worst_reversal:.3e}; "
             f"generic runs: limit gap = {worst_limit_gap:.3e}, "
@@ -511,4 +506,59 @@ def test_criterion_14_adaptation_after_a_technology_shock():
               f"of the new maximum; steps to 99% of it, seeds 0-5 = {steps}, "
               f"elapsed = {elapsed:.2f}s")
         assert None not in steps
+        assert elapsed < 2.0
+
+
+def _switch_contractions(rng, delta=None):
+    """A drawn switch a -> b from a's fixed point: 2-6 sectors, alpha, a and b
+    Dirichlet, delta U[0.02, 0.9], prices U[0.5, 2], scaling calibrated so the
+    optimum grows at 0.0185.  Stepped by step_agent, at least twice, until the
+    ratio gap max|x - x*_b| / max|x*_b| and the excess growth |g - g*_b| are
+    both below 1e-8, or 300 times.  Returns lambda = (1 - delta) / (1 + g*_b)
+    and the gap and the excess after each step, the switch step first."""
+    n = int(rng.integers(2, 7))
+    coefficients = ProductionCoefficients(rng.dirichlet(np.ones(n)))
+    a, b = (project_to_simplex(rng.dirichlet(np.ones(n))) for _ in range(2))
+    delta = float(rng.uniform(0.02, 0.9)) if delta is None else delta
+    prices = rng.uniform(0.5, 2.0, n)
+    params = EconomyParams(calibrate_scaling(0.0185, coefficients, delta, prices),
+                           delta, prices)
+    x_b = equilibrium_ratio(b, coefficients, params)
+    g_b = equilibrium_growth(b, coefficients, params)
+    state = replace(equilibrium_state(a, coefficients, params), strategy=b)
+    gaps, excess = [], []
+    while len(gaps) < 2 or len(gaps) < 300 and max(gaps[-1], excess[-1]) >= 1e-8:
+        state = step_agent(state, params, coefficients, params.prices)
+        gaps.append(float(np.abs(state.ratio - x_b).max() / np.abs(x_b).max()))
+        excess.append(abs(state.growth - g_b))
+    return (1.0 - delta) / (1.0 + g_b), gaps, excess
+
+
+def _last_contraction(series):
+    """series[t + 1] / series[t] for the last t >= 1 (the second step after
+    the switch or a later one) with series[t] above 1e-8."""
+    t = max(t for t in range(1, len(series) - 1) if series[t] > 1e-8)
+    return series[t + 1] / series[t]
+
+
+def test_criterion_15_convergence_at_its_closed_form_rate():
+    with criterion(15, "after a switch the gap contracts by lambda, the excess by lambda^2"):
+        t0 = time.perf_counter()
+        rng = np.random.default_rng(20261020)
+        errors = []  # per draw: relative errors against lambda and lambda^2
+        for _ in range(200):
+            lam, gaps, excess = _switch_contractions(rng)
+            errors.append((abs(_last_contraction(gaps) / lam - 1.0),
+                           abs(_last_contraction(excess) / lam**2 - 1.0)))
+        gap_err, excess_err = np.array(errors).T
+        # at full deprecation lambda is 0: the switch step lands on b's fixed point
+        at_one = [_switch_contractions(rng, delta=1.0) for _ in range(20)]
+        worst_at_one = max(max(gaps[0], excess[1]) for _, gaps, excess in at_one)
+        elapsed = time.perf_counter() - t0
+        print(f"    lambda: median error {np.median(gap_err):.2e}, worst {gap_err.max():.2e}; "
+              f"lambda^2: median {np.median(excess_err):.2e}, worst {excess_err.max():.2e}; "
+              f"delta = 1: worst gap or excess {worst_at_one:.2e}, elapsed = {elapsed:.2f}s")
+        assert np.median(gap_err) < 1e-7 and gap_err.max() < 2e-3
+        assert np.median(excess_err) < 1e-3 and excess_err.max() < 2e-2
+        assert worst_at_one < 1e-12
         assert elapsed < 2.0

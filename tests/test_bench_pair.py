@@ -3,10 +3,12 @@ or benchmark run, its summary, and the two trees it extracts."""
 
 import importlib.util
 import json
+import math
 import os
 import statistics
 import subprocess
 
+import numpy as np
 import pytest
 
 SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pair.py")
@@ -240,6 +242,18 @@ def test_trace_passes_alternate_sides(tmp_path, monkeypatch):
                      ("P", "w", 1), ("C", "w", 1), ("C", "w", 1), ("P", "w", 1),
                      ("P", "w", 1), ("C", "w", 1)]
     assert len([r for r in json.loads(out.read_text())["runs"] if r["pass"] == "trace"]) == 6
+    assert json.loads(out.read_text())["machine"]["exp_dispatch"] == bench_pair.exp_dispatch()
+
+
+def test_exp_dispatch_counts_where_numpy_exp_leaves_libm(monkeypatch):
+    bench_pair = load_bench_pair()
+    x = np.linspace(-50, 50, 1001)
+    here = sum(a != math.exp(v) for a, v in zip(np.exp(x).tolist(), x.tolist()))
+    probe = bench_pair.exp_dispatch()
+    assert (probe["differ"], probe["libm"]) == (here, here == 0)
+    # without the AVX-512 targets numpy's exp agrees with libm
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")
+    assert bench_pair.exp_dispatch()["differ"] == 0
 
 
 def test_flagged_layers_state_whether_their_pass_ranges_overlap(capsys):

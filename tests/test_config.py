@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from growthlab import ConfigurationError, DomainError
+from growthlab import ConfigurationError, DomainError, config
 from growthlab.config import (
     annual_to_step_rate,
     config_from_dict,
@@ -281,3 +281,15 @@ class TestAnnualConversion:
     def test_geometric_split(self):
         per_step = annual_to_step_rate(0.0185, 12.0)
         assert (1 + per_step) ** 12 == pytest.approx(1.0185, rel=1e-12)
+
+
+def test_each_section_type_is_resolved_once_per_process():
+    docs = [dict(MINIMAL, experiment=e) for e in ("switch", "evolve", "landscape")]
+    for doc in docs:
+        config_from_dict(doc)
+    resolved = config._field_types.cache_info()
+    for doc in docs * 2:
+        config_from_dict(doc)
+    after = config._field_types.cache_info()
+    assert (after.misses, after.currsize) == (resolved.misses, resolved.currsize) == (3, 3)
+    assert after.hits == resolved.hits + 6

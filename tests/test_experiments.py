@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
-from growthlab.core import DomainError, Strategy
-from growthlab import experiments
+from growthlab.core import DomainError, Strategy, _income
+from growthlab import core, dynamics, equilibrium, experiments
+from growthlab.equilibrium import equilibrium_growth
+from growthlab.evolution import evolve_step, init_population
 from growthlab.dynamics import TraceRecord, equilibrium_state, run_hold
 from growthlab.experiments import (
     _emit_panels,
@@ -186,6 +188,58 @@ class TestEvolveExperiment:
         b1 = open(r1.output, "rb").read()
         r2 = run_experiment(config_from_dict(dict(doc)))
         assert open(r2.output, "rb").read() == b1
+
+    @staticmethod
+    def scheduled_doc(tmp_path, steps, rows):
+        return {
+            "experiment": "evolve", "steps": steps, "seed": 3,
+            "economy": {"alphas": [0.4, 0.6], "prices": [1.0, 1.0]},
+            "price_schedule": rows,
+            "evolution": {"population_size": 8, "observation_sample": 3,
+                          "imitation_probability": 0.3},
+            "output": str(tmp_path / f"pop_{steps}.csv"),
+        }
+
+    def test_each_price_row_is_checked_once(self, tmp_path, monkeypatch):
+        # three rows: the run checks each once, however many steps it takes
+        check, calls = core._check_prices, []
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (core, equilibrium, dynamics):
+            monkeypatch.setattr(module, "_check_prices", counted)
+        rows = [[1.0, 1.0], [1.2, 0.9], [0.8, 1.1]]
+        counts = []
+        for steps in (40, 80):
+            cfg = config_from_dict(self.scheduled_doc(tmp_path, steps, rows))
+            calls.clear()
+            experiments.evolve_experiment(cfg)
+            counts.append(len(calls))
+        assert counts == [3, 3]
+
+    def test_schedule_off_the_economy_prices_matches_a_reference_loop(self, tmp_path):
+        # row 1 differs from economy.prices; every agent is annotated every step
+        rows = [[1.3, 0.7], [1.3, 0.7], [0.9, 1.2], [1.1, 1.0]]
+        cfg = config_from_dict(self.scheduled_doc(tmp_path, 30, rows))
+        params, c, evo = cfg.params, cfg.coefficients, cfg.evolution
+        assert not np.array_equal(cfg.prices.at(1), params.prices)
+        lines = [trace_header(2).replace("excess_growth,", "")]
+        pop, imitations = init_population(params, c, evo, cfg.prices.at(1)), 0
+        for t in range(cfg.steps + 1):
+            p = cfg.prices.at(max(t, 1))
+            if t >= 1:
+                pop = evolve_step(pop, params, c, p, evo)
+                imitations += int((pop.parents >= 0).sum())
+            for i, s in enumerate(pop.strategies):
+                y, g = float(pop.log_income[i]), float(pop.growth[i])
+                g_star = equilibrium_growth(s, c, params, p)
+                values = [_income(y), y, g, g_star, *s.weights]
+                lines.append(f"{t},{i}," + ",".join(map(fmt17, values)))
+        run_experiment(cfg)
+        assert open(cfg.output_path).read().split("\n") == [*lines, ""]
+        assert imitations > 0
 
 
 class TestLandscapeExperiment:
