@@ -29,7 +29,7 @@ exactly, the rest of its steps are emitted in one pass, not recomputed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate, cycle, islice, repeat
 from typing import NamedTuple, Sequence
 
@@ -270,10 +270,12 @@ def run_switch_experiment(
     By default the agent starts exactly at the initial strategy's equilibrium
     with income 1, so pre-switch growth already equals equilibrium growth.
 
-    Checked once, on entry: steps, switch steps, every sector count, and
-    that the start income is the production of its capital (the schedule
-    checked its prices when built).  The steps are ``step_agent``'s: growth
-    stays finite, and past float range income reads inf but its log does not.
+    Checked once, on entry: steps, switch steps, every sector count against
+    row 1's params, and that the start income is the production of its
+    capital.  Each price row's params (``params`` with its prices) are built,
+    so checked, once; a segment steps on its row's, passing no prices.  The
+    steps are ``step_agent``'s: growth stays finite, and past float range
+    income reads inf but its log does not.
     Sigma / p is fixed from step 1, a switch or a price change to the next,
     so a live step there is a function of its ratio.  Once one (log income
     finite) returns, byte for byte, the ratio of one or two steps back, the
@@ -284,29 +286,30 @@ def run_switch_experiment(
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
     _check_switch_steps([at_step for at_step, _ in switches], steps)
+    rows = {t: replace(params, prices=prices.at(t)) for t in [1, *prices.change_steps(steps)]}
     for strat in [initial, *(strat for _, strat in switches)]:
-        eq._resolve_prices(strat.sectors, coefficients, params, prices.at(1))
+        eq._resolve_prices(strat.sectors, coefficients, rows[1])
 
     if initial_state is None:
-        state = equilibrium_state(initial, coefficients, params, prices.at(1))
+        state = equilibrium_state(initial, coefficients, rows[1])
     else:
         state = initial_state
         verify_state_consistency(state, params, coefficients)
 
     pending = {1: initial, **dict(switches)}  # the strategy from each of its steps on
-    firsts = sorted({*pending, *prices.change_steps(steps)})  # each starts a segment
+    firsts = sorted({*pending, *rows})  # each starts a segment
     records: list[TraceRecord] = []
     x, log_y = state.ratio, state.log_income
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         for first, stop in zip(firsts, [*firsts[1:], steps + 1]):
-            p = prices.at(first)
+            row = rows[first] if first in rows else row
             current = pending[first] if first in pending else current
             sigma = current.as_tuple()
-            g_star = eq.equilibrium_growth(current, coefficients, params, p)
-            invest = current.weights / p
+            g_star = eq.equilibrium_growth(current, coefficients, row)
+            invest = current.weights / row.prices
             before = last = (b"",)  # steps t - 2, t - 1: (x bytes, x, log g, g, excess)
             for t in range(first, stop):
-                x, log_y, g, log_g = _advance(x, log_y, invest, params, coefficients)
+                x, log_y, g, log_g = _advance(x, log_y, invest, row, coefficients)
                 g, log_y = float(g), float(log_y)
                 out = (x.tobytes(), x, float(log_g), g, g - g_star)
                 records.append(TraceRecord(t, 0, _income(log_y), g, g_star, out[4],

@@ -57,12 +57,22 @@ def trace_header(sectors: int) -> str:
     return ",".join([*_TRACE_COLUMNS][:-1] + [f"sigma_{i}" for i in range(sectors)])
 
 
+#: panel -> (title, y label, its series as (label, TraceRecord field) pairs)
+_PANELS = {
+    "growth": ("Income growth rate vs. equilibrium growth rate", "income growth rate", (
+        ("income growth", "growth"), ("equilibrium growth", "equilibrium_growth"))),
+    "excess": ("Growth rate minus equilibrium growth rate", "excess growth rate", (
+        ("excess growth", "excess_growth"),)),
+}
+
+
 def format_trace(
-    records: Sequence[TraceRecord], sectors: int
+    records: Sequence[TraceRecord], sectors: int, svg: bool = False
 ) -> tuple[str, dict[str, list[str]]]:
-    """The trace CSV's text, and its formatted columns by field for the panel
-    CSVs.  g* and sigma are formatted again only where the record's g* or
-    strategy object is not the previous record's."""
+    """The trace CSV's text, and the panel files by suffix: each panel's CSV,
+    joined from the trace's formatted columns, and with svg its chart, all
+    from one transposition of the records.  g* and sigma are formatted again
+    only where the record's g* or strategy object is not the previous one's."""
     columns = list(zip(*records)) or [()] * len(TraceRecord._fields)
     columns = dict(zip(TraceRecord._fields, columns))
     text = {f: ((spec + ",") * len(records) % columns[f]).split(",")[:-1]
@@ -75,7 +85,16 @@ def format_trace(
         g_text.append(g_str)
         sigma_text.append(sigma_str)
     rows = map(",".join, zip(*(text[f] for f in _TRACE_COLUMNS)))
-    return "\n".join([trace_header(sectors), *rows]), text
+    trace = "\n".join([trace_header(sectors), *rows])
+    files = {}
+    for name, (_, _, series) in _PANELS.items():
+        fields = ["step", *(f for _, f in series)]
+        rows = map(",".join, zip(*(text[f] for f in fields)))
+        files[f".{name}.csv"] = ["\n".join([",".join(fields), *rows])]
+    for name, (title, y_label, series) in _PANELS.items() if svg else ():
+        lines = [(label, list(zip(columns["step"], columns[f]))) for label, f in series]
+        files[f".{name}.svg"] = [emit_svg(lines, title=title, y_label=y_label)]
+    return trace, files
 
 
 @dataclass(frozen=True)
@@ -130,32 +149,8 @@ def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
         cfg.prices,
         cfg.steps,
     )
-    trace, text = format_trace(records, cfg.params.sectors)
-    return [trace], _emit_panels(records, text, svg=cfg.emit_svg)
-
-
-#: panel -> (title, y label, its series as (label, TraceRecord field) pairs)
-_PANELS = {
-    "growth": ("Income growth rate vs. equilibrium growth rate", "income growth rate", (
-        ("income growth", "growth"), ("equilibrium growth", "equilibrium_growth"))),
-    "excess": ("Growth rate minus equilibrium growth rate", "excess growth rate", (
-        ("excess growth", "excess_growth"),)),
-}
-
-
-def _emit_panels(records: Sequence[TraceRecord], text: dict[str, list[str]],
-                 svg: bool) -> dict[str, list[str]]:
-    """Each panel's CSV by suffix, from the trace's columns ``text``; with svg its chart."""
-    files = {}
-    for name, (_, _, series) in _PANELS.items():
-        fields = ["step", *(f for _, f in series)]
-        rows = map(",".join, zip(*(text[f] for f in fields)))
-        files[f".{name}.csv"] = ["\n".join([",".join(fields), *rows])]
-    column = dict(zip(TraceRecord._fields, zip(*records)))
-    for name, (title, y_label, series) in _PANELS.items() if svg else ():
-        lines = [(label, list(zip(column["step"], column[f]))) for label, f in series]
-        files[f".{name}.svg"] = [emit_svg(lines, title=title, y_label=y_label)]
-    return files
+    trace, files = format_trace(records, cfg.params.sectors, svg=cfg.emit_svg)
+    return [trace], files
 
 
 def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:

@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st
 from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
 from growthlab.core import DomainError, Strategy, _income
-from growthlab import core, dynamics, equilibrium, experiments
+from growthlab import config, core, dynamics, equilibrium, experiments
 from growthlab.equilibrium import equilibrium_growth
 from growthlab.evolution import evolve_step, init_population
 from growthlab.dynamics import TraceRecord, equilibrium_state, run_hold
 from growthlab.experiments import (
-    _emit_panels,
     fmt17,
     format_trace,
     run_experiment,
@@ -87,6 +86,29 @@ class TestSwitchExperiment:
             assert g_row[1] == t_row[4]
             assert g_row[2] == t_row[5]
             assert e_row[1] == t_row[6]
+
+    def test_each_price_row_is_checked_once(self, tmp_path, monkeypatch):
+        # three rows: the run checks each once, however many switches it makes
+        check, calls = core._check_prices, []
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        for module in (core, equilibrium, dynamics, config):
+            monkeypatch.setattr(module, "_check_prices", counted)
+        rows = [[1.0, 1.0], [1.2, 0.9], [0.8, 1.1]]
+        counts = []
+        for switches in (2, 8):
+            at = list(range(10, 10 + 5 * switches, 5))
+            sigmas = [[0.3, 0.7], [0.6, 0.4]] * (switches // 2)
+            doc = _switch_doc(tmp_path, steps=60, price_schedule=rows, switch={
+                "initial_sigma": [0.5, 0.5], "switch_steps": at, "switch_sigmas": sigmas})
+            cfg = config_from_dict(doc)
+            calls.clear()
+            experiments.switch_experiment(cfg)
+            counts.append(len(calls))
+        assert counts == [3, 3]
 
     def test_excess_growth_never_meaningfully_negative(self, tmp_path):
         cfg = config_from_dict(_switch_doc(tmp_path, seed=3))
@@ -389,8 +411,7 @@ def trace_records(draw):
 @given(drawn=trace_records())
 def test_trace_and_panel_csvs_match_per_field_formatting(drawn):
     n, records = drawn
-    trace, text = format_trace(records, n)
-    panels = _emit_panels(records, text, svg=False)
+    trace, panels = format_trace(records, n)
     [growth], [excess] = panels[".growth.csv"], panels[".excess.csv"]
     want = [trace_header(n)] + [",".join([
         str(r.step), str(r.agent_id), *map(fmt17, (r.income, r.log_income, r.growth,

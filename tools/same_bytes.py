@@ -17,9 +17,11 @@ PYTHONPATH=src and GROWTHLAB_SEED unset, writes:
 
 Each directory of CLI runs also gets ``exit_codes.txt``, one line per run.
 perfbench/ is read, not edited.  Then every file of the two sides is
-compared by sha256.  The counts, and each path that differs or is on one
-side only, go to standard output; the exit code is 0 only if both sides
-hold the same paths with the same bytes.
+compared by sha256.  The header line names numpy's ``exp`` dispatch the
+runs had (tools/bench_pair.py's ``exp_dispatch`` probe), as the output bits
+depend on it.  The counts, and each path that differs or is on one side
+only, go to standard output; the exit code is 0 only if both sides hold the
+same paths with the same bytes.
 """
 
 from __future__ import annotations
@@ -134,7 +136,9 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 raise SystemExit(f"writing the {side} outputs exited {proc.returncode}:\n"
                                  f"{proc.stderr[-2000:]}")
-        print(f"parent {sha} against the working tree")
+        probe = bench_pair.exp_dispatch()
+        print(f"parent {sha} against the working tree; numpy exp dispatch: {probe['probe']} "
+              f"at {probe['differ']} values (libm {probe['libm']})")
         return report(compare(outs["parent"], outs["change"]))
 
 
