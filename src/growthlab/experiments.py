@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .core import Strategy, _income, _log_response, _project_rows
 from .core import _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
 from .equilibrium import _gain_rows, _resolve_prices
-from .equilibrium import equilibrium_growth, optimal_strategy, response
+from .equilibrium import optimal_strategy, response
 from .evolution import (
     evolve_step,
     experiment_stream,
@@ -153,44 +154,58 @@ def switch_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
     return [trace], files
 
 
-def evolve_experiment(cfg: RunConfig) -> tuple[list[str], dict[str, list[str]]]:
+def evolve_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[str]]]:
     """Population imitation loop; returns the per-step population CSV.
 
     Steps 0 (the initial population) to T in one loop on the params of the
-    current price row, built (so checked) on step 0 and each price change.
-    Those steps redo every agent's ``g*,sigma_0,...`` tail and response, the
-    others only the imitators' (``parents`` >= 0), and the mean if any changed.
+    current price row, built (so checked) on step 0 and each price change,
+    keeping the log incomes, the growth and each agent's strategy id.  Then
+    each price row takes one batched g* over the strategies held on its steps,
+    and svg one batched response.  Every check runs before this returns; the
+    rows are a generator, formatted per step as they are written.
     """
-    evo, coeffs = cfg.evolution, cfg.coefficients
-    sigma_cols = ",".join(f"sigma_{i}" for i in range(cfg.params.sectors))
-    blocks = [f"step,agent_id,income,log_income,growth,equilibrium_growth,{sigma_cols}"]
-    mean_response: list[tuple[int, float]] = []
-    n = evo.population_size
-    tails, responses = [""] * n, [0.0] * n
-    changes = {0, *cfg.prices.change_steps(cfg.steps)}
-    for t in range(cfg.steps + 1):
-        params = replace(cfg.params, prices=cfg.prices.at(t or 1)) if t in changes else params
+    evo, coeffs, steps = cfg.evolution, cfg.coefficients, cfg.steps
+    n, sectors = evo.population_size, cfg.params.sectors
+    log_y, growth = np.empty((steps + 1, n)), np.empty((steps + 1, n))
+    ids, table, rows = np.empty((steps + 1, n), dtype=np.intp), [], []
+    changes = {0, *cfg.prices.change_steps(steps)}
+    for t in range(steps + 1):
+        if t in changes:  # rows: each price row's params and first step
+            params = replace(cfg.params, prices=cfg.prices.at(t or 1))
+            rows.append((params, t))
         pop = evolve_step(pop, params, coeffs, None, evo) if t else init_population(
             params, coeffs, evo)
-        redo = range(n) if t in changes else np.flatnonzero(pop.parents >= 0).tolist()
-        for i in redo:
-            strategy = pop.strategies[i]
-            g_star = equilibrium_growth(strategy, coeffs, params)
-            tails[i] = ",".join(map(fmt17, [g_star, *strategy.weights]))
-            responses[i] = response(strategy, coeffs) if cfg.emit_svg else 0.0
-        if cfg.emit_svg:
-            if redo:  # step 0 redoes every agent, so mean is set from the start
-                mean = float(np.mean(responses))
-            mean_response.append((t, mean))
-        rows = enumerate(zip(pop.log_income.tolist(), pop.growth.tolist(), tails))
-        blocks.append("\n".join("%d,%d,%.17g,%.17g,%.17g,%s" % (t, i, _income(y), y, g, tail)
-                                for i, (y, g, tail) in rows))
+        new = np.flatnonzero(pop.parents >= 0) if t else np.arange(n)
+        ids[t] = ids[t - 1]  # step 0 numbers every agent anew
+        ids[t, new] = np.arange(len(table), len(table) + len(new))
+        table.extend(pop.sigma[new])  # the ids' rows: step 0's, then each imitator's
+        log_y[t], growth[t] = pop.log_income, pop.growth
+    sigma, texts = np.array(table), []  # texts: per step, each held strategy's tail by id
+    tail = ",".join(["%.17g"] * (sectors + 1))
+    for (params, t0), (_, t1) in zip(rows, [*rows[1:], (None, steps + 1)]):
+        held, text = np.flatnonzero(np.bincount(ids[t0:t1].ravel())), [""] * len(table)
+        g_star = _gain_rows(sigma[held], coeffs, params, params.prices) - params.deprecation
+        for j, values in zip(held.tolist(), np.column_stack([g_star, sigma[held]]).tolist()):
+            text[j] = tail % tuple(values)
+        texts += [text] * (t1 - t0)
     files = {}
     if cfg.emit_svg:
-        series = [("mean response", mean_response)]
+        with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
+            mean = np.exp(_log_response(sigma, coeffs))[ids].mean(axis=1)
+        series = [("mean response", list(enumerate(mean.tolist())))]
         files[".response.svg"] = [
             emit_svg(series, title="Population mean response", y_label="response")]
-    return blocks, files
+    step = "\n".join(["%d,%d,%.17g,%.17g,%.17g,%s"] * n)
+
+    def lines():
+        yield trace_header(sectors).replace("excess_growth,", "")
+        for t, text in enumerate(texts):
+            ys = log_y[t].tolist()
+            values = zip(repeat(t), range(n), map(_income, ys), ys, growth[t].tolist(),
+                         map(text.__getitem__, ids[t].tolist()))
+            yield step % tuple(chain.from_iterable(values))
+
+    return lines(), files
 
 
 def landscape_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[str]]]:
@@ -231,7 +246,7 @@ def run_experiment(cfg: RunConfig) -> ExperimentResult:
     and each of the driver's files at ``<stem><suffix>``, in that order.
 
     Every file is opened before any is written.  If an open or a write fails
-    (also in landscape's lazy rows), the files opened are closed and removed
+    (also in a driver's lazy rows), the files opened are closed and removed
     and the error is raised again, so a failed run leaves none of its files.
     """
     output, files = DRIVERS[cfg.experiment](cfg)

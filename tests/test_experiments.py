@@ -3,6 +3,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from growthlab.cli import cli_main
 from growthlab.config import config_from_dict, load_config
 from growthlab.core import DomainError, Strategy, _income
 from growthlab import config, core, dynamics, equilibrium, experiments
-from growthlab.equilibrium import equilibrium_growth
-from growthlab.evolution import evolve_step, init_population
+from growthlab.equilibrium import equilibrium_growth, response
+from growthlab.evolution import SELECTION_RULES, evolve_step, init_population
 from growthlab.dynamics import TraceRecord, equilibrium_state, run_hold
 from growthlab.experiments import (
     fmt17,
@@ -176,6 +177,21 @@ class TestSwitchExperiment:
             run_experiment(config_from_dict(doc))
         assert os.listdir(tmp_path) == []
 
+    def test_failed_lazy_evolve_row_removes_every_file(self, tmp_path, monkeypatch):
+        # evolve's rows are a generator too: they fail after its header is written
+        def fail(*args, **kwargs):
+            raise DomainError("row failed")
+
+        doc = _switch_doc(tmp_path, experiment="evolve", steps=5,
+                          evolution={"population_size": 4, "observation_sample": 2})
+        cfg = config_from_dict(doc)
+        rows = experiments.evolve_experiment(cfg)[0]
+        assert isinstance(rows, Iterator) and not isinstance(rows, list)
+        monkeypatch.setattr(experiments, "_income", fail)
+        with pytest.raises(DomainError, match="row failed"):
+            run_experiment(cfg)
+        assert os.listdir(tmp_path) == []
+
 
 class TestEvolveExperiment:
     def test_population_csv_schema(self, tmp_path):
@@ -260,6 +276,37 @@ class TestEvolveExperiment:
                 values = [_income(y), y, g, g_star, *s.weights]
                 lines.append(f"{t},{i}," + ",".join(map(fmt17, values)))
         run_experiment(cfg)
+        assert open(cfg.output_path).read().split("\n") == [*lines, ""]
+        assert imitations > 0
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_response_chart_and_rows_match_a_reference_loop(self, tmp_path, monkeypatch, rule):
+        # the driver batches g* and the response; the reference takes the public
+        # closed forms per agent and step, on three price rows, one zero alpha
+        levels = [[1.0, 1.0, 1.0], [1.3, 0.8, 0.7], [0.9, 1.2, 1.1]]
+        doc = self.scheduled_doc(tmp_path, 40, [levels[0]] * 12 + [levels[1]] * 14 + [levels[2]])
+        doc["economy"] = {"alphas": [0.3, 0.0, 0.7], "prices": [1.0, 1.0, 1.0]}
+        doc["evolution"]["selection_rule"] = rule
+        cfg = config_from_dict({**doc, "emit_svg": True})
+        charts = []
+        monkeypatch.setattr(experiments, "emit_svg",
+                            lambda series, **kwargs: charts.append(series) or "")
+        run_experiment(cfg)
+        params, c, evo = cfg.params, cfg.coefficients, cfg.evolution
+        assert cfg.prices.change_steps(cfg.steps) == [13, 27]
+        lines, points = [trace_header(3).replace("excess_growth,", "")], []
+        pop, imitations = init_population(params, c, evo, cfg.prices.at(1)), 0
+        for t in range(cfg.steps + 1):
+            p = cfg.prices.at(max(t, 1))
+            if t >= 1:
+                pop = evolve_step(pop, params, c, p, evo)
+                imitations += int((pop.parents >= 0).sum())
+            points.append((t, float(np.mean([response(s, c) for s in pop.strategies]))))
+            for i, s in enumerate(pop.strategies):
+                y, g = float(pop.log_income[i]), float(pop.growth[i])
+                values = [_income(y), y, g, equilibrium_growth(s, c, params, p), *s.weights]
+                lines.append(f"{t},{i}," + ",".join(map(fmt17, values)))
+        assert charts == [[("mean response", points)]]
         assert open(cfg.output_path).read().split("\n") == [*lines, ""]
         assert imitations > 0
 

@@ -51,3 +51,24 @@ def test_equal_directories_pass(tmp_path, capsys):
     assert same_bytes.report(verdicts) == 0
     assert capsys.readouterr().out == (
         "2 files: 2 same, 0 differ, 0 only in parent, 0 only in change\n")
+
+
+def test_summary_reads_one_verdict_line_per_dispatch(capsys):
+    same_bytes = load_same_bytes()
+    all_same = {"same": ["a.csv"], "differ": [], "only in parent": [], "only in change": []}
+    one_differs = {**all_same, "differ": ["b.csv"]}
+    avx512 = {"differ": 51, "libm": False}
+    libm = {"differ": 0, "libm": True}
+    assert same_bytes.summary({"default": (avx512, all_same), "X86_V3": (libm, all_same)}) == 0
+    assert same_bytes.summary({"default": (avx512, all_same), "X86_V3": (libm, one_differs)}) == 1
+    # on a host without AVX-512 both runs take libm's exp, and the second says so
+    assert same_bytes.summary({"default": (libm, one_differs), "X86_V3": (libm, all_same)}) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "default dispatch (51 exp probe values off libm): all same",
+        "X86_V3 dispatch (0 exp probe values off libm): all same",
+        "default dispatch (51 exp probe values off libm): all same",
+        "X86_V3 dispatch (0 exp probe values off libm): NOT all same",
+        "default dispatch (0 exp probe values off libm): NOT all same",
+        "X86_V3 dispatch (0 exp probe values off libm): all same; "
+        "the run before had libm's exp too, so the same target",
+    ]

@@ -112,14 +112,14 @@ EXP_PROBE = ("import math, numpy as np; x = np.linspace(-50, 50, 1001); "
              "print(sum(a != math.exp(v) for a, v in zip(np.exp(x).tolist(), x.tolist())))")
 
 
-def exp_dispatch() -> dict:
+def exp_dispatch(env: dict | None = None) -> dict:
     """Which ``exp`` numpy dispatches to in a child of this interpreter and
-    environment, as the runs see it, told apart by public calls: on x86-64
-    with numpy 2.4.6, 51 of the probe's 1001 values differ from ``math.exp``
-    under the AVX-512 dispatch and none with it disabled
-    (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")."""
+    environment (``env``, else this one's), as the runs see it, told apart by
+    public calls: on x86-64 with numpy 2.4.6, 51 of the probe's 1001 values
+    differ from ``math.exp`` under the AVX-512 dispatch and none with it
+    disabled (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")."""
     out = subprocess.run((sys.executable, "-c", EXP_PROBE), capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=env).stdout
     differ = int(out)
     return {"probe": "np.exp != math.exp on np.linspace(-50, 50, 1001)",
             "differ": differ, "libm": differ == 0}

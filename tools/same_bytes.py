@@ -17,11 +17,14 @@ PYTHONPATH=src and GROWTHLAB_SEED unset, writes:
 
 Each directory of CLI runs also gets ``exit_codes.txt``, one line per run.
 perfbench/ is read, not edited.  Then every file of the two sides is
-compared by sha256.  The header line names numpy's ``exp`` dispatch the
-runs had (tools/bench_pair.py's ``exp_dispatch`` probe), as the output bits
-depend on it.  The counts, and each path that differs or is on one side
-only, go to standard output; the exit code is 0 only if both sides hold the
-same paths with the same bytes.
+compared by sha256.  The output bits depend on numpy's SIMD dispatch, so
+both trees are written twice: on the default dispatch, and in a child with
+NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR", which on x86-64
+takes the X86_V3 target (``exp`` as libm's).  For each run, the dispatch
+it had (tools/bench_pair.py's ``exp_dispatch`` probe), the counts, and each
+path that differs or is on one side only go to standard output; then one
+verdict line per run.  The exit code is 0 only if both runs hold the same
+paths with the same bytes on both sides.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ SEEDS = (1, 20261017)
 CLI_WORKLOADS = ("evolve-cli", "switch-sweep", "landscape-cli")
 #: a run document's experiment -> its subcommand
 COMMANDS = {"switch": "converge", "evolve": "evolve", "landscape": "landscape"}
+#: each run's name -> what it sets in the children's environment
+DISPATCHES = {"default": {},
+              "X86_V3": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}}
 #: the child process: write_outputs in the tree that is its working directory
 CHILD = (f"import sys; sys.path.insert(0, {HERE!r}); import same_bytes; "
          "same_bytes.write_outputs(sys.argv[1])")
@@ -116,6 +122,19 @@ def report(verdicts: dict[str, list[str]]) -> int:
     return 0 if len(verdicts["same"]) == total else 1
 
 
+def summary(runs: dict[str, tuple[dict, dict[str, list[str]]]]) -> int:
+    """Print one verdict line per dispatch run, from its ``exp_dispatch``
+    probe and verdicts; 0 only if every run's files are all the same."""
+    code, libm = 0, False  # libm: the run before already had libm's exp
+    for name, (probe, verdicts) in runs.items():
+        same = len(verdicts["same"]) == sum(map(len, verdicts.values()))
+        print(f"{name} dispatch ({probe['differ']} exp probe values off libm): "
+              + ("all same" if same else "NOT all same")
+              + ("; the run before had libm's exp too, so the same target" if libm else ""))
+        code, libm = code | (not same), probe["libm"]
+    return code
+
+
 def main(argv=None) -> int:
     import bench_pair
 
@@ -125,21 +144,28 @@ def main(argv=None) -> int:
 
     repo = bench_pair.git("rev-parse", "--show-toplevel", cwd=os.getcwd()).decode().strip()
     sha = bench_pair.git("rev-parse", "--short", args.parent_sha, cwd=repo).decode().strip()
-    env = {k: v for k, v in os.environ.items() if k != "GROWTHLAB_SEED"}
-    env["PYTHONPATH"] = "src"
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("GROWTHLAB_SEED", *DISPATCHES["X86_V3"])}
+    runs = {}
+    print(f"parent {sha} against the working tree")
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as scratch:
         trees = bench_pair.make_trees(repo, sha, scratch)
-        outs = {side: os.path.join(scratch, "out", side) for side in trees}
-        for side, tree in trees.items():
-            proc = subprocess.run((sys.executable, "-c", CHILD, outs[side]), cwd=tree,
-                                  env=env, capture_output=True, text=True)
-            if proc.returncode != 0:
-                raise SystemExit(f"writing the {side} outputs exited {proc.returncode}:\n"
-                                 f"{proc.stderr[-2000:]}")
-        probe = bench_pair.exp_dispatch()
-        print(f"parent {sha} against the working tree; numpy exp dispatch: {probe['probe']} "
-              f"at {probe['differ']} values (libm {probe['libm']})")
-        return report(compare(outs["parent"], outs["change"]))
+        for name, extra in DISPATCHES.items():
+            env = {**base, **extra, "PYTHONPATH": "src"}
+            outs = {side: os.path.join(scratch, "out", name, side) for side in trees}
+            for side, tree in trees.items():
+                proc = subprocess.run((sys.executable, "-c", CHILD, outs[side]), cwd=tree,
+                                      env=env, capture_output=True, text=True)
+                if proc.returncode != 0:
+                    raise SystemExit(f"writing the {side} outputs ({name}) exited "
+                                     f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+            probe = bench_pair.exp_dispatch(env)
+            print(f"{name} dispatch: {probe['probe']} at {probe['differ']} values "
+                  f"(libm {probe['libm']})")
+            verdicts = compare(outs["parent"], outs["change"])
+            report(verdicts)
+            runs[name] = probe, verdicts
+    return summary(runs)
 
 
 if __name__ == "__main__":
