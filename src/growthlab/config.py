@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cache
 from types import UnionType
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
@@ -294,7 +294,7 @@ def config_from_dict(doc: dict) -> RunConfig:
             path = "switch.initial_sigma"
             initial = _strategy(section.initial_sigma, path, params, coefficients)
             with _at(path):
-                equilibrium_state(initial, coefficients, params, prices.at(1))
+                equilibrium_state(initial, coefficients, replace(params, prices=prices.at(1)))
         try:
             _check_switch_steps(section.switch_steps or (), steps)
         except ConfigurationError as exc:

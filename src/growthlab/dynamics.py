@@ -118,18 +118,16 @@ def step_agent(
     state: AgentState,
     params: EconomyParams,
     coefficients: ProductionCoefficients,
-    prices_at_t,
 ) -> AgentState:
-    """Advance one agent by one period under the given prices.
+    """Advance one agent by one period at the params' prices.
 
-    Checks sector counts and the prices by the one entry rule: the params'
-    own ``prices`` array is trusted, any other must be positive and finite.
-    The new state carries its ratio and log income, so a loop of calls steps
-    exactly as ``run_hold`` does.
+    Checks sector counts; for another price row, pass its params
+    (``dataclasses.replace(params, prices=row)``).  The new state carries its
+    ratio and log income, so a loop of calls steps exactly as ``run_hold`` does.
     """
-    p = eq._resolve_prices(state.sectors, coefficients, params, prices_at_t)
-    x, log_y, g, _ = _advance(state.ratio, state.log_income, state.strategy.weights / p,
-                              params, coefficients)
+    eq._check_counts(state.sectors, coefficients, params)
+    x, log_y, g, _ = _advance(state.ratio, state.log_income,
+                              state.strategy.weights / params.prices, params, coefficients)
     x.flags.writeable = False
     return AgentState(ratio=x, log_income=float(log_y), growth=float(g),
                       strategy=state.strategy)
@@ -207,15 +205,14 @@ def equilibrium_state(
     strategy: Strategy,
     coefficients: ProductionCoefficients,
     params: EconomyParams,
-    prices=None,
 ) -> AgentState:
     """Agent state with income 1 sitting exactly at the strategy's equilibrium
-    ratio, which is then its capital; stepping such a state realizes the
-    equilibrium growth rate immediately.  Requires a strategy with positive
-    response.
+    ratio at the params' prices, which is then its capital; stepping such a
+    state realizes the equilibrium growth rate immediately.  Requires a
+    strategy with positive response.
     """
-    p = eq._resolve_prices(strategy.sectors, coefficients, params, prices)
-    ratio, g = eq._fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)
+    eq._check_counts(strategy.sectors, coefficients, params)
+    ratio, g = eq._fixed_point_rows(strategy.weights[np.newaxis], coefficients, params)
     ratio.flags.writeable = False
     return AgentState(ratio=ratio[0], log_income=0.0, growth=float(g[0]), strategy=strategy)
 
@@ -288,7 +285,7 @@ def run_switch_experiment(
     _check_switch_steps([at_step for at_step, _ in switches], steps)
     rows = {t: replace(params, prices=prices.at(t)) for t in [1, *prices.change_steps(steps)]}
     for strat in [initial, *(strat for _, strat in switches)]:
-        eq._resolve_prices(strat.sectors, coefficients, rows[1])
+        eq._check_counts(strat.sectors, coefficients, rows[1])
 
     if initial_state is None:
         state = equilibrium_state(initial, coefficients, rows[1])

@@ -24,6 +24,8 @@ scaling * exp(``core._log_response``), with no subtraction, one C-ordered row
 per strategy.  The fixed point divides by it, so a tiny positive response
 keeps its ratio.  The public functions are their one-row case.  Each function
 here that can pass a zero (log 0 = -inf) silences numpy's divide warning once.
+Prices come from the params, p_i being ``params.prices``; for another price
+row, build its params with ``dataclasses.replace(params, prices=row)``.
 """
 
 from __future__ import annotations
@@ -50,38 +52,33 @@ from .core import (
 CONTOUR_REL_TOL = 1e-12
 
 
-def _resolve_prices(n: int, coefficients, params, prices=None) -> np.ndarray:
-    """``prices``, else the params' prices, as a float vector: the one entry
-    check of ``n`` strategy sectors against the params and the coefficients.
-    ``None`` or the params' own ``prices`` array (EconomyParams checked and
-    froze it) is trusted; any other array must be positive and finite."""
+def _check_counts(n: int, coefficients, params) -> None:
+    """The one entry check: ``n`` strategy sectors against the params and the
+    coefficients.  The prices are the params', checked as they were built."""
     _check_sectors(strategy=n, params=params.sectors, coefficients=coefficients.sectors)
-    if prices is None or prices is params.prices:
-        return params.prices
-    return _check_prices(_as_vector(prices, "prices"), n)
 
 
 @np.errstate(divide="ignore", over="ignore")  # log 0 = -inf: response 0, g* = -deprecation
-def _gain_rows(sigma: np.ndarray, coefficients, params, prices) -> np.ndarray:
-    """g* + deprecation per row of ``sigma`` at checked prices; DomainError if not finite."""
-    gain = params.scaling * np.exp(_log_response(sigma, coefficients, prices))
+def _gain_rows(sigma: np.ndarray, coefficients, params) -> np.ndarray:
+    """g* + deprecation per row of ``sigma`` at params.prices; DomainError if not finite."""
+    gain = params.scaling * np.exp(_log_response(sigma, coefficients, params.prices))
     if not np.isfinite(gain).all():
         raise DomainError("g* + deprecation is past float range")
     return gain
 
 
-def _fixed_point_rows(sigma: np.ndarray, coefficients, params, prices):
-    """(equilibrium ratio, g*) per row of ``sigma`` at prices already checked;
+def _fixed_point_rows(sigma: np.ndarray, coefficients, params):
+    """(equilibrium ratio, g*) per row of ``sigma`` at the params' prices;
     InvariantViolation if the response is 0, as every simplex row invests,
     and DomainError if a ratio is past float range."""
-    gain = _gain_rows(sigma, coefficients, params, prices)
+    gain = _gain_rows(sigma, coefficients, params)
     if not (gain > 0.0).all():
         raise InvariantViolation(
             "equilibrium growth is -deprecation while some sector still "
             "receives investment; its capital/income ratio diverges"
         )
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
-        ratio = sigma / (prices * gain[:, np.newaxis])
+        ratio = sigma / (params.prices * gain[:, np.newaxis])
     if not np.isfinite(ratio).all():
         raise DomainError("the equilibrium capital/income ratio is past float range: "
                           f"g* + deprecation is {float(gain.min())!r}")
@@ -102,17 +99,16 @@ def equilibrium_growth(
     strategy: Strategy,
     coefficients: ProductionCoefficients,
     params: EconomyParams,
-    prices=None,
 ) -> float:
     """Income growth rate an agent converges to while holding ``strategy``.
 
     Evaluates scaling * prod(p_i ** -alpha_i) * prod(sigma_i ** alpha_i)
-    - deprecation, with both products combined in one log-domain sum to avoid
-    cancellation for extreme prices.  Returns exactly -deprecation when the
-    response term is zero.
+    - deprecation at p = params.prices, with both products combined in one
+    log-domain sum to avoid cancellation for extreme prices.  Returns exactly
+    -deprecation when the response term is zero.
     """
-    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
-    gain = _gain_rows(strategy.weights[np.newaxis], coefficients, params, p)
+    _check_counts(strategy.sectors, coefficients, params)
+    gain = _gain_rows(strategy.weights[np.newaxis], coefficients, params)
     return float(gain[0] - params.deprecation)
 
 
@@ -120,7 +116,6 @@ def equilibrium_ratio(
     strategy: Strategy,
     coefficients: ProductionCoefficients,
     params: EconomyParams,
-    prices=None,
 ) -> np.ndarray:
     """Per-sector limit of capital/income: sigma_i / (p_i * (g* + deprecation)).
 
@@ -128,8 +123,8 @@ def equilibrium_ratio(
     still invests somewhere, so it has no finite ratio there, and asking for
     it raises InvariantViolation.
     """
-    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
-    return _fixed_point_rows(strategy.weights[np.newaxis], coefficients, params, p)[0][0]
+    _check_counts(strategy.sectors, coefficients, params)
+    return _fixed_point_rows(strategy.weights[np.newaxis], coefficients, params)[0][0]
 
 
 def contour_contains(
@@ -137,7 +132,6 @@ def contour_contains(
     level: float,
     coefficients: ProductionCoefficients,
     params: EconomyParams,
-    prices=None,
 ) -> bool:
     """True iff ``strategy`` reaches equilibrium growth >= ``level``.
 
@@ -153,12 +147,12 @@ def contour_contains(
             "contour level cannot lie below -deprecation "
             f"({level} < {-params.deprecation})"
         )
-    p = _resolve_prices(strategy.sectors, coefficients, params, prices)
+    _check_counts(strategy.sectors, coefficients, params)
     threshold_scale = (level + params.deprecation) / params.scaling
     if threshold_scale <= 0.0:
         return True  # every strategy grows at least at -deprecation
     with np.errstate(divide="ignore"):  # log 0 = -inf: below every level
-        log_gain = _log_response(strategy.weights, coefficients, p)
+        log_gain = _log_response(strategy.weights, coefficients, params.prices)
     return bool(log_gain >= np.log(threshold_scale) - CONTOUR_REL_TOL)
 
 

@@ -40,7 +40,7 @@ from .core import (
     project_to_simplex,
 )
 from .dynamics import _advance
-from .equilibrium import _fixed_point_rows, _resolve_prices
+from .equilibrium import _check_counts, _fixed_point_rows
 
 SELECTION_RULES = ("imitate-best-observed", "growth-proportional", "pairwise-better")
 
@@ -213,16 +213,17 @@ def select_parent(
       index is returned).
     """
     n = population.growth.size
-    if n < 2:
-        raise SelectionError("selection needs at least two agents")
     if not (0 <= observer_index < n):
         raise SelectionError(f"observer index {observer_index} out of range")
-    k = config.observation_sample
-    if k > n - 1:
-        raise SelectionError(
-            f"observation_sample {k} exceeds available peers {n - 1}"
-        )
+    _check_peers(n, config)
     return _pick(observer_index, population.growth.tolist(), config, rng, params)
+
+
+def _check_peers(n: int, config: EvolutionConfig) -> None:
+    """Raise SelectionError unless n agents give each observer its sample."""
+    if config.observation_sample > n - 1:
+        raise SelectionError(
+            f"observation_sample {config.observation_sample} exceeds available peers {n - 1}")
 
 
 def _pick(i: int, growth: list[float], config: EvolutionConfig,
@@ -250,28 +251,28 @@ def evolve_step(
     population: Population,
     params: EconomyParams,
     coefficients: ProductionCoefficients,
-    prices_at_t,
     config: EvolutionConfig,
 ) -> Population:
     """One synchronous two-phase update of the whole population.
 
     Phase 1 steps every agent at once on the population's arrays, with the
     kernel and the checks of ``step_agent``: the held ``sigma`` divided by
-    the prices.  Phase 2 decides, then copies: each agent's coin and
+    the params' prices.  Phase 2 decides, then copies: each agent's coin and
     ``select_parent``'s rule read the phase-1 growth and fill ``parents``,
     then each imitator takes a noisy copy of its parent's phase-1 strategy,
     in ``strategies`` and in a copy of ``sigma``.  Each agent draws on its
     own stream, which the step advances in place: stepping one population
     twice draws anew.
     """
-    p = _resolve_prices(population.ratio.shape[1], coefficients, params, prices_at_t)
+    _check_counts(population.ratio.shape[1], coefficients, params)
     strategies, sigma, rngs = population.strategies, population.sigma, population.rngs
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
-        stepped = _advance(population.ratio, population.log_income, sigma / p, params,
-                           coefficients)[:3]
+        stepped = _advance(population.ratio, population.log_income, sigma / params.prices,
+                           params, coefficients)[:3]
     step, parents = population.step + 1, np.full(len(strategies), -1)
     chosen = {}  # imitator -> parent
-    if config.imitation_probability > 0.0:
+    if config.imitation_probability > 0.0:  # SelectionError before any draw
+        _check_peers(len(strategies), config)
         growth = stepped[2].tolist()
         for i, rng in enumerate(rngs):
             if rng.random() < config.imitation_probability:
@@ -293,15 +294,15 @@ def init_population(
     params: EconomyParams,
     coefficients: ProductionCoefficients,
     config: EvolutionConfig,
-    prices=None,
+    *,
     strategies: Sequence[Strategy] | None = None,
 ) -> Population:
     """Fresh population at step 0, every agent at its own strategy's
-    equilibrium ratio with income 1.
+    equilibrium ratio at the params' prices, with income 1.
 
     Without explicit strategies each agent draws a uniform random simplex
     point from its private stream, so agent i's entire history depends only
-    on (seed, i).  The prices are checked once and all rows solved at once.
+    on (seed, i).  Each sector count is checked once and all rows solved at once.
     """
     n_agents = config.population_size
     if strategies is not None and len(strategies) != n_agents:
@@ -313,8 +314,8 @@ def init_population(
         ones = np.ones(params.sectors)
         strategies = [project_to_simplex(rng.dirichlet(ones)) for rng in rngs]
     for n in {s.sectors for s in strategies}:  # each count once, before stacking
-        p = _resolve_prices(n, coefficients, params, prices)
+        _check_counts(n, coefficients, params)
     sigma = _stack(strategies)
-    ratio, growth = _fixed_point_rows(sigma, coefficients, params, p)
+    ratio, growth = _fixed_point_rows(sigma, coefficients, params)
     return Population(ratio, np.zeros(n_agents), growth, list(strategies), sigma, 0, rngs,
                       np.full(n_agents, -1))

@@ -29,7 +29,7 @@ from .config import RunConfig, dump_config
 from .core import Strategy, _income, _log_response, _project_rows
 from .core import _simplex_point
 from .dynamics import TraceRecord, run_switch_experiment
-from .equilibrium import _gain_rows, _resolve_prices
+from .equilibrium import _gain_rows
 from .equilibrium import optimal_strategy, response
 from .evolution import (
     evolve_step,
@@ -173,7 +173,7 @@ def evolve_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[str
         if t in changes:  # rows: each price row's params and first step
             params = replace(cfg.params, prices=cfg.prices.at(t or 1))
             rows.append((params, t))
-        pop = evolve_step(pop, params, coeffs, None, evo) if t else init_population(
+        pop = evolve_step(pop, params, coeffs, evo) if t else init_population(
             params, coeffs, evo)
         new = np.flatnonzero(pop.parents >= 0) if t else np.arange(n)
         ids[t] = ids[t - 1]  # step 0 numbers every agent anew
@@ -184,7 +184,7 @@ def evolve_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[str
     tail = ",".join(["%.17g"] * (sectors + 1))
     for (params, t0), (_, t1) in zip(rows, [*rows[1:], (None, steps + 1)]):
         held, text = np.flatnonzero(np.bincount(ids[t0:t1].ravel())), [""] * len(table)
-        g_star = _gain_rows(sigma[held], coeffs, params, params.prices) - params.deprecation
+        g_star = _gain_rows(sigma[held], coeffs, params) - params.deprecation
         for j, values in zip(held.tolist(), np.column_stack([g_star, sigma[held]]).tolist()):
             text[j] = tail % tuple(values)
         texts += [text] * (t1 - t0)
@@ -217,8 +217,8 @@ def landscape_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[
     n, coeffs = cfg.params.sectors, cfg.coefficients
     draws = experiment_stream(cfg.seed).dirichlet(np.ones(n), size=cfg.landscape.samples)
     sigma = _simplex_point(_project_rows(draws), "strategy weights")
-    p = _resolve_prices(n, coeffs, cfg.params, cfg.prices.at(1))
-    _gain_rows(coeffs.alphas[np.newaxis], coeffs, cfg.params, p)  # its max: checked first
+    params = replace(cfg.params, prices=cfg.prices.at(1))
+    _gain_rows(coeffs.alphas[np.newaxis], coeffs, params)  # its max: checked first
     row = "%.17g," * n + "%.17g,%.17g"
 
     def lines():  # rows computed and formatted in blocks of 2048
@@ -226,7 +226,7 @@ def landscape_experiment(cfg: RunConfig) -> tuple[Iterator[str], dict[str, list[
         for block in np.split(sigma, range(2048, len(sigma), 2048)):
             with np.errstate(divide="ignore"):  # log 0 = -inf: response 0
                 resp = np.exp(_log_response(block, coeffs))
-            g_star = _gain_rows(block, coeffs, cfg.params, p) - cfg.params.deprecation
+            g_star = _gain_rows(block, coeffs, params) - params.deprecation
             values = np.column_stack([block, resp, g_star])
             yield "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
 

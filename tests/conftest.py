@@ -96,9 +96,9 @@ def step_agent_records(state, switches, params, coefficients, prices, steps):
     for t in range(1, steps + 1):
         if t in pending:
             state = replace(state, strategy=pending[t])
-        p = prices.at(t)
-        state = step_agent(state, params, coefficients, p)
-        g_star = equilibrium_growth(state.strategy, coefficients, params, p)
+        row = replace(params, prices=prices.at(t))
+        state = step_agent(state, row, coefficients)
+        g_star = equilibrium_growth(state.strategy, coefficients, row)
         records.append(
             TraceRecord(
                 t, 0, state.income, state.growth, g_star,

@@ -91,12 +91,11 @@ def test_criterion_2_monotone_ratio_convergence(instances):
         transient_undershoots = 0
         for inst in instances:
             limit = equilibrium_ratio(inst.strategy, inst.coefficients, inst.params)
-            prices = inst.params.prices
 
             def distances(state):  # |ratio - limit| after each of 2000 steps
                 ratios = []
                 for _ in range(2000):
-                    state = step_agent(state, inst.params, inst.coefficients, prices)
+                    state = step_agent(state, inst.params, inst.coefficients)
                     ratios.append(state.ratio)
                 return np.abs(np.array(ratios) - limit)
 
@@ -136,7 +135,7 @@ def test_criterion_3_special_case_growth_floor():
             assert equilibrium_growth(sig, c, params) == -delta  # exact
             state = uniform_state(sig, c, params, capital_level=2.0)
             for _ in range(steps):
-                state = step_agent(state, params, c, prices)
+                state = step_agent(state, params, c)
                 worst = max(worst, abs(state.growth - (-delta)))
         print(f"    max |growth + delta| = {worst:.3e}")
         assert worst <= 1e-14
@@ -362,17 +361,16 @@ def test_criterion_10_evolution_trend():
     with criterion(10, "population mean response rises over 500 steps"):
         t0 = time.perf_counter()
         params, coefficients, _ = default_economy()
-        prices = params.prices
         improved = 0
         n_runs = 20
         for run in range(n_runs):
             config = EvolutionConfig(seed=9000 + run)
-            pop = init_population(params, coefficients, config, prices)
+            pop = init_population(params, coefficients, config)
             mean_start = float(
                 np.mean([response(a.strategy, coefficients) for a in pop.agents])
             )
             for _ in range(500):
-                pop = evolve_step(pop, params, coefficients, prices, config)
+                pop = evolve_step(pop, params, coefficients, config)
             mean_end = float(
                 np.mean([response(a.strategy, coefficients) for a in pop.agents])
             )
@@ -407,11 +405,10 @@ def test_criterion_12_quick_adaptation():
     with criterion(12, "a population at a poor common strategy adapts quickly"):
         t0 = time.perf_counter()
         params, coefficients, _ = default_economy()
-        prices = params.prices
         start = Strategy(np.array([0.9, 0.1]))  # response 0.3 of the maximum 0.5
 
         def population(config):
-            return init_population(params, coefficients, config, prices,
+            return init_population(params, coefficients, config,
                                    strategies=[start] * config.population_size)
 
         steps = []
@@ -419,7 +416,7 @@ def test_criterion_12_quick_adaptation():
             config = EvolutionConfig(seed=seed)
             pop = population(config)
             for t in range(1, 601):
-                pop = evolve_step(pop, params, coefficients, prices, config)
+                pop = evolve_step(pop, params, coefficients, config)
                 if np.mean([response(s, coefficients) for s in pop.strategies]) >= 0.495:
                     break
             else:
@@ -430,7 +427,7 @@ def test_criterion_12_quick_adaptation():
         config = EvolutionConfig(seed=0, selection_rule="pairwise-better")
         pop = population(config)
         for _ in range(500):
-            pop = evolve_step(pop, params, coefficients, prices, config)
+            pop = evolve_step(pop, params, coefficients, config)
         held = all(s is start for s in pop.strategies)
         elapsed = time.perf_counter() - t0
         print(f"    steps to 99% of the maximum response, seeds 0-5 = {steps}; "
@@ -444,16 +441,15 @@ def test_criterion_13_imitators_copy_excess_growth():
     with criterion(13, "chosen parents grow past their g* more than the population does"):
         t0 = time.perf_counter()
         params, coefficients, _ = default_economy()
-        prices = params.prices
         means, shares = [], []
         for seed in range(6):
             config = EvolutionConfig(seed=seed)  # imitate-best-observed, 50 agents
-            pop = init_population(params, coefficients, config, prices)
-            g_star = np.array([equilibrium_growth(s, coefficients, params, prices)
+            pop = init_population(params, coefficients, config)
+            g_star = np.array([equilibrium_growth(s, coefficients, params)
                                for s in pop.strategies])
             total, copied, below = 0.0, [], 0
             for _ in range(500):
-                pop = evolve_step(pop, params, coefficients, prices, config)
+                pop = evolve_step(pop, params, coefficients, config)
                 # phase-1 growth minus the g* of the strategy held during the step
                 excess = pop.growth - g_star
                 total += float(excess.sum())
@@ -462,8 +458,7 @@ def test_criterion_13_imitators_copy_excess_growth():
                 copied += excess[parents].tolist()
                 below += int((g_star[parents] < g_star[imitators]).sum())
                 for i in imitators.tolist():
-                    g_star[i] = equilibrium_growth(pop.strategies[i], coefficients, params,
-                                                   prices)
+                    g_star[i] = equilibrium_growth(pop.strategies[i], coefficients, params)
             means.append((float(np.mean(copied)), total / (500 * config.population_size)))
             shares.append(below / len(copied))
         elapsed = time.perf_counter() - t0
@@ -479,7 +474,6 @@ def test_criterion_14_adaptation_after_a_technology_shock():
     with criterion(14, "an evolved population adapts to a change of alpha"):
         t0 = time.perf_counter()
         params, before, _ = default_economy()  # scaling stays calibrated to (0.5, 0.5)
-        prices = params.prices
         after = ProductionCoefficients(np.array([0.8, 0.2]))
         top = response(optimal_strategy(after), after)
 
@@ -489,13 +483,13 @@ def test_criterion_14_adaptation_after_a_technology_shock():
         at_shock, steps = [], []
         for seed in range(6):
             config = EvolutionConfig(seed=seed)  # imitate-best-observed, 50 agents
-            pop = init_population(params, before, config, prices)
+            pop = init_population(params, before, config)
             for _ in range(500):
-                pop = evolve_step(pop, params, before, prices, config)
+                pop = evolve_step(pop, params, before, config)
             at_shock.append(share(pop))
             # invested capital carries over; from here on it produces with the new alpha
             for t in range(1, 601):
-                pop = evolve_step(pop, params, after, prices, config)
+                pop = evolve_step(pop, params, after, config)
                 if t % 10 == 0 and share(pop) >= 0.99:
                     break
             else:
@@ -528,7 +522,7 @@ def _switch_contractions(rng, delta=None):
     state = replace(equilibrium_state(a, coefficients, params), strategy=b)
     gaps, excess = [], []
     while len(gaps) < 2 or len(gaps) < 300 and max(gaps[-1], excess[-1]) >= 1e-8:
-        state = step_agent(state, params, coefficients, params.prices)
+        state = step_agent(state, params, coefficients)
         gaps.append(float(np.abs(state.ratio - x_b).max() / np.abs(x_b).max()))
         excess.append(abs(state.growth - g_b))
     return (1.0 - delta) / (1.0 + g_b), gaps, excess

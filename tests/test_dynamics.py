@@ -99,7 +99,7 @@ class TestStepAgent:
         params = EconomyParams(1.0, delta, np.array([1.0, 1.0]))
         sigma = Strategy(np.array([0.5, 0.5]))
         state = AgentState.from_capital(np.array([1.0, 1.0]), 1.0, 0.0, sigma)
-        out = step_agent(state, params, c, params.prices)
+        out = step_agent(state, params, c)
         assert out.capital == pytest.approx([1.5, 1.5], abs=1e-8)
         assert out.income == pytest.approx(1.5, abs=1e-8)
         assert out.growth == pytest.approx(0.5, abs=1e-8)
@@ -109,7 +109,7 @@ class TestStepAgent:
         params = EconomyParams(0.9, 1.0, np.array([1.0]))
         sigma = Strategy(np.array([1.0]))
         state = AgentState.from_capital(np.array([2.0]), 1.8, 0.0, sigma)
-        out = step_agent(state, params, c, params.prices)
+        out = step_agent(state, params, c)
         assert out.capital == pytest.approx([1.8])
         assert out.income == pytest.approx(1.62)
         assert out.growth == pytest.approx(-0.1)
@@ -120,7 +120,7 @@ class TestStepAgent:
         sigma = Strategy(np.array([0.0, 1.0]))
         state = uniform_state(sigma, c, params, capital_level=3.0)
         for _ in range(10):
-            nxt = step_agent(state, params, c, params.prices)
+            nxt = step_agent(state, params, c)
             # capital is ratio * income, so the exact decay shows on the
             # ratio: kept at (1 - delta), then rescaled by the growth factor
             decayed = state.ratio[0] * (1.0 - params.deprecation)
@@ -132,18 +132,18 @@ class TestStepAgent:
         params = EconomyParams(0.1, 0.05, np.array([1.0, 1.0]))
         state = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
         with pytest.raises(ConfigurationError):
-            step_agent(state, params, c, np.array([1.0, 1.0, 1.0]))
+            step_agent(state, replace(params, prices=np.array([1.0, 1.0, 1.0])), c)
 
     def test_nonfinite_prices_rejected(self):
         c = ProductionCoefficients(np.array([0.5, 0.5]))
         params = EconomyParams(0.1, 0.05, np.array([1.0, 1.0]))
         state = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
         with pytest.raises(DomainError):
-            step_agent(state, params, c, np.array([1.0, np.nan]))
+            step_agent(state, replace(params, prices=np.array([1.0, np.nan])), c)
 
     def test_params_prices_skip_only_the_price_check(self):
-        # params.prices itself is not re-checked, but the sector counts are,
-        # and any other array, also a copy of it, gets the full check
+        # params.prices itself is not re-checked, but the sector counts are;
+        # other prices enter as params, so any array, also a copy, gets the full check
         c = ProductionCoefficients(np.array([0.5, 0.5]))
         params = EconomyParams(0.1, 0.05, np.array([1.0, 1.0]))
         three = uniform_state(
@@ -152,14 +152,14 @@ class TestStepAgent:
             EconomyParams(0.1, 0.05, np.ones(3)),
         )
         with pytest.raises(DimensionError, match="sector counts differ"):
-            step_agent(three, params, c, params.prices)
+            step_agent(three, params, c)
         state = uniform_state(Strategy(np.array([0.5, 0.5])), c, params)
         nan_copy = params.prices.copy()
         nan_copy[1] = np.nan
         with pytest.raises(DomainError, match="positive finite"):
-            step_agent(state, params, c, nan_copy)
-        same, copied = (step_agent(state, params, c, p)
-                        for p in (params.prices, params.prices.copy()))
+            step_agent(state, replace(params, prices=nan_copy), c)
+        same, copied = (step_agent(state, row, c)
+                        for row in (params, replace(params, prices=params.prices.copy())))
         assert (same.ratio.tolist(), same.log_income, same.growth) == (
             copied.ratio.tolist(), copied.log_income, copied.growth)
 
@@ -170,11 +170,11 @@ class TestStepAgent:
         params = EconomyParams(0.5, 1.0, np.array([1.0, 1.0]))
         sigma = Strategy(np.array([0.0, 1.0]))
         state = uniform_state(sigma, c, params)
-        first = step_agent(state, params, c, params.prices)
+        first = step_agent(state, params, c)
         assert first.income == 0.0
         assert first.growth == -1.0  # == -deprecation on the way down
         assert first.absorbed
-        second = step_agent(first, params, c, params.prices)
+        second = step_agent(first, params, c)
         assert second.income == 0.0
         assert second.growth == 0.0
         assert second.absorbed
@@ -455,7 +455,7 @@ class TestStepAgentParity:
         assert records[0].growth == -1.0
         assert [r.growth for r in records[1:]] == [0.0] * 19
         # an absorbed start: no consistency check applies, and it stays absorbed
-        absorbed = step_agent(state, params, c, params.prices)
+        absorbed = step_agent(state, params, c)
         self.assert_parity(absorbed, [], params, c, prices, 5)
         self.assert_parity(absorbed, [(2, Strategy(np.array([1.0, 0.0])))],
                            params, c, prices, 5)
@@ -527,7 +527,7 @@ class TestAgentStateContract:
             "from_capital absorbed": AgentState.from_capital(
                 np.array([1.0, 2.0]), 0.0, 0.0, sigma),
             "equilibrium_state": equilibrium_state(sigma, c, params),
-            "step_agent": step_agent(checked, params, c, params.prices),
+            "step_agent": step_agent(checked, params, c),
             "Population.agents": population.agents[1],
             "past float range": AgentState(
                 ratio=np.array([2.0, 0.0]), log_income=800.0, growth=0.1, strategy=sigma),
@@ -612,7 +612,7 @@ class TestAdvance:
         state = AgentState(ratio=np.full(2, 1e300), log_income=0.0, growth=0.0,
                            strategy=Strategy(np.array([0.5, 0.5])))
         with pytest.raises(DomainError, match="growth must be finite"):
-            step_agent(state, params, c, params.prices)
+            step_agent(state, params, c)
 
     # alpha_0 tiny, no investment in sector 0 at deprecation 7/8: its ratio
     # decays by 1/8 a step and underflows, but capital stays positive
@@ -692,7 +692,7 @@ class TestEntryChecks:
         c = ProductionCoefficients(np.array([0.5, 0.5]))
         state = equilibrium_state(Strategy(np.array([0.5, 0.5])), c, params)
         for _ in range(1200):
-            state = step_agent(state, params, c, params.prices)
+            state = step_agent(state, params, c)
         assert state.income == np.inf and not state.absorbed
         verify_state_consistency(state, params, c)
         records = run_hold(state, params, c, PriceSchedule.constant(params.prices), 10)
@@ -749,9 +749,7 @@ class TestTrajectoryProperties:
             limit = equilibrium_ratio(inst.strategy, inst.coefficients, inst.params)
             state = uniform_state(inst.strategy, inst.coefficients, inst.params)
             for t in range(2000):
-                state = step_agent(
-                    state, inst.params, inst.coefficients, inst.params.prices
-                )
+                state = step_agent(state, inst.params, inst.coefficients)
             ratio = state.capital / state.income
             assert np.max(np.abs(ratio - limit)) < 1e-8
 
@@ -767,9 +765,7 @@ class TestTrajectoryProperties:
             state = equilibrium_state(inst.strategy, inst.coefficients, inst.params)
             prev = None
             for t in range(500):
-                state = step_agent(
-                    state, inst.params, inst.coefficients, inst.params.prices
-                )
+                state = step_agent(state, inst.params, inst.coefficients)
                 dist = np.abs(state.capital / state.income - limit)
                 if prev is not None:
                     assert float(np.max(dist - prev)) <= 1e-12

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,9 +70,8 @@ class TestEquilibriumGrowth:
     def test_nonpositive_price_rejected(self):
         params = EconomyParams(0.1, 0.03, ONES2)
         with pytest.raises(DomainError):
-            equilibrium_growth(
-                Strategy(np.array([0.5, 0.5])), HALF, params, np.array([1.0, 0.0])
-            )
+            equilibrium_growth(Strategy(np.array([0.5, 0.5])), HALF,
+                               replace(params, prices=np.array([1.0, 0.0])))
 
 
 class TestEquilibriumRatio:

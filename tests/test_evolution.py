@@ -1,5 +1,6 @@
 import copy
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,20 +229,17 @@ class TestEvolutionConfig:
 class TestEvolveStep:
     def setup_method(self):
         self.params, self.coefficients, self.sched = default_economy()
-        self.prices = self.params.prices
 
     def test_no_imitation_matches_independent_holds(self):
         cfg = EvolutionConfig(
             population_size=6, observation_sample=3, imitation_probability=0.0, seed=9
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         initial_agents = list(pop.agents)
         steps = 40
         current = pop
         for _ in range(steps):
-            current = evolve_step(
-                current, self.params, self.coefficients, self.prices, cfg
-            )
+            current = evolve_step(current, self.params, self.coefficients, cfg)
         for agent0, agent_t in zip(initial_agents, current.agents):
             records = run_hold(
                 agent0, self.params, self.coefficients, self.sched, steps
@@ -261,14 +259,14 @@ class TestEvolveStep:
             imitation_error_sd=0.0,
             seed=17,
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         growths = [
             equilibrium_growth(a.strategy, self.coefficients, self.params)
             for a in pop.agents
         ]
         best = pop.agents[int(np.argmax(growths))].strategy
         for _ in range(200):
-            pop = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+            pop = evolve_step(pop, self.params, self.coefficients, cfg)
         for agent in pop.agents:
             assert agent.strategy == best  # exact copies, no variation
 
@@ -277,9 +275,9 @@ class TestEvolveStep:
                               imitation_probability=0.2)
         runs = []
         for _ in range(2):
-            pop = init_population(self.params, self.coefficients, cfg, self.prices)
+            pop = init_population(self.params, self.coefficients, cfg)
             for _ in range(60):
-                pop = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+                pop = evolve_step(pop, self.params, self.coefficients, cfg)
             runs.append(pop)
         for a, b in zip(runs[0].agents, runs[1].agents):
             assert np.array_equal(a.capital, b.capital)
@@ -292,14 +290,14 @@ class TestEvolveStep:
         # each agent alone, in reverse order, from a copy of its own stream
         # taken before the step: coin, select_parent, then mutate_strategy
         inst = random_instance(np.random.default_rng(3), n=3)
-        params, coefficients, prices = inst.params, inst.coefficients, inst.params.prices
+        params, coefficients = inst.params, inst.coefficients
         cfg = EvolutionConfig(population_size=10, observation_sample=4, seed=29,
                               imitation_probability=0.5, selection_rule=rule)
-        pop = init_population(params, coefficients, cfg, prices)
+        pop = init_population(params, coefficients, cfg)
         imitations = 0
         for _ in range(30):
             streams = copy.deepcopy(pop.rngs)
-            out = evolve_step(pop, params, coefficients, prices, cfg)
+            out = evolve_step(pop, params, coefficients, cfg)
             for i in reversed(range(cfg.population_size)):
                 rng, parent, strategy = streams[i], -1, pop.strategies[i]
                 if rng.random() < cfg.imitation_probability:
@@ -317,9 +315,9 @@ class TestEvolveStep:
     def test_parents_of_a_population_that_copied_nobody(self):
         cfg = EvolutionConfig(population_size=4, observation_sample=1, seed=5,
                               imitation_probability=0.0)
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         assert pop.parents.tolist() == [-1] * 4
-        out = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+        out = evolve_step(pop, self.params, self.coefficients, cfg)
         assert out.parents.tolist() == [-1] * 4
         again = Population.from_agents(out.agents, out.step, out.rngs)
         assert again.parents.tolist() == [-1] * 4
@@ -334,9 +332,9 @@ class TestEvolveStep:
             imitation_error_sd=0.0,
             seed=31,
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         stepped_strategies = [a.strategy for a in pop.agents]
-        out = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+        out = evolve_step(pop, self.params, self.coefficients, cfg)
         for agent in out.agents:
             assert agent.strategy in stepped_strategies
 
@@ -344,11 +342,11 @@ class TestEvolveStep:
         cfg = EvolutionConfig(
             population_size=4, observation_sample=3, imitation_probability=1.0, seed=37
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         phase1_only = [
             _replay_capital(a, self.params, self.coefficients, 1) for a in pop.agents
         ]
-        out = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+        out = evolve_step(pop, self.params, self.coefficients, cfg)
         for expected, agent in zip(phase1_only, out.agents):
             assert np.array_equal(agent.capital, expected)
 
@@ -359,9 +357,9 @@ class TestEvolveStep:
             imitation_probability=0.3,
             seed=41,
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         for t in range(10_000):
-            pop = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+            pop = evolve_step(pop, self.params, self.coefficients, cfg)
             if t % 1000 == 0:
                 for agent in pop.agents:
                     assert validate_simplex(agent.strategy.weights, 1e-12)
@@ -378,13 +376,13 @@ class TestEvolveStep:
             imitation_probability=0.1,
             seed=43,
         )
-        pop = init_population(self.params, self.coefficients, cfg, self.prices)
+        pop = init_population(self.params, self.coefficients, cfg)
         events = 0
         above = 0
         exceptions = []
         for t in range(300):
             before = [a.strategy for a in pop.agents]
-            pop = evolve_step(pop, self.params, self.coefficients, self.prices, cfg)
+            pop = evolve_step(pop, self.params, self.coefficients, cfg)
             switched = [
                 i for i, agent in enumerate(pop.agents)
                 if agent.strategy is not before[i] and agent.strategy != before[i]
@@ -395,7 +393,6 @@ class TestEvolveStep:
                 pop,
                 self.params,
                 self.coefficients,
-                self.prices,
                 EvolutionConfig(
                     population_size=20, observation_sample=5,
                     imitation_probability=0.0, seed=0,
@@ -416,11 +413,23 @@ class TestEvolveStep:
             print(f"selection-bias exceptions: {exceptions}")
         assert above / events >= 0.95
 
+    def test_a_population_too_small_for_its_sample_is_a_selection_error(self):
+        # the config allows 3 agents; 2 give each observer one peer, not 2
+        cfg = EvolutionConfig(population_size=3, observation_sample=2,
+                              imitation_probability=1.0)
+        pop = init_population(self.params, self.coefficients, cfg)
+        two = Population.from_agents(pop.agents[:2], 0, pop.rngs[:2])
+        streams = [rng.bit_generator.state for rng in two.rngs]
+        with pytest.raises(SelectionError,
+                           match="observation_sample 2 exceeds available peers 1"):
+            evolve_step(two, self.params, self.coefficients, cfg)
+        assert [rng.bit_generator.state for rng in two.rngs] == streams  # no draw
+
     def test_population_size_change_leaves_existing_streams_alone(self):
         small = EvolutionConfig(population_size=5, observation_sample=2, seed=47)
         large = EvolutionConfig(population_size=9, observation_sample=2, seed=47)
-        pop_small = init_population(self.params, self.coefficients, small, self.prices)
-        pop_large = init_population(self.params, self.coefficients, large, self.prices)
+        pop_small = init_population(self.params, self.coefficients, small)
+        pop_large = init_population(self.params, self.coefficients, large)
         for a, b in zip(pop_small.agents, pop_large.agents):
             assert a.strategy == b.strategy
 
@@ -438,18 +447,18 @@ def _assert_held_matrix(pop):
        sectors=st.integers(1, 5), size=st.integers(2, 8), data=st.data())
 def test_held_strategy_matrix_follows_the_strategies(rule, seed, sectors, size, data):
     inst = random_instance(np.random.default_rng(seed), n=sectors)
-    params, coefficients, prices = inst.params, inst.coefficients, inst.params.prices
+    params, coefficients = inst.params, inst.coefficients
     cfg = EvolutionConfig(
         population_size=size, observation_sample=data.draw(st.integers(1, size - 1)),
         imitation_probability=data.draw(st.sampled_from([0.0, 0.3, 1.0])),
         imitation_error_sd=data.draw(st.sampled_from([0.0, 0.02, 0.5])),
         selection_rule=rule, seed=seed)
-    pop = init_population(params, coefficients, cfg, prices)
+    pop = init_population(params, coefficients, cfg)
     _assert_held_matrix(pop)
     _assert_held_matrix(Population.from_agents(pop.agents, pop.step, pop.rngs))
     for _ in range(20):
         before = pop.sigma.copy()
-        out = evolve_step(pop, params, coefficients, prices, cfg)
+        out = evolve_step(pop, params, coefficients, cfg)
         assert pop.sigma.tobytes() == before.tobytes()  # the step copies, never writes
         _assert_held_matrix(out)
         pop = out
@@ -459,12 +468,12 @@ def _replay_capital(state, params, coefficients, steps):
     from growthlab.dynamics import step_agent
 
     for _ in range(steps):
-        state = step_agent(state, params, coefficients, params.prices)
+        state = step_agent(state, params, coefficients)
     return state.capital
 
 
-def _step_agent_loop(agents, params, coefficients, prices):
-    return [step_agent(a, params, coefficients, prices) for a in agents]
+def _step_agent_loop(agents, params, coefficients):
+    return [step_agent(a, params, coefficients) for a in agents]
 
 
 def _assert_same_agents(got, want):
@@ -519,15 +528,22 @@ class TestInitPopulation:
         with pytest.raises(ConfigurationError, match="got 2 strategies for population of 3"):
             init_population(params, c, cfg, strategies=[half, half])
 
+    def test_strategies_are_keyword_only(self):
+        # a call that still passes prices fourth must not read them as strategies
+        params, c, _ = default_economy()
+        cfg = EvolutionConfig(population_size=2, observation_sample=1)
+        with pytest.raises(TypeError):
+            init_population(params, c, cfg, params.prices)
+
     def test_rows_match_equilibrium_state(self):
         rng = np.random.default_rng(331)
         for n in range(1, 7):
             inst = random_instance(rng, n=n)
             cfg = EvolutionConfig(population_size=5, observation_sample=1, seed=n)
-            prices = rng.uniform(0.5, 2.0, n)
-            pop = init_population(inst.params, inst.coefficients, cfg, prices)
+            params = replace(inst.params, prices=rng.uniform(0.5, 2.0, n))
+            pop = init_population(params, inst.coefficients, cfg)
             _assert_same_agents(pop.agents, [
-                equilibrium_state(s, inst.coefficients, inst.params, prices)
+                equilibrium_state(s, inst.coefficients, params)
                 for s in pop.strategies
             ])
 
@@ -545,8 +561,9 @@ class TestBatchedPhaseOne:
         pop = Population.from_agents(agents, 0, rngs)
         want = list(agents)
         for t, p in enumerate(price_rows, start=1):
-            pop = evolve_step(pop, params, coefficients, p, cfg)
-            want = _step_agent_loop(want, params, coefficients, p)
+            row = replace(params, prices=p)
+            pop = evolve_step(pop, row, coefficients, cfg)
+            want = _step_agent_loop(want, row, coefficients)
             assert pop.step == t
             _assert_same_agents(pop.agents, want)
 
@@ -608,11 +625,11 @@ class TestBatchedPhaseOne:
             mutate_strategy(Strategy(np.array([0.5, 0.5])), 0.05, rng)
             for _ in range(3)
         ]
-        pop = init_population(params, c, cfg, params.prices, strategies)
+        pop = init_population(params, c, cfg, strategies=strategies)
         want = pop.agents
         for _ in range(5000):
-            pop = evolve_step(pop, params, c, params.prices, cfg)
-            want = _step_agent_loop(want, params, c, params.prices)
+            pop = evolve_step(pop, params, c, cfg)
+            want = _step_agent_loop(want, params, c)
         assert np.isfinite(pop.log_income).all() and np.isfinite(pop.growth).all()
         assert pop.log_income.min() > np.log(np.finfo(float).max)
         assert pop.log_income.tolist() == [a.log_income for a in want]

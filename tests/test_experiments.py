@@ -146,9 +146,8 @@ class TestSwitchExperiment:
         )
         cfg = config_from_dict(doc)
         result = run_experiment(cfg)
-        start = equilibrium_state(
-            Strategy(np.asarray(sigma)), cfg.coefficients, cfg.params, cfg.prices.at(1)
-        )
+        start = equilibrium_state(Strategy(np.asarray(sigma)), cfg.coefficients,
+                                  replace(cfg.params, prices=cfg.prices.at(1)))
         records = run_hold(start, cfg.params, cfg.coefficients, cfg.prices, cfg.steps)
         hold = format_trace(records, cfg.params.sectors)[0] + "\n"
         assert open(result.output, "rb").read() == hold.encode()
@@ -264,15 +263,15 @@ class TestEvolveExperiment:
         params, c, evo = cfg.params, cfg.coefficients, cfg.evolution
         assert not np.array_equal(cfg.prices.at(1), params.prices)
         lines = [trace_header(2).replace("excess_growth,", "")]
-        pop, imitations = init_population(params, c, evo, cfg.prices.at(1)), 0
+        pop, imitations = init_population(replace(params, prices=cfg.prices.at(1)), c, evo), 0
         for t in range(cfg.steps + 1):
-            p = cfg.prices.at(max(t, 1))
+            row = replace(params, prices=cfg.prices.at(max(t, 1)))
             if t >= 1:
-                pop = evolve_step(pop, params, c, p, evo)
+                pop = evolve_step(pop, row, c, evo)
                 imitations += int((pop.parents >= 0).sum())
             for i, s in enumerate(pop.strategies):
                 y, g = float(pop.log_income[i]), float(pop.growth[i])
-                g_star = equilibrium_growth(s, c, params, p)
+                g_star = equilibrium_growth(s, c, row)
                 values = [_income(y), y, g, g_star, *s.weights]
                 lines.append(f"{t},{i}," + ",".join(map(fmt17, values)))
         run_experiment(cfg)
@@ -295,16 +294,16 @@ class TestEvolveExperiment:
         params, c, evo = cfg.params, cfg.coefficients, cfg.evolution
         assert cfg.prices.change_steps(cfg.steps) == [13, 27]
         lines, points = [trace_header(3).replace("excess_growth,", "")], []
-        pop, imitations = init_population(params, c, evo, cfg.prices.at(1)), 0
+        pop, imitations = init_population(replace(params, prices=cfg.prices.at(1)), c, evo), 0
         for t in range(cfg.steps + 1):
-            p = cfg.prices.at(max(t, 1))
+            row = replace(params, prices=cfg.prices.at(max(t, 1)))
             if t >= 1:
-                pop = evolve_step(pop, params, c, p, evo)
+                pop = evolve_step(pop, row, c, evo)
                 imitations += int((pop.parents >= 0).sum())
             points.append((t, float(np.mean([response(s, c) for s in pop.strategies]))))
             for i, s in enumerate(pop.strategies):
                 y, g = float(pop.log_income[i]), float(pop.growth[i])
-                values = [_income(y), y, g, equilibrium_growth(s, c, params, p), *s.weights]
+                values = [_income(y), y, g, equilibrium_growth(s, c, row), *s.weights]
                 lines.append(f"{t},{i}," + ",".join(map(fmt17, values)))
         assert charts == [[("mean response", points)]]
         assert open(cfg.output_path).read().split("\n") == [*lines, ""]

@@ -12,6 +12,7 @@ deprecation.
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,12 +60,12 @@ def replay(doc: dict) -> list[str]:
     cfg = config_from_dict(doc)
     rng = experiment_stream(cfg.seed)
     ones = np.ones(cfg.params.sectors)
-    p = cfg.prices.at(1)
+    params = replace(cfg.params, prices=cfg.prices.at(1))
     rows = []
     for _ in range(cfg.landscape.samples):
         sigma = project_to_simplex(rng.dirichlet(ones))
         resp = response(sigma, cfg.coefficients)
-        g_star = equilibrium_growth(sigma, cfg.coefficients, cfg.params, p)
+        g_star = equilibrium_growth(sigma, cfg.coefficients, params)
         rows.append(",".join(fmt17(x) for x in [*sigma.weights, resp, g_star]))
     return rows
 

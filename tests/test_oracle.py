@@ -13,6 +13,7 @@ smallest positive float, and the two strict xfails are where it then departs.
 
 import math
 import sys
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -175,10 +176,11 @@ def test_population_phase_1_matches_the_oracle(economy, data):
     config = EvolutionConfig(population_size=4, observation_sample=1,
                              imitation_probability=0.0)
     prices = PriceSchedule(rows)
-    pop = init_population(params, coefficients, config, prices.at(1), strategies=sigmas)
+    pop = init_population(replace(params, prices=prices.at(1)), coefficients, config,
+                          strategies=sigmas)
     steps = []
     for t in range(1, STEPS + 1):
-        pop = evolve_step(pop, params, coefficients, prices.at(t), config)
+        pop = evolve_step(pop, replace(params, prices=prices.at(t)), coefficients, config)
         steps.append((pop.growth.tolist(), pop.log_income.tolist()))
     for i, sigma in enumerate(sigmas):
         assert_matches([g[i] for g, _ in steps], [y[i] for _, y in steps],
@@ -197,12 +199,13 @@ def test_population_phase_2_matches_the_oracle(economy, data):
                              imitation_error_sd=0.0, seed=data.draw(st.integers(0, 2**32)),
                              selection_rule=data.draw(st.sampled_from(SELECTION_RULES)))
     prices = PriceSchedule(rows)
-    pop = init_population(params, coefficients, config, prices.at(1), strategies=held)
+    pop = init_population(replace(params, prices=prices.at(1)), coefficients, config,
+                          strategies=held)
     schedules, steps = [[] for _ in held], []
     for t in range(1, STEPS + 1):
         for schedule, sigma in zip(schedules, held):  # step t invests the strategy held
             schedule.append(sigma.weights)
-        pop = evolve_step(pop, params, coefficients, prices.at(t), config)
+        pop = evolve_step(pop, replace(params, prices=prices.at(t)), coefficients, config)
         held = [sigma if j < 0 else held[j] for sigma, j in zip(held, pop.parents.tolist())]
         assert pop.strategies == held
         steps.append((pop.growth.tolist(), pop.log_income.tolist()))
@@ -236,10 +239,11 @@ def test_one_agent_across_a_change_of_alpha_matches_the_oracle(shock, data):
     before, after, params, rows, at = shock
     sigma = data.draw(shocked(before, after))
     prices = PriceSchedule(rows)
-    state = equilibrium_state(sigma, before, params, prices.at(1))
+    state = equilibrium_state(sigma, before, replace(params, prices=prices.at(1)))
     steps = []
     for t in range(1, STEPS + 1):
-        state = step_agent(state, params, before if t < at else after, prices.at(t))
+        row = replace(params, prices=prices.at(t))
+        state = step_agent(state, row, before if t < at else after)
         steps.append((state.growth, state.log_income))
     exact = run_oracle(before, params, rows, [sigma.weights] * STEPS, shock=(at, after))
     assume(min(r for *_, r in exact) >= sys.float_info.min)
@@ -256,10 +260,12 @@ def test_population_across_a_change_of_alpha_matches_the_oracle(shock, data):
     config = EvolutionConfig(population_size=4, observation_sample=1,
                              imitation_probability=0.0)
     prices = PriceSchedule(rows)
-    pop = init_population(params, before, config, prices.at(1), strategies=sigmas)
+    pop = init_population(replace(params, prices=prices.at(1)), before, config,
+                          strategies=sigmas)
     steps = []
     for t in range(1, STEPS + 1):
-        pop = evolve_step(pop, params, before if t < at else after, prices.at(t), config)
+        row = replace(params, prices=prices.at(t))
+        pop = evolve_step(pop, row, before if t < at else after, config)
         steps.append((pop.growth.tolist(), pop.log_income.tolist()))
     for i, sigma in enumerate(sigmas):
         exact = run_oracle(before, params, rows, [sigma.weights] * STEPS, shock=(at, after))

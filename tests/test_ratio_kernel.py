@@ -93,7 +93,7 @@ def test_hold_growth_never_below_minus_deprecation(data, economy):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), economy=economies())
 def test_evolve_growth_never_below_minus_deprecation(data, economy):
-    coefficients, params, prices = economy
+    coefficients, params, _ = economy
     n = params.sectors
     agents = [
         state_of(data.draw(capitals(n)), coefficients, params, data.draw(simplex(n)))
@@ -107,7 +107,7 @@ def test_evolve_growth_never_below_minus_deprecation(data, economy):
         agents, 0, [agent_stream(7, i) for i in range(4)]
     )
     for _ in range(STEPS):
-        population = evolve_step(population, params, coefficients, prices, config)
+        population = evolve_step(population, params, coefficients, config)
         assert population.growth.min() >= -params.deprecation - FLOOR_TOL
 
 
@@ -133,7 +133,7 @@ def test_mutation_stays_on_simplex(parent, sd, seed):
     sd=st.floats(0.0, 1.0),
 )
 def test_imitation_stays_on_simplex(data, economy, rule, sd):
-    coefficients, params, prices = economy
+    coefficients, params, _ = economy
     n = params.sectors
     agents = [
         state_of(data.draw(capitals(n)), coefficients, params, data.draw(simplex(n)))
@@ -147,7 +147,7 @@ def test_imitation_stays_on_simplex(data, economy, rule, sd):
         agents, 0, [agent_stream(11, i) for i in range(5)]
     )
     for _ in range(STEPS):
-        population = evolve_step(population, params, coefficients, prices, config)
+        population = evolve_step(population, params, coefficients, config)
         for strategy in population.strategies:
             assert strategy.sectors == n
             assert validate_simplex(strategy.weights)
@@ -233,7 +233,7 @@ def test_switch_run_matches_a_step_agent_loop(data, run):
                                         max_size=params.sectors)))
     schedule = PriceSchedule([prices] * (change - 1) + [later])
     got = run_switch_experiment(a, [(switch, b)], params, coefficients, schedule, steps)
-    start = equilibrium_state(a, coefficients, params, prices)
+    start = equilibrium_state(a, coefficients, params)
     want = step_agent_records(start, [(switch, b)], params, coefficients, schedule, steps)
     assert [repr(r) for r in got] == [repr(r) for r in want]
 
@@ -293,9 +293,7 @@ def test_absorbed_agent_reads_no_nan():
         0, [agent_stream(3, i) for i in range(2)],
     )
     for step in range(6):
-        population = evolve_step(
-            population, params, coefficients, params.prices, config
-        )
+        population = evolve_step(population, params, coefficients, config)
         assert population.absorbed.tolist() == [True, False]
         assert population.growth[0] == (-params.deprecation if step == 0 else 0.0)
         assert np.isfinite(population.ratio).all()
@@ -312,7 +310,7 @@ def test_capital_past_float_range_has_no_nan():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(1200):
-            state = step_agent(state, params, coefficients, params.prices)
+            state = step_agent(state, params, coefficients)
     assert state.income == np.inf and np.isfinite(state.log_income)
     assert state.ratio[2] == 0.0
     assert state.capital.tolist() == [np.inf, np.inf, 0.0]
