@@ -1,4 +1,4 @@
-"""Evolutionary growth-economy simulator and analysis toolkit.
+"""Evolutionary growth-economy simulator.
 
 Per-sector capital accumulation feeds a Cobb-Douglas production function;
 holding a strategy under stable prices drives the capital/income ratio to a
@@ -23,8 +23,6 @@ from .core import (
     Strategy,
     production,
     project_to_simplex,
-    validate_simplex,
-    weighted_geometric_mean,
 )
 from .dynamics import (
     PriceSchedule,
@@ -36,12 +34,9 @@ from .dynamics import (
     uniform_state,
 )
 from .equilibrium import (
-    HillClimbResult,
     calibrate_scaling,
-    contour_contains,
     equilibrium_growth,
     equilibrium_ratio,
-    hill_climb,
     optimal_strategy,
     response,
 )
@@ -67,7 +62,6 @@ __all__ = [
     "EconomyParams",
     "EvolutionConfig",
     "GrowthLabError",
-    "HillClimbResult",
     "InvariantViolation",
     "Population",
     "PriceSchedule",
@@ -78,13 +72,11 @@ __all__ = [
     "TraceRecord",
     "calibrate_scaling",
     "config_from_dict",
-    "contour_contains",
     "dump_config",
     "equilibrium_growth",
     "equilibrium_ratio",
     "equilibrium_state",
     "evolve_step",
-    "hill_climb",
     "init_population",
     "load_config",
     "mutate_strategy",
@@ -98,6 +90,4 @@ __all__ = [
     "select_parent",
     "step_agent",
     "uniform_state",
-    "validate_simplex",
-    "weighted_geometric_mean",
 ]

@@ -34,6 +34,7 @@ from .core import (
     ProductionCoefficients,
     Strategy,
     _check_deprecation,
+    _check_int,
     _check_prices,
     _check_sectors,
 )
@@ -66,7 +67,8 @@ class SwitchSpec:
                 )
         if not 0.0 <= self.mutation_sd < np.inf:
             raise ConfigurationError("mutation_sd: must be finite and >= 0")
-        if not (0 <= self.min_switches <= self.max_switches):
+        if not (0 <= _check_int(self.min_switches, "min_switches")
+                <= _check_int(self.max_switches, "max_switches")):
             raise ConfigurationError(
                 "max_switches: need 0 <= min_switches <= max_switches"
             )
@@ -77,7 +79,7 @@ class LandscapeSpec:
     samples: int = 1000
 
     def __post_init__(self):
-        if self.samples < 1:
+        if _check_int(self.samples, "samples") < 1:
             raise ConfigurationError(f"samples: must be >= 1, got {self.samples}")
 
 
@@ -152,9 +154,7 @@ def _parse(value, kind, path: str):
             raise _fail(path, f"expected a number, got {value!r}")
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _fail(path, f"expected an integer, got {value!r}")
-        return value
+        return _check_int(value, path)
     if not isinstance(value, kind):
         raise _fail(path, f"expected {kind.__name__}, got {type(value).__name__}")
     return value

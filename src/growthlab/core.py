@@ -5,10 +5,10 @@ of income an agent puts into each capital sector) and production
 coefficients (per-sector Cobb-Douglas elasticities, summing to one for
 constant returns to scale).  This module owns the simplex validation and
 repair rules (along the last axis, so one call checks many points), the
-price, deprecation and sector-count rules, ``_log_response`` (the one
-weighted log-sum: the log-domain product of the step kernel, of production
-and of both equilibrium closed forms), and the immutable value types every
-other module passes around.  ``AgentState`` stores the step kernel's state,
+price, scaling, deprecation, sector-count and integer rules,
+``_log_response`` (the one weighted log-sum: the log-domain product of the
+step kernel, of production and of both equilibrium closed forms), and the
+immutable value types every other module passes around.  ``AgentState`` stores the step kernel's state,
 and ``AgentState.from_capital`` is its checked capital/income constructor.
 
 All functions here are pure; all types are frozen.  Products of powers are
@@ -87,6 +87,20 @@ def _check_deprecation(deprecation: float) -> float:
     if not (0.0 < deprecation <= 1.0):
         raise DomainError("deprecation must lie in (0, 1]")
     return float(deprecation)
+
+
+def _check_scaling(scaling: float) -> float:
+    """``scaling`` as a float; DomainError unless it is positive and finite."""
+    if not 0.0 < scaling < np.inf:  # NaN fails both
+        raise DomainError("scaling must be positive and finite")
+    return float(scaling)
+
+
+def _check_int(value, name: str) -> int:
+    """``value``; ConfigurationError naming ``name`` unless it is an int, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{name}: expected an integer, got {value!r}")
+    return value
 
 
 def _check_sectors(**counts: int) -> None:
@@ -212,10 +226,9 @@ class EconomyParams:
 
     def __post_init__(self):
         p = _as_vector(self.prices, "prices")
-        if not (np.isfinite(self.scaling) and self.scaling > 0.0):
-            raise DomainError("scaling must be a positive real")
+        scaling = _check_scaling(self.scaling)
         _check_prices(p, p.size)
-        object.__setattr__(self, "scaling", float(self.scaling))
+        object.__setattr__(self, "scaling", scaling)
         object.__setattr__(self, "deprecation", _check_deprecation(self.deprecation))
         object.__setattr__(self, "prices", _freeze(p))
         retention = np.full(p.size, 1.0 - self.deprecation)
@@ -293,21 +306,6 @@ def _income(log_income: float) -> float:
         return math.inf
 
 
-def validate_simplex(v, tol: float = SIMPLEX_TOL) -> bool:
-    """True iff ``v`` is a simplex point up to ``tol``.
-
-    Components may dip to ``-tol``; after clamping negatives to zero the sum
-    must be 1 within ``tol``.  Non-finite input is never valid.
-    """
-    arr = _as_vector(v, "simplex candidate")
-    if not np.isfinite(arr).all():
-        return False
-    if (arr < -tol).any():
-        return False
-    clamped = np.maximum(arr, 0.0)
-    return abs(float(clamped.sum()) - 1.0) <= tol
-
-
 def project_to_simplex(v) -> Strategy:
     """Repair an arbitrary vector into a Strategy: clip negatives, renormalize.
 
@@ -346,22 +344,16 @@ def _clip_renormalize(arr: np.ndarray) -> np.ndarray | None:
     return (clipped.T / total).T
 
 
-@np.errstate(divide="ignore")  # log 0 = -inf: a zero base gives 0.0
-def weighted_geometric_mean(base, exponents: ProductionCoefficients) -> float:
-    """exp(sum over positive-exponent sectors of alpha_i * ln(base_i)).
-
-    The one-row case of ``_log_response``: 0.0 if any base component under a
-    positive exponent is exactly zero, and zero-exponent sectors skipped.
-    """
-    arr = _as_vector(base, "base")
-    _check_sectors(base=arr.size, coefficients=exponents.sectors)
-    if not float(arr.min()) >= 0.0 or float(arr.max()) == np.inf:
-        raise DomainError("base components must be non-negative finite reals")
-    return float(np.exp(_log_response(arr, exponents)))
-
-
+@np.errstate(divide="ignore")  # log 0 = -inf: a zero capital gives 0.0
 def production(capital, coefficients: ProductionCoefficients, scaling: float) -> float:
-    """Cobb-Douglas income from per-sector capital: scaling * prod(k_i ** alpha_i)."""
-    if scaling <= 0.0:
-        raise DomainError("scaling must be positive")
-    return scaling * weighted_geometric_mean(capital, coefficients)
+    """Cobb-Douglas income from per-sector capital: scaling * prod(k_i ** alpha_i).
+
+    The one-row case of ``_log_response``: 0.0 if any capital under a
+    positive coefficient is exactly zero, and zero-coefficient sectors skipped.
+    """
+    scaling = _check_scaling(scaling)
+    k = _as_vector(capital, "capital")
+    _check_sectors(capital=k.size, coefficients=coefficients.sectors)
+    if not float(k.min()) >= 0.0 or float(k.max()) == np.inf:
+        raise DomainError("capital components must be non-negative finite reals")
+    return scaling * float(np.exp(_log_response(k, coefficients)))

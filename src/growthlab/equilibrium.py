@@ -30,8 +30,6 @@ row, build its params with ``dataclasses.replace(params, prices=row)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -44,12 +42,8 @@ from .core import (
     _check_deprecation,
     _check_prices,
     _check_sectors,
-    _clip_renormalize,
     _log_response,
 )
-
-#: Relative slack (in log-domain) for boundary-inclusive contour membership.
-CONTOUR_REL_TOL = 1e-12
 
 
 def _check_counts(n: int, coefficients, params) -> None:
@@ -127,35 +121,6 @@ def equilibrium_ratio(
     return _fixed_point_rows(strategy.weights[np.newaxis], coefficients, params)[0][0]
 
 
-def contour_contains(
-    strategy: Strategy,
-    level: float,
-    coefficients: ProductionCoefficients,
-    params: EconomyParams,
-) -> bool:
-    """True iff ``strategy`` reaches equilibrium growth >= ``level``.
-
-    The level must be finite and at least -deprecation.  Boundary-inclusive:
-    membership is prod((sigma_i / p_i) ** alpha_i) >= (level + deprecation)
-    / scaling, compared in log-domain with a 1e-12 slack so points exactly on
-    the contour test true.
-    """
-    if not np.isfinite(level):
-        raise DomainError("contour level must be finite")
-    if level < -params.deprecation:
-        raise DomainError(
-            "contour level cannot lie below -deprecation "
-            f"({level} < {-params.deprecation})"
-        )
-    _check_counts(strategy.sectors, coefficients, params)
-    threshold_scale = (level + params.deprecation) / params.scaling
-    if threshold_scale <= 0.0:
-        return True  # every strategy grows at least at -deprecation
-    with np.errstate(divide="ignore"):  # log 0 = -inf: below every level
-        log_gain = _log_response(strategy.weights, coefficients, params.prices)
-    return bool(log_gain >= np.log(threshold_scale) - CONTOUR_REL_TOL)
-
-
 def calibrate_scaling(
     target_growth: float,
     coefficients: ProductionCoefficients,
@@ -184,63 +149,3 @@ def calibrate_scaling(
 def optimal_strategy(coefficients: ProductionCoefficients) -> Strategy:
     """The unique global maximizer of the response term: sigma = alpha."""
     return Strategy(coefficients.alphas)
-
-
-@dataclass(frozen=True)
-class HillClimbResult:
-    strategy: Strategy
-    response_value: float
-    iterations: int
-    converged: bool
-
-
-def hill_climb(
-    start: Strategy,
-    coefficients: ProductionCoefficients,
-    step_size: float = 0.05,
-    max_iters: int = 10_000,
-    rng=None,
-) -> HillClimbResult:
-    """Random-perturbation ascent of the response term on the simplex.
-
-    Perturb the incumbent with spherical Gaussian noise of the current step
-    size, repair onto the simplex, keep the candidate iff its response is
-    strictly higher.  After 20 consecutive rejections the step size halves;
-    the search stops once it falls below 1e-7 (converged) or ``max_iters`` is
-    exhausted (best-so-far, not converged).
-
-    ``rng`` may be a numpy Generator or a seed; pass one explicitly for
-    reproducible searches.
-    """
-    if not 0.0 < step_size < np.inf:
-        raise DomainError("step_size must be positive and finite")
-    _check_sectors(strategy=start.sectors, coefficients=coefficients.sectors)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n = start.sectors
-
-    best = start
-    best_val = response(start, coefficients)
-    step = float(step_size)
-    stall = 0
-    iterations = 0
-    converged = False
-    while iterations < max_iters:
-        iterations += 1
-        repaired = _clip_renormalize(best.weights + gen.normal(0.0, step, size=n))
-        if repaired is None:
-            stall += 1
-        else:
-            candidate = Strategy(repaired)
-            val = response(candidate, coefficients)
-            if val > best_val:
-                best, best_val = candidate, val
-                stall = 0
-            else:
-                stall += 1
-        if stall >= 20:
-            step *= 0.5
-            stall = 0
-            if step < 1e-7:
-                converged = True
-                break
-    return HillClimbResult(best, best_val, iterations, converged)

@@ -35,6 +35,7 @@ from .core import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
+    _check_int,
     _check_sectors,
     _clip_renormalize,
     project_to_simplex,
@@ -66,6 +67,8 @@ class EvolutionConfig:
 
     def __post_init__(self):
         # messages start with the field name; the config loader adds "evolution."
+        for name in ("population_size", "observation_sample", "seed"):
+            _check_int(getattr(self, name), name)
         if self.population_size < 1:
             raise ConfigurationError("population_size: must be a positive integer")
         if not 0.0 <= self.imitation_error_sd < np.inf:

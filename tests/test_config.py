@@ -5,12 +5,15 @@ import pytest
 
 from growthlab import ConfigurationError, DomainError, config
 from growthlab.config import (
+    LandscapeSpec,
+    SwitchSpec,
     annual_to_step_rate,
     config_from_dict,
     dump_config,
     load_config,
 )
 from growthlab.equilibrium import equilibrium_growth, optimal_strategy
+from growthlab.evolution import EvolutionConfig
 
 
 MINIMAL = {"experiment": "landscape", "economy": {"alphas": [0.5, 0.5]}}
@@ -201,6 +204,21 @@ class TestValidationErrors:
         }
         with pytest.raises(ConfigurationError, match=r"landscape\.samples"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("section, field, value", [
+        (EvolutionConfig, "population_size", 5.5),
+        (EvolutionConfig, "observation_sample", 2.5),
+        (EvolutionConfig, "seed", 1.5),
+        (EvolutionConfig, "seed", True),
+        (LandscapeSpec, "samples", 2.5),
+        (LandscapeSpec, "samples", np.int64(2)),
+        (SwitchSpec, "min_switches", 1.5),
+        (SwitchSpec, "max_switches", 7.0),
+    ])
+    def test_constructors_take_the_loaders_integer_rule(self, section, field, value):
+        # an int that is not a bool, as the loader requires of a JSON integer
+        with pytest.raises(ConfigurationError, match=f"^{field}: expected an integer"):
+            section(**{field: value})
 
 
 class TestRoundTrip:

@@ -16,32 +16,8 @@ from growthlab import (
     Strategy,
     production,
     project_to_simplex,
-    validate_simplex,
-    weighted_geometric_mean,
 )
 from growthlab.core import _log_response, _simplex_point
-
-
-class TestValidateSimplex:
-    def test_symmetric_point(self):
-        assert validate_simplex([0.5, 0.5], 1e-12) is True
-
-    def test_sum_above_one(self):
-        assert validate_simplex([1.0, 0.1], 1e-12) is False
-
-    def test_negative_component(self):
-        assert validate_simplex([-0.01, 1.01], 1e-12) is False
-
-    def test_empty_vector(self):
-        with pytest.raises(DimensionError):
-            validate_simplex([], 1e-12)
-
-    def test_tolerated_tiny_negative(self):
-        # a -tol dip is clamped to zero before the sum check
-        assert validate_simplex([-1e-13, 1.0], 1e-12) is True
-
-    def test_nan_rejected(self):
-        assert validate_simplex([np.nan, 1.0], 1e-12) is False
 
 
 class TestProjectToSimplex:
@@ -84,38 +60,45 @@ class TestProjectToSimplex:
 
 
 class TestWeightedGeometricMean:
+    """``production`` at scaling 1: the weighted geometric mean of the capital."""
+
     def setup_method(self):
         self.half = ProductionCoefficients(np.array([0.5, 0.5]))
 
     def test_symmetric(self):
-        assert weighted_geometric_mean([0.5, 0.5], self.half) == pytest.approx(
+        assert production([0.5, 0.5], self.half, 1.0) == pytest.approx(
             0.5, rel=1e-14
         )
 
     def test_zero_factor_with_positive_exponent(self):
-        assert weighted_geometric_mean([1.0, 0.0], self.half) == 0.0
+        assert production([1.0, 0.0], self.half, 1.0) == 0.0
 
     def test_sqrt_product(self):
-        assert weighted_geometric_mean([4.0, 1.0], self.half) == pytest.approx(
+        assert production([4.0, 1.0], self.half, 1.0) == pytest.approx(
             2.0, rel=1e-14
         )
 
     def test_zero_exponent_ignores_zero_base(self):
         # 0**0 == 1: a sector with zero coefficient contributes factor 1
         coeffs = ProductionCoefficients(np.array([0.0, 1.0]))
-        assert weighted_geometric_mean([0.0, 2.0], coeffs) == pytest.approx(2.0)
+        assert production([0.0, 2.0], coeffs, 1.0) == pytest.approx(2.0)
 
     def test_negative_base(self):
         with pytest.raises(DomainError):
-            weighted_geometric_mean([-1.0, 2.0], self.half)
+            production([-1.0, 2.0], self.half, 1.0)
 
     def test_production_needs_positive_scaling(self):
         with pytest.raises(DomainError, match="scaling must be positive"):
             production([1.0, 1.0], self.half, 0.0)
 
+    @pytest.mark.parametrize("scaling", [float("nan"), float("inf"), -float("inf")])
+    def test_production_needs_finite_scaling(self, scaling):
+        with pytest.raises(DomainError, match="scaling must be positive and finite"):
+            production([1.0, 1.0], self.half, scaling)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            weighted_geometric_mean([1.0, 2.0, 3.0], self.half)
+            production([1.0, 2.0, 3.0], self.half, 1.0)
 
     def test_homogeneous_degree_one(self):
         rng = np.random.default_rng(11)
@@ -124,8 +107,8 @@ class TestWeightedGeometricMean:
             coeffs = ProductionCoefficients(rng.dirichlet(np.ones(n)))
             x = rng.uniform(0.01, 50.0, n)
             c = float(rng.uniform(0.01, 100.0))
-            f_cx = weighted_geometric_mean(c * x, coeffs)
-            f_x = weighted_geometric_mean(x, coeffs)
+            f_cx = production(c * x, coeffs, 1.0)
+            f_x = production(x, coeffs, 1.0)
             assert f_cx == pytest.approx(c * f_x, rel=1e-12)
 
     def test_bounded_by_arithmetic_mean(self):
@@ -134,7 +117,7 @@ class TestWeightedGeometricMean:
             n = int(rng.integers(1, 7))
             coeffs = ProductionCoefficients(rng.dirichlet(np.ones(n)))
             x = rng.uniform(0.0, 10.0, n)
-            gm = weighted_geometric_mean(x, coeffs)
+            gm = production(x, coeffs, 1.0)
             am = float(np.dot(coeffs.alphas, x))
             assert gm <= am + 1e-12 * max(am, 1.0)
 
@@ -146,10 +129,10 @@ class TestWeightedGeometricMean:
             a = rng.uniform(0.01, 10.0, n)
             b = rng.uniform(0.01, 10.0, n)
             lam = float(rng.uniform(0.0, 1.0))
-            blend = weighted_geometric_mean(lam * a + (1 - lam) * b, coeffs)
+            blend = production(lam * a + (1 - lam) * b, coeffs, 1.0)
             floor = min(
-                weighted_geometric_mean(a, coeffs),
-                weighted_geometric_mean(b, coeffs),
+                production(a, coeffs, 1.0),
+                production(b, coeffs, 1.0),
             )
             assert blend >= floor - 1e-12
 

@@ -1,4 +1,3 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +11,8 @@ from growthlab import (
     ProductionCoefficients,
     Strategy,
     calibrate_scaling,
-    contour_contains,
     equilibrium_growth,
     equilibrium_ratio,
-    hill_climb,
     optimal_strategy,
     project_to_simplex,
     response,
@@ -116,60 +113,6 @@ class TestEquilibriumRatio:
             equilibrium_ratio(Strategy(np.array([0.0, 1.0])), HALF, params)
 
 
-class TestContourContains:
-    def test_boundary_inclusive(self):
-        params = EconomyParams(0.097, 0.03, ONES2)
-        alpha = optimal_strategy(HALF)
-        level = equilibrium_growth(alpha, HALF, params)
-        assert contour_contains(alpha, level, HALF, params) is True
-
-    def test_level_above_maximum(self):
-        params = EconomyParams(0.097, 0.03, ONES2)
-        alpha = optimal_strategy(HALF)
-        level = equilibrium_growth(alpha, HALF, params) + 0.001
-        assert contour_contains(alpha, level, HALF, params) is False
-
-    def test_floor_level_contains_everything(self):
-        params = EconomyParams(0.097, 0.03, ONES2)
-        corner = Strategy(np.array([1.0, 0.0]))
-        assert contour_contains(corner, -0.03, HALF, params) is True
-
-    def test_convex_combinations_stay_inside(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            inst = random_instance(rng)
-            n = inst.params.sectors
-            a = project_to_simplex(rng.dirichlet(np.ones(n)))
-            b = project_to_simplex(rng.dirichlet(np.ones(n)))
-            level = min(
-                equilibrium_growth(a, inst.coefficients, inst.params),
-                equilibrium_growth(b, inst.coefficients, inst.params),
-            )
-            q = (level, inst.coefficients, inst.params)
-            assert contour_contains(a, *q) and contour_contains(b, *q)
-            for lam in rng.uniform(0.0, 1.0, 20):
-                combo = Strategy(lam * a.weights + (1 - lam) * b.weights)
-                assert contour_contains(combo, *q)
-
-    def test_sector_mismatch_rejected_at_floor(self):
-        # the floor level holds for every strategy, but not for a 3-sector
-        # strategy asked against 2-sector coefficients
-        params = EconomyParams(0.097, 0.03, ONES2)
-        three = Strategy(np.full(3, 1 / 3))
-        with pytest.raises(ConfigurationError):
-            contour_contains(three, -0.03, HALF, params)
-
-    def test_level_below_floor_rejected(self):
-        params = EconomyParams(0.097, 0.03, ONES2)
-        with pytest.raises(DomainError):
-            contour_contains(optimal_strategy(HALF), -0.031, HALF, params)
-
-    def test_nan_level_rejected(self):
-        params = EconomyParams(0.097, 0.03, ONES2)
-        with pytest.raises(DomainError, match="contour level must be finite"):
-            contour_contains(optimal_strategy(HALF), float("nan"), HALF, params)
-
-
 class TestCalibrateScaling:
     def test_reference_calibration(self):
         s = calibrate_scaling(0.0185, HALF, 0.03, ONES2)
@@ -219,51 +162,6 @@ class TestOptimalStrategy:
         with np.errstate(divide="ignore"):
             resp = np.exp((np.log(sigmas) * c.alphas).sum(axis=1))
         assert (resp <= best + 1e-15).all()
-
-
-class TestHillClimb:
-    def test_start_at_optimum_returns_it(self):
-        c = ProductionCoefficients(np.array([0.3, 0.7]))
-        result = hill_climb(optimal_strategy(c), c, rng=0)
-        assert result.converged
-        assert result.strategy.weights == pytest.approx([0.3, 0.7], abs=1e-12)
-
-    def test_reaches_known_optimum(self):
-        c = ProductionCoefficients(np.array([0.3, 0.7]))
-        rng = np.random.default_rng(91)
-        for k in range(5):
-            start = project_to_simplex(rng.dirichlet(np.ones(2)))
-            result = hill_climb(start, c, max_iters=10_000, rng=k)
-            gap = np.max(np.abs(result.strategy.weights - c.alphas))
-            assert gap < 1e-2
-
-    def test_climbs_off_a_face(self):
-        c = ProductionCoefficients(np.array([0.5, 0.5]))
-        start = Strategy(np.array([0.0, 1.0]))  # response 0
-        result = hill_climb(start, c, rng=3)
-        assert result.response_value > 0.4
-
-    def test_deterministic_given_rng(self):
-        c = ProductionCoefficients(np.array([0.25, 0.25, 0.5]))
-        start = Strategy(np.array([0.6, 0.2, 0.2]))
-        r1 = hill_climb(start, c, rng=np.random.default_rng(77))
-        r2 = hill_climb(start, c, rng=np.random.default_rng(77))
-        assert r1.strategy == r2.strategy
-        assert r1.iterations == r2.iterations
-
-    def test_overflowing_steps_stall_without_warning(self):
-        # step 1e308: candidates past float range count as stalls
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = hill_climb(optimal_strategy(HALF), HALF, step_size=1e308,
-                                max_iters=200, rng=1)
-        assert caught == []
-        assert result.strategy == optimal_strategy(HALF)
-
-    def test_bad_step_size(self):
-        for step_size in (0.0, float("inf"), float("nan")):
-            with pytest.raises(DomainError):
-                hill_climb(optimal_strategy(HALF), HALF, step_size=step_size)
 
 
 class TestOrderInvariance:

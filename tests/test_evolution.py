@@ -17,7 +17,6 @@ from growthlab import (
     ProductionCoefficients,
     SelectionError,
     Strategy,
-    validate_simplex,
 )
 from growthlab.cli import cli_main
 from growthlab.dynamics import equilibrium_state, run_hold, step_agent, uniform_state
@@ -59,8 +58,8 @@ class TestMutateStrategy:
         ]
         for _ in range(100_000 // len(parents)):
             for parent in parents:
-                child = mutate_strategy(parent, 0.05, rng)
-                assert validate_simplex(child.weights, 1e-12)
+                w = mutate_strategy(parent, 0.05, rng).weights
+                assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
 
     def test_overflowing_draws_are_redrawn_without_warning(self):
         # sd 1e308: a draw is inf, or its clipped total is past float range
@@ -70,7 +69,8 @@ class TestMutateStrategy:
             warnings.simplefilter("always")
             children = [mutate_strategy(parent, 1e308, rng) for _ in range(200)]
         assert caught == []
-        assert all(validate_simplex(child.weights, 1e-12) for child in children)
+        assert all(c.weights.min() >= 0.0 and abs(c.weights.sum() - 1.0) <= 1e-12
+                   for c in children)
 
     def test_parent_after_sixteen_failed_draws(self):
         class Draws:
@@ -362,9 +362,11 @@ class TestEvolveStep:
             pop = evolve_step(pop, self.params, self.coefficients, cfg)
             if t % 1000 == 0:
                 for agent in pop.agents:
-                    assert validate_simplex(agent.strategy.weights, 1e-12)
+                    w = agent.strategy.weights
+                    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
         for agent in pop.agents:
-            assert validate_simplex(agent.strategy.weights, 1e-12)
+            w = agent.strategy.weights
+            assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
         assert pop.step == 10_000
 
     def test_selection_bias_toward_recent_switchers(self):

@@ -31,7 +31,6 @@ from growthlab import (
     run_hold,
     run_switch_experiment,
     step_agent,
-    validate_simplex,
 )
 from growthlab.core import _log_response
 from growthlab.dynamics import equilibrium_state
@@ -122,7 +121,8 @@ def test_mutation_stays_on_simplex(parent, sd, seed):
     for _ in range(5):
         child = mutate_strategy(parent, sd, rng)
         assert child.sectors == parent.sectors
-        assert validate_simplex(child.weights)
+        w = child.weights
+        assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None)
@@ -149,8 +149,9 @@ def test_imitation_stays_on_simplex(data, economy, rule, sd):
     for _ in range(STEPS):
         population = evolve_step(population, params, coefficients, config)
         for strategy in population.strategies:
+            w = strategy.weights
             assert strategy.sectors == n
-            assert validate_simplex(strategy.weights)
+            assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
