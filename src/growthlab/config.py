@@ -58,6 +58,8 @@ class SwitchSpec:
     max_switches: int = 10
 
     def __post_init__(self):
+        for i, step in enumerate(self.switch_steps or ()):
+            _check_int(step, f"switch_steps[{i}]")
         if self.switch_sigmas is not None:
             if self.switch_steps is None:
                 raise ConfigurationError("switch_sigmas: requires switch.switch_steps")

@@ -44,6 +44,7 @@ from .core import (
     InvariantViolation,
     ProductionCoefficients,
     Strategy,
+    _check_int,
     _check_prices,
     _equal_fields,
     _freeze,
@@ -176,10 +177,13 @@ def _advance(x, log_y, invest, params, coefficients):
 
 
 def _check_switch_steps(at_steps: Sequence[int], steps: int) -> None:
-    """Raise unless the switch steps increase strictly within [1, steps]."""
+    """Raise unless ``steps`` is a positive integer and the switch steps are
+    integers that increase strictly within [1, steps]."""
+    if _check_int(steps, "steps") < 1:
+        raise ConfigurationError(f"steps must be >= 1, got {steps}")
     prev = 0
     for i, s in enumerate(at_steps):
-        if not prev < s <= steps:
+        if not prev < _check_int(s, f"switch_steps[{i}]") <= steps:
             raise ConfigurationError(f"switch_steps[{i}]: {s} not in ({prev}, {steps}]")
         prev = s
 
@@ -280,8 +284,6 @@ def run_switch_experiment(
     kernel's bytes: each phase's own growth, ``_income``, and log incomes by
     ``accumulate``, the same sequential float add (log growth < 709.8).
     """
-    if steps < 1:
-        raise ConfigurationError(f"steps must be >= 1, got {steps}")
     _check_switch_steps([at_step for at_step, _ in switches], steps)
     rows = {t: replace(params, prices=prices.at(t)) for t in [1, *prices.change_steps(steps)]}
     for strat in [initial, *(strat for _, strat in switches)]:

@@ -41,6 +41,7 @@ from .core import (
     _as_vector,
     _check_deprecation,
     _check_prices,
+    _check_scaling,
     _check_sectors,
     _log_response,
 )
@@ -132,7 +133,8 @@ def calibrate_scaling(
     Inverts the growth formula at sigma = alpha:
     scaling = (target + deprecation) / (prod(p_i ** -alpha_i) * prod(alpha_i ** alpha_i)).
     Zero coefficients contribute factor 1 (0**0 == 1).  The target must exceed
-    -deprecation, otherwise the required scaling would not be positive.
+    -deprecation, otherwise the required scaling would not be positive, and
+    the scaling must pass ``EconomyParams``' rule: positive and finite.
     """
     _check_deprecation(deprecation)
     p = _check_prices(_as_vector(prices, "prices"), coefficients.sectors)
@@ -143,7 +145,8 @@ def calibrate_scaling(
         )
     # log of prod(p**-alpha) * prod(alpha**alpha), negated for the inversion
     log_gain = _log_response(coefficients.alphas, coefficients, p)
-    return (target_growth + deprecation) * float(np.exp(-log_gain))
+    with np.errstate(over="ignore"):  # past float range: the scaling rule rejects inf
+        return _check_scaling((target_growth + deprecation) * float(np.exp(-log_gain)))
 
 
 def optimal_strategy(coefficients: ProductionCoefficients) -> Strategy:

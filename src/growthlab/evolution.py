@@ -215,11 +215,24 @@ def select_parent(
       the observer's; otherwise the observer keeps its own strategy (its own
       index is returned).
     """
-    n = population.growth.size
-    if not (0 <= observer_index < n):
+    growth = population.growth
+    if not (0 <= _check_int(observer_index, "observer_index") < growth.size):
         raise SelectionError(f"observer index {observer_index} out of range")
-    _check_peers(n, config)
-    return _pick(observer_index, population.growth.tolist(), config, rng, params)
+    _check_peers(growth.size, config)
+    # indices 0..n-2 shifted around the observer give distinct peers
+    raw = rng.choice(growth.size - 1, size=config.observation_sample, replace=False)
+    peers = [j + (j >= observer_index) for j in raw.tolist()]
+    if config.selection_rule == "imitate-best-observed":
+        return max(sorted(peers), key=growth.__getitem__)  # the first max: lowest tied index
+    if config.selection_rule == "growth-proportional":
+        ordered = sorted(peers)
+        weights = np.maximum(growth[ordered] + params.deprecation, 0.0)
+        total = float(weights.sum())
+        if total <= 0.0:
+            return int(rng.choice(ordered))
+        return int(rng.choice(ordered, p=weights / total))
+    # pairwise-better
+    return peers[0] if growth[peers[0]] > growth[observer_index] else observer_index
 
 
 def _check_peers(n: int, config: EvolutionConfig) -> None:
@@ -227,27 +240,6 @@ def _check_peers(n: int, config: EvolutionConfig) -> None:
     if config.observation_sample > n - 1:
         raise SelectionError(
             f"observation_sample {config.observation_sample} exceeds available peers {n - 1}")
-
-
-def _pick(i: int, growth: list[float], config: EvolutionConfig,
-          rng: np.random.Generator, params: EconomyParams) -> int:
-    """``select_parent``'s draw and rule for observer i, unchecked, on the
-    growth figures as a list."""
-    # indices 0..n-2 shifted around the observer give distinct peers
-    raw = rng.choice(len(growth) - 1, size=config.observation_sample, replace=False)
-    peers = [j + (j >= i) for j in raw.tolist()]
-    rule = config.selection_rule
-    if rule == "imitate-best-observed":  # max keeps the first, so the lowest tied index
-        return max(sorted(peers), key=growth.__getitem__)
-    if rule == "growth-proportional":
-        ordered = sorted(peers)
-        weights = np.maximum(np.array([growth[j] for j in ordered]) + params.deprecation, 0.0)
-        total = float(weights.sum())
-        if total <= 0.0:
-            return int(rng.choice(ordered))
-        return int(rng.choice(ordered, p=weights / total))
-    # pairwise-better
-    return peers[0] if growth[peers[0]] > growth[i] else i
 
 
 def evolve_step(
@@ -260,37 +252,35 @@ def evolve_step(
 
     Phase 1 steps every agent at once on the population's arrays, with the
     kernel and the checks of ``step_agent``: the held ``sigma`` divided by
-    the params' prices.  Phase 2 decides, then copies: each agent's coin and
-    ``select_parent``'s rule read the phase-1 growth and fill ``parents``,
-    then each imitator takes a noisy copy of its parent's phase-1 strategy,
-    in ``strategies`` and in a copy of ``sigma``.  Each agent draws on its
-    own stream, which the step advances in place: stepping one population
-    twice draws anew.
+    the params' prices.  Phase 2 is one pass over the agents: each draws its
+    coin, ``select_parent`` reads the output's phase-1 growth, and an
+    imitator takes ``mutate_strategy``'s copy of its parent's phase-1
+    strategy.  The first imitator copies ``strategies`` and ``sigma``; a step
+    where nobody imitates shares both with its input.  Each agent draws on
+    its own stream, which the step advances in place: stepping one
+    population twice draws anew.
     """
     _check_counts(population.ratio.shape[1], coefficients, params)
     strategies, sigma, rngs = population.strategies, population.sigma, population.rngs
     with np.errstate(divide="ignore", over="ignore"):  # absorbed; growth _advance rejects
         stepped = _advance(population.ratio, population.log_income, sigma / params.prices,
                            params, coefficients)[:3]
-    step, parents = population.step + 1, np.full(len(strategies), -1)
-    chosen = {}  # imitator -> parent
+    out = Population(*stepped, strategies, sigma, population.step + 1, rngs,
+                     np.full(len(strategies), -1))
     if config.imitation_probability > 0.0:  # SelectionError before any draw
         _check_peers(len(strategies), config)
-        growth = stepped[2].tolist()
         for i, rng in enumerate(rngs):
             if rng.random() < config.imitation_probability:
-                parent = _pick(i, growth, config, rng, params)
-                if parent != i:
-                    chosen[i] = parent
-    if not chosen:
-        return Population(*stepped, strategies, sigma, step, rngs, parents)
-    copies, sigma = list(strategies), sigma.copy()
-    for i, j in chosen.items():
-        copies[i] = mutate_strategy(strategies[j], config.imitation_error_sd, rngs[i])
-        sigma[i] = copies[i].weights
-        parents[i] = j
-    sigma.flags.writeable = False
-    return Population(*stepped, copies, sigma, step, rngs, parents)
+                j = select_parent(i, out, config, rng, params)
+                if j != i:
+                    if out.sigma is sigma:  # the first imitator copies both stores
+                        out.strategies, out.sigma = list(strategies), sigma.copy()
+                    out.strategies[i] = mutate_strategy(
+                        strategies[j], config.imitation_error_sd, rng)
+                    out.sigma[i] = out.strategies[i].weights
+                    out.parents[i] = j
+        out.sigma.flags.writeable = False
+    return out
 
 
 def init_population(

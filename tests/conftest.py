@@ -1,11 +1,10 @@
-"""Shared fixtures and instance generators for the test suite."""
+"""Shared instance generators and reference loops for the test suite."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-import pytest
 
 from growthlab import (
     EconomyParams,
@@ -82,11 +81,6 @@ def near_optimal(coefficients, sd, rng, retries: int = 50) -> Strategy:
         if response(cand, coefficients) > 0.0:
             return cand
     return alpha
-
-
-@pytest.fixture(scope="session")
-def reference_economy():
-    return default_economy()
 
 
 def step_agent_records(state, switches, params, coefficients, prices, steps):

@@ -234,6 +234,8 @@ def test_trace_passes_alternate_sides(tmp_path, monkeypatch):
         os.path.abspath(repo).encode() if "--show-toplevel" in args else b"abc1234"))
     monkeypatch.setattr(bench_pair, "make_trees",
                         lambda repo, sha, scratch: {"parent": "P", "change": "C"})
+    monkeypatch.setattr(bench_pair, "src_sizes",
+                        lambda tree: {"modules": {}, "total": {"lines": 0, "statements": 0}})
     monkeypatch.setattr(bench_pair, "run_once", run_once)
     out = tmp_path / "bench.json"
     assert bench_pair.main(["abc1234", "0", "--pairs", "2", "--workload", "w",
@@ -243,6 +245,41 @@ def test_trace_passes_alternate_sides(tmp_path, monkeypatch):
                      ("P", "w", 1), ("C", "w", 1)]
     assert len([r for r in json.loads(out.read_text())["runs"] if r["pass"] == "trace"]) == 6
     assert json.loads(out.read_text())["machine"]["exp_dispatch"] == bench_pair.exp_dispatch()
+
+
+def test_bench_file_records_each_sides_source_size(tmp_path, monkeypatch, capsys):
+    bench_pair = load_bench_pair()
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    trees = {}
+    for side, text in (("parent", "a = 1\nb = 2\n"), ("change", "a = 1\n")):
+        package = tmp_path / side / "src" / "growthlab"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text(text)
+        (package / "n.py").write_text("if a:\n    b = 3\n")
+        trees[side] = str(tmp_path / side)
+
+    def run_once(tree, workload, seed, trace):
+        return ({"correct": True, "failed": 0, "metrics": {"a.s": {"value": 1.0}}}, {},
+                "machine: cores=2 python=3 numpy=2 commit=unknown")
+
+    monkeypatch.setattr(bench_pair, "git", lambda *args, cwd: (
+        os.path.abspath(repo).encode() if "--show-toplevel" in args else b"abc1234"))
+    monkeypatch.setattr(bench_pair, "make_trees", lambda repo, sha, scratch: trees)
+    monkeypatch.setattr(bench_pair, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pair.main(["abc1234", "0", "--pairs", "1", "--workload", "w",
+                            "--output", str(out)]) == 0
+    n = {"lines": 2, "statements": 2}  # n.py: the if and the assignment in it
+    assert json.loads(out.read_text())["src_size"] == {
+        "parent": {"modules": {"m.py": {"lines": 2, "statements": 2}, "n.py": n},
+                   "total": {"lines": 4, "statements": 4}},
+        "change": {"modules": {"m.py": {"lines": 1, "statements": 1}, "n.py": n},
+                   "total": {"lines": 3, "statements": 3}},
+    }
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "src/growthlab parent: 4 lines, 4 statements",
+        "src/growthlab change: 3 lines, 3 statements",
+    ]
 
 
 def test_exp_dispatch_counts_where_numpy_exp_leaves_libm(monkeypatch):

@@ -226,6 +226,19 @@ class TestExitCodes:
         assert err == "error: economy.prices: every price must be a positive finite real\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flags", [
+        ["--target", "0.0185", "--prices", "1.7e308,1.7e308"],
+        ["--target", "1e308"],
+    ], ids=["prices", "target"])
+    def test_calibrated_scaling_past_float_range_named(self, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "calibrate", "--alpha", "0.5,0.5", "--delta", "0.03", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == "error: target_growth: scaling must be positive and finite\n"
+
     @pytest.mark.parametrize(
         "argv, message",
         [

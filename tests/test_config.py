@@ -117,6 +117,10 @@ class TestValidationErrors:
              "switch.mutation_sd"),
             ({"experiment": "evolve", "evolution": {"imitation_error_sd": float("inf")}},
              "evolution.imitation_error_sd"),
+            # a calibrated scaling past float range, with no numpy overflow warning
+            ({"economy": {"alphas": [0.5, 0.5], "prices": [1.7e308, 1.7e308]}},
+             "target_growth"),
+            ({"target_growth": 1e308}, "target_growth"),
         ],
     )
     def test_bad_value_named(self, doc, path):
@@ -219,6 +223,12 @@ class TestValidationErrors:
         # an int that is not a bool, as the loader requires of a JSON integer
         with pytest.raises(ConfigurationError, match=f"^{field}: expected an integer"):
             section(**{field: value})
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_switch_spec_takes_the_integer_rule_for_each_switch_step(self, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^switch_steps\[1\]: expected an integer, got {value}$"):
+            SwitchSpec(switch_steps=(1, value))
 
 
 class TestRoundTrip:

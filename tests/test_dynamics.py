@@ -674,6 +674,22 @@ class TestEntryChecks:
         with pytest.raises(ConfigurationError, match="steps must be >= 1, got 0"):
             run_switch_experiment(sigma, [], params, c, sched, 0)
 
+    @pytest.mark.parametrize("steps, at_step, message", [
+        (100.0, None, "steps: expected an integer, got 100.0"),
+        (True, None, "steps: expected an integer, got True"),
+        (100, 50.0, r"switch_steps\[0\]: expected an integer, got 50.0"),
+        (100, True, r"switch_steps\[0\]: expected an integer, got True"),
+    ], ids=["float-steps", "bool-steps", "float-switch", "bool-switch"])
+    def test_steps_and_switch_steps_take_the_integer_rule(self, steps, at_step, message):
+        # the config loader's rule: an int that is not a bool
+        params, c, sched = default_economy()
+        sigma = Strategy(np.array([0.5, 0.5]))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            if at_step is None:
+                run_hold(equilibrium_state(sigma, c, params), params, c, sched, steps)
+            else:
+                run_switch_experiment(sigma, [(at_step, sigma)], params, c, sched, steps)
+
     def test_fast_growth_finishes_with_finite_log_income(self):
         # 20% growth per step takes income past float range near step 3.9k;
         # the run keeps stepping on the ratio, and only income reads inf

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -121,6 +122,15 @@ class TestCalibrateScaling:
     def test_floor_target_rejected(self):
         with pytest.raises(DomainError):
             calibrate_scaling(-0.03, HALF, 0.03, ONES2)
+
+    @pytest.mark.parametrize("target, prices", [(1e308, ONES2), (0.0185, [1.7e308, 1.7e308])],
+                             ids=["target", "prices"])
+    def test_scaling_past_float_range_rejected(self, target, prices):
+        # EconomyParams' rule, not inf and not numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^scaling must be positive and finite$"):
+                calibrate_scaling(target, HALF, 0.03, prices)
 
     def test_round_trip(self):
         rng = np.random.default_rng(33)

@@ -211,6 +211,14 @@ class TestSelectParent:
         with pytest.raises(SelectionError, match="observation_sample 3 exceeds available peers 2"):
             select_parent(0, pop, cfg, np.random.default_rng(0), self.params)
 
+    @pytest.mark.parametrize("observer", [1.5, 1.0, True])
+    def test_observer_index_takes_the_integer_rule(self, observer):
+        pop = _population_with_growths([0.0, 0.01, 0.02], self.params, self.coefficients)
+        cfg = EvolutionConfig(population_size=3, observation_sample=1)
+        with pytest.raises(ConfigurationError,
+                           match=f"^observer_index: expected an integer, got {observer}$"):
+            select_parent(observer, pop, cfg, np.random.default_rng(0), self.params)
+
 
 class TestEvolutionConfig:
     def test_observation_sample_bound(self):
@@ -460,8 +468,13 @@ def test_held_strategy_matrix_follows_the_strategies(rule, seed, sectors, size, 
     _assert_held_matrix(Population.from_agents(pop.agents, pop.step, pop.rngs))
     for _ in range(20):
         before = pop.sigma.copy()
+        held, parents = list(pop.strategies), pop.parents.copy()
         out = evolve_step(pop, params, coefficients, cfg)
         assert pop.sigma.tobytes() == before.tobytes()  # the step copies, never writes
+        assert all(a is b for a, b in zip(pop.strategies, held, strict=True))
+        assert np.array_equal(pop.parents, parents)
+        if (out.parents < 0).all():  # nobody imitated: the output shares both stores
+            assert out.sigma is pop.sigma and out.strategies is pop.strategies
         _assert_held_matrix(out)
         pop = out
 

@@ -16,10 +16,12 @@ build method; it is not known to cause or cure the position effect below.
 Layout: N pairs per workload, the workloads in turn within a pair; odd
 pairs run the parent first, even pairs the change first.  Then three
 ``--trace 1`` passes per side and workload, alternating in the same way.
-The output has the keys description, command, order, machine, medians,
-layers and runs; ``machine`` also holds under "exp_dispatch" the count of
-``exp_dispatch``'s probe, since numpy's SIMD dispatch moves output bits
-and kernel timings;
+The output has the keys description, command, order, machine, src_size,
+medians, layers and runs; ``machine`` also holds under "exp_dispatch" the
+count of ``exp_dispatch``'s probe, since numpy's SIMD dispatch moves output
+bits and kernel timings; ``src_size`` holds each side's tools/src_size.py
+table (lines and statements per module and in total), whose totals are
+printed first;
 ``medians`` holds each side's median of every end-to-end metric and its
 total of failed ops, and under "gain" whether each metric meets the gain rule: the change
 lower in at least 9 of 10 pairs, ties counting for neither, and the median
@@ -69,6 +71,20 @@ def make_trees(repo: str, parent_sha: str, scratch: str) -> dict[str, str]:
         archive = git("archive", sha, cwd=repo)
         subprocess.run(("tar", "-x", "-C", trees[side]), input=archive, check=True)
     return trees
+
+
+def src_sizes(tree: str) -> dict:
+    """tools/src_size.py's table of the tree's package: lines and statements
+    per module and in total."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    if here not in sys.path:
+        sys.path.insert(0, here)
+    import src_size
+
+    found = src_size.sizes(os.path.join(tree, src_size.PACKAGE))
+    lines, statements = map(sum, zip(*found.values()))
+    return {"modules": {name: {"lines": n, "statements": k} for name, (n, k) in found.items()},
+            "total": {"lines": lines, "statements": statements}}
 
 
 UNSCALED = ("cpu_s", "host_slowdown")  # of the report's unscaled lines
@@ -274,6 +290,10 @@ def main(argv=None) -> int:
     runs, machine = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as scratch:
         trees = make_trees(repo, sha, scratch)
+        sizes = {side: src_sizes(tree) for side, tree in trees.items()}
+        for side, size in sizes.items():
+            print(f"src/growthlab {side}: {size['total']['lines']} lines, "
+                  f"{size['total']['statements']} statements")
         schedule = [(("parent", "change") if k % 2 else ("change", "parent"), w, k)
                     for k in range(1, args.pairs + 1) for w in workloads]
         schedule += [(("parent", "change") if k % 2 else ("change", "parent"), w, "trace")
@@ -301,6 +321,7 @@ def main(argv=None) -> int:
                   "clean); neither has a .git directory, so their machine lines read "
                   "commit=unknown. Written by tools/bench_pair.py"),
         "machine": {**parse_machine(machine), "exp_dispatch": exp_dispatch()},
+        "src_size": sizes,
         "medians": summarize(runs, workloads, args.pairs),
         "layers": layers(runs, workloads, better),
         "runs": runs,
